@@ -17,7 +17,6 @@ from macc_lab import (
     greedy_coloring,
     is_proper,
     local_count,
-    realize_union,
     realize_union_split,
     union_bounds,
     verify_scheme,
@@ -35,7 +34,7 @@ def main() -> None:
     print(f"  fractional bound     : {bounds.fractional}")
     print()
 
-    icp = realize_union(desc)
+    icp = realize_union_split(desc, 1)
     for palette in (bounds.divisor, k):
         coloring = divisor_coloring(desc, palette)
         lc = local_count(icp, coloring)
@@ -54,7 +53,7 @@ def main() -> None:
     print()
 
     small = UnionIcpDesc(2, 1, 2)
-    small_icp = realize_union(small)
+    small_icp = realize_union_split(small, 1)
     chi, witness = exhaustive_chi_l(small_icp)
     first_fit = greedy_coloring(small_icp)
     print(f"small case (a1={small.a1}, a2={small.a2}, z={small.z}), "

@@ -30,7 +30,6 @@ from .coloring import (
     interferers,
     is_proper,
     local_count,
-    union_coloring_instance,
 )
 from .delivery import (
     DeliveryPlan,
@@ -55,7 +54,6 @@ from .icp import (
     pair_columns,
     paired_column_indices,
     realize_single,
-    realize_union,
     realize_union_split,
     reduce_macc,
 )
@@ -126,7 +124,6 @@ __all__ = [
     "IcpInstance",
     "node_data",
     "realize_single",
-    "realize_union",
     "realize_union_split",
     "IcpTable",
     "reduce_macc",
@@ -145,7 +142,6 @@ __all__ = [
     "fractional_coloring",
     "greedy_coloring",
     "closed_color_sets",
-    "union_coloring_instance",
     # finite-field schemes
     "FieldSpec",
     "field_for",

@@ -317,7 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 _dec_cell(plan.rate),
                 plan.subpacketization,
                 plan.n_transmissions,
-                "true" if check.users_ok else "false",
+                "true" if all(check.users_ok) else "false",
             ]
         )
         writer.writerow(row)

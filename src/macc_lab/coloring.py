@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .icp import (
-    IcpInstance,
-    UnionIcpDesc,
-    node_data,
-    realize_union,
-    realize_union_split,
-)
+from .icp import IcpInstance, UnionIcpDesc, node_data
 from .macc import mod1
 
 
@@ -220,9 +214,3 @@ def closed_color_sets(icp: IcpInstance, coloring: Coloring) -> list[set[int]]:
         out.append(seen)
     return out
 
-
-def union_coloring_instance(desc: UnionIcpDesc, split: int = 1) -> IcpInstance:
-    """The instance a structured coloring of ``desc`` refers to."""
-    if split == 1:
-        return realize_union(desc)
-    return realize_union_split(desc, split)

@@ -9,11 +9,15 @@ fractions), so they can be checked against the closed-form calculators.
 
 Modes
 -----
+``_component`` holds the whole mode table: it colors each column pair and
+the odd leftover (middle) column, which runs as its ``(c, c)`` union at twice
+the split except in the two plain-column cases it names.
+
 ``linear``
     Whole-subfile transmissions. Pairs use the residue coloring when
     ``K-iL+1`` divides ``K``, first-fit otherwise (improved by the exact
     search when the component is small enough); an odd leftover column is
-    treated as a plain single column.
+    then treated as a plain single column.
 ``quadratic``
     Every subfile is cut into ``m = floor(K/(K-iL+1))`` parts and pairs use
     the shifted-window coloring; the leftover column rides at split ``2m``.
@@ -152,37 +156,8 @@ def pair_instance(pair: PairPlan) -> IcpInstance:
     """Rebuild the local index coding instance a pair's scheme was coded for."""
     if pair.kind == "column":
         return realize_single(pair.desc)
-    if pair.kind == "middle":
-        return realize_union_split(pair.desc, pair.cell_split // 2)
-    return realize_union_split(pair.desc, pair.cell_split)
-
-
-def _union_part_map(
-    table: IcpTable, cols: tuple[int, int], split: int
-) -> tuple[tuple[int, int], ...]:
-    out = []
-    for k in range(1, table.n_rows + 1):
-        for t in (1, 2):
-            g = table.entry(k, cols[t - 1])
-            for j in range(1, split + 1):
-                out.append((g, j))
-    return tuple(out)
-
-
-def _middle_part_map(
-    table: IcpTable, col: int, half: int
-) -> tuple[tuple[int, int], ...]:
-    out = []
-    for k in range(1, table.n_rows + 1):
-        g = table.entry(k, col)
-        for t in (1, 2):
-            for j in range(1, half + 1):
-                out.append((g, (t - 1) * half + j))
-    return tuple(out)
-
-
-def _column_part_map(table: IcpTable, col: int) -> tuple[tuple[int, int], ...]:
-    return tuple((table.entry(k, col), 1) for k in range(1, table.n_rows + 1))
+    halves = 2 if pair.kind == "middle" else 1
+    return realize_union_split(pair.desc, pair.cell_split // halves)
 
 
 def _maybe_oracle(
@@ -196,9 +171,46 @@ def _maybe_oracle(
     return coloring, tag
 
 
-def _best_effort(inst: IcpInstance, cap: int) -> tuple[Coloring, str]:
-    """First-fit coloring, replaced by the exact search when it fits and wins."""
-    return _maybe_oracle(inst, greedy_coloring(inst), "greedy", cap)
+def _component(
+    desc: UnionIcpDesc,
+    single: StructuredIcpDesc | None,
+    mode: str,
+    s: int,
+    x: int | None,
+    cap: int,
+) -> tuple[Coloring, IcpInstance, int, int | None, str]:
+    """Coloring, instance, cell split, fixed row count and tag of one component.
+
+    ``desc`` is a column pair's union. For the middle column ``single`` is
+    that column and ``desc`` its ``(c, c)`` union at twice the split, so each
+    cell's two halves fill the union's two copies. Two cases code ``single``
+    itself with whole cells instead: the clique column, and linear mode's
+    first-fit column when ``s = K-iL+1`` does not divide ``K``.
+    """
+    halves = 1 if single is None else 2
+    if mode == "divisor":
+        return divisor_coloring(desc, x), realize_union_split(desc, 1), halves, x, "divisor"
+    if single is not None and single.a1 == 0:
+        # everyone-knows-everyone column: one summed transmission
+        inst = realize_single(single)
+        return greedy_coloring(inst), inst, 1, None, "clique"
+    if desc.k % s == 0:
+        return divisor_coloring(desc, s), realize_union_split(desc, 1), halves, None, "divisor"
+    if mode == "quadratic":
+        coloring, m = fractional_coloring(desc)
+        return coloring, realize_union_split(desc, m), halves * m, None, "fractional"
+    if single is not None:
+        inst = realize_single(single)
+        coloring, tag = _maybe_oracle(inst, greedy_coloring(inst), "greedy", cap)
+        return coloring, inst, 1, None, tag
+    # modulus K always divides K; local count min(a1 + 2*a2 + 2, K)
+    inst = realize_union_split(desc, 1)
+    coloring, tag = divisor_coloring(desc, desc.k), "divisor"
+    first_fit = greedy_coloring(inst)
+    if local_count(inst, first_fit) < local_count(inst, coloring):
+        coloring, tag = first_fit, "greedy"
+    coloring, tag = _maybe_oracle(inst, coloring, tag, cap)
+    return coloring, inst, 1, None, tag
 
 
 def assemble(
@@ -226,7 +238,6 @@ def assemble(
     table = reduce_macc(instance, demands)
     k = table.n_rows
     d = table.n_cols
-    cov = table.coverage
 
     if d == 0:
         return DeliveryPlan(
@@ -257,83 +268,42 @@ def assemble(
         base_split = 1
 
     unions, middle = pair_columns(table)
-    pair_cols = paired_column_indices(table)
-    mid_col = (d + 1) // 2 if d % 2 == 1 else None
-
-    # plan every component first so one field can serve the whole schedule
-    staged: list[tuple] = []  # (columns, desc, kind, tag, cell_split, coloring, inst, n_rows)
-    for desc, cols in zip(unions, pair_cols):
-        if mode == "divisor":
-            coloring = divisor_coloring(desc, x)
-            inst = realize_union_split(desc, 1)
-            staged.append((cols, desc, "union", "divisor", 1, coloring, inst, x))
-        elif k % s == 0:
-            coloring = divisor_coloring(desc, s)
-            inst = realize_union_split(desc, 1)
-            staged.append((cols, desc, "union", "divisor", 1, coloring, inst, None))
-        elif mode == "quadratic":
-            coloring, m = fractional_coloring(desc)
-            inst = realize_union_split(desc, m)
-            staged.append((cols, desc, "union", "fractional", m, coloring, inst, None))
-        else:
-            # modulus K always divides K; local count min(a1 + 2*a2 + 2, K)
-            inst = realize_union_split(desc, 1)
-            coloring, tag = divisor_coloring(desc, k), "divisor"
-            first_fit = greedy_coloring(inst)
-            if local_count(inst, first_fit) < local_count(inst, coloring):
-                coloring, tag = first_fit, "greedy"
-            coloring, tag = _maybe_oracle(inst, coloring, tag, oracle_node_cap)
-            staged.append((cols, desc, "union", tag, 1, coloring, inst, None))
-
+    # (columns, union descriptor, middle column or None) per component
+    specs = [
+        (cols, desc, None) for cols, desc in zip(paired_column_indices(table), unions)
+    ]
     if middle is not None:
-        c = middle.a1
-        udesc = UnionIcpDesc(c, c, cov)
-        if mode == "divisor":
-            coloring = divisor_coloring(udesc, x)
-            inst = realize_union_split(udesc, 1)
-            staged.append(((mid_col,), udesc, "middle", "divisor", 2, coloring, inst, x))
-        elif c == 0:
-            # everyone-knows-everyone column: one summed transmission
-            inst = realize_single(middle)
-            coloring = greedy_coloring(inst)
-            staged.append(((mid_col,), middle, "column", "clique", 1, coloring, inst, None))
-        elif k % s == 0:
-            coloring = divisor_coloring(udesc, s)
-            inst = realize_union_split(udesc, 1)
-            staged.append(((mid_col,), udesc, "middle", "divisor", 2, coloring, inst, None))
-        elif mode == "quadratic":
-            coloring, m = fractional_coloring(udesc)
-            inst = realize_union_split(udesc, m)
-            staged.append(((mid_col,), udesc, "middle", "fractional", 2 * m, coloring, inst, None))
-        else:
-            inst = realize_single(middle)
-            coloring, tag = _best_effort(inst, oracle_node_cap)
-            staged.append(((mid_col,), middle, "column", tag, 1, coloring, inst, None))
-
+        specs.append((((d + 1) // 2,), UnionIcpDesc(middle.a1, middle.a1, middle.z), middle))
+    # plan every component first so one field can serve the whole schedule
+    built = [
+        _component(desc, single, mode, s, x, oracle_node_cap)
+        for _, desc, single in specs
+    ]
     if field is None:
-        field = field_for(max(st[5].n_colors for st in staged))
+        field = field_for(max(coloring.n_colors for coloring, *_ in built))
 
     pairs = []
-    for cols, desc, kind, tag, cell_split, coloring, inst, n_rows in staged:
+    for (cols, desc, single), (coloring, inst, cell_split, n_rows, tag) in zip(specs, built):
+        # a lone column with halved cells rides on its union, whole cells on itself
+        kind = "union" if single is None else "middle" if cell_split > 1 else "column"
         scheme = encode(inst, coloring, field=field, n_rows=n_rows)
         scheme = replace(scheme, split_factor=cell_split)
         require_all_decode(scheme, inst)
-        if kind == "union":
-            part_map = _union_part_map(table, cols, cell_split)
-        elif kind == "middle":
-            part_map = _middle_part_map(table, cols[0], cell_split // 2)
-        else:
-            part_map = _column_part_map(table, cols[0])
         pairs.append(
             PairPlan(
                 columns=cols,
-                desc=desc,
+                desc=single if kind == "column" else desc,
                 kind=kind,
                 tag=tag,
                 cell_split=cell_split,
                 coloring=coloring,
                 scheme=scheme,
-                part_map=part_map,
+                part_map=tuple(
+                    (table.entry(r, c), j)
+                    for r in range(1, k + 1)
+                    for c in cols
+                    for j in range(1, cell_split + 1)
+                ),
             )
         )
 
@@ -372,11 +342,9 @@ def _pair_users_ok(plan: DeliveryPlan) -> tuple[bool, ...]:
     ok = [True] * k
     for pair in plan.pairs:
         inst = pair_instance(pair)
-        results = verify_scheme(pair.scheme, inst)
         per_user = len(inst.users) // k
-        for idx, good in enumerate(results):
-            if not good:
-                ok[idx // per_user] = False
+        for idx, good in enumerate(verify_scheme(pair.scheme, inst)):
+            ok[idx // per_user] &= good
     return tuple(ok)
 
 
@@ -416,14 +384,6 @@ def verify_plan(plan: DeliveryPlan) -> PlanCheck:
     )
 
 
-def _part_label(plan: DeliveryPlan, pair: PairPlan, local_msg: int) -> str:
-    g, part = pair.part_map[local_msg - 1]
-    base = plan.table.message_label(g)
-    if pair.cell_split == 1:
-        return base
-    return f"{base}#{part}"
-
-
 def plan_to_json(plan: DeliveryPlan) -> str:
     """Stable JSON rendering of a plan (schedule, colorings, coefficients)."""
     inst = plan.table.instance
@@ -441,9 +401,10 @@ def plan_to_json(plan: DeliveryPlan) -> str:
                     {
                         "table_message": g,
                         "part": part,
-                        "label": _part_label(plan, pair, m),
+                        "label": plan.table.message_label(g)
+                        + ("" if pair.cell_split == 1 else f"#{part}"),
                     }
-                    for m, (g, part) in enumerate(pair.part_map, start=1)
+                    for g, part in pair.part_map
                 ],
                 "scheme": json.loads(pair.scheme.to_json()),
             }

@@ -25,7 +25,6 @@ from .macc import (
     DemandProfile,
     MaccInstance,
     as_demand_profile,
-    circ_interval,
     interval_contains,
     mod1,
 )
@@ -112,19 +111,12 @@ class IcpInstance:
     labels: dict | None = field(default=None, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        # structured builders share known-set objects between users, so
-        # validating each distinct object once covers everything
-        seen: set[int] = set()
-        for u in self.users:
-            for s in (u.want, u.known):
-                if id(s) in seen:
-                    continue
-                seen.add(id(s))
-                for m in s:
-                    if not (1 <= m <= self.n_messages):
-                        raise ParameterError(
-                            f"message {m} outside [1, {self.n_messages}]"
-                        )
+        # structured builders share known sets between users, so validating
+        # each distinct set once covers everything
+        for s in dict.fromkeys(s for u in self.users for s in (u.want, u.known)):
+            for m in s:
+                if not (1 <= m <= self.n_messages):
+                    raise ParameterError(f"message {m} outside [1, {self.n_messages}]")
 
     @property
     def nodes(self) -> tuple[tuple[int, int], ...]:
@@ -159,45 +151,27 @@ class _NodeData:
 
     __slots__ = (
         "n_nodes",
-        "n_messages",
-        "node_user",
         "node_msg",
         "known_rows",
-        "user_row",
         "node_row",
     )
 
     def __init__(self, icp: IcpInstance):
         nodes = icp.nodes
         self.n_nodes = len(nodes)
-        self.n_messages = icp.n_messages
-        self.node_user = np.fromiter((u - 1 for u, _ in nodes), dtype=np.int32, count=len(nodes))
+        node_user = np.fromiter((u - 1 for u, _ in nodes), dtype=np.int32, count=len(nodes))
         self.node_msg = np.fromiter((m - 1 for _, m in nodes), dtype=np.int32, count=len(nodes))
-        row_of: dict[int, int] = {}
-        rows: list[frozenset[int]] = []
-        user_row = np.empty(len(icp.users), dtype=np.int32)
-        for u_idx, user in enumerate(icp.users):
-            key = id(user.known)
-            r = row_of.get(key)
-            if r is None:
-                # identical frozensets created separately still dedupe, just
-                # through the slower hash path
-                for r2, existing in enumerate(rows):
-                    if existing == user.known:
-                        r = r2
-                        break
-                if r is None:
-                    r = len(rows)
-                    rows.append(user.known)
-                row_of[key] = r
-            user_row[u_idx] = r
-        known = np.zeros((len(rows), icp.n_messages), dtype=bool)
-        for r, s in enumerate(rows):
-            if s:
-                known[r, np.fromiter((m - 1 for m in s), dtype=np.int64, count=len(s))] = True
+        row_of: dict[frozenset[int], int] = {}
+        user_row = np.fromiter(
+            (row_of.setdefault(u.known, len(row_of)) for u in icp.users),
+            dtype=np.int32,
+            count=len(icp.users),
+        )
+        known = np.zeros((len(row_of), icp.n_messages), dtype=bool)
+        for r, s in enumerate(row_of):
+            known[r, np.fromiter((m - 1 for m in s), dtype=np.int64, count=len(s))] = True
         self.known_rows = known
-        self.user_row = user_row
-        self.node_row = user_row[self.node_user]
+        self.node_row = user_row[node_user]
 
     def knows(self, node: int, msg0: np.ndarray) -> np.ndarray:
         return self.known_rows[self.node_row[node], msg0]
@@ -216,16 +190,6 @@ def realize_single(desc: StructuredIcpDesc) -> IcpInstance:
         known = frozenset(mod1(u + desc.a1 + r, k) for r in range(1, desc.z + 1))
         users.append(IcpUser(want=frozenset({u}), known=known))
     return IcpInstance(n_messages=k, users=tuple(users))
-
-
-def realize_union(desc: UnionIcpDesc) -> IcpInstance:
-    """Materialize the union instance as its equivalent single-unicast form.
-
-    Messages: ``x_{k,t}`` gets id ``2(k-1)+t``. Nodes: ``(k, t)`` at index
-    ``2(k-1)+t`` wants exactly ``x_{k,t}``; both nodes of row ``k`` share the
-    row's full side information (both shifted runs).
-    """
-    return realize_union_split(desc, 1)
 
 
 def realize_union_split(desc: UnionIcpDesc, split: int) -> IcpInstance:

@@ -336,39 +336,29 @@ def can_decode(scheme: TransmissionScheme, icp: IcpInstance, user: int) -> bool:
     if not (1 <= user <= len(icp.users)):
         raise ParameterError(f"user must lie in [1, {len(icp.users)}], got {user}")
     u = icp.users[user - 1]
-    return _decodes(scheme, u.known, u.want)
+    return _decodable(scheme, u.known, [u.want])[0]
 
 
-def _decodes(scheme: TransmissionScheme, known: frozenset, want: frozenset) -> bool:
+def _decodable(
+    scheme: TransmissionScheme, known: frozenset, wants: list[frozenset]
+) -> list[bool]:
+    """One elimination over the columns outside ``known``; per want set,
+    whether every wanted message's unit vector lies in the row span."""
     order = scheme.message_order
-    col_of = {m: c for c, m in enumerate(order)}
-    for m in want:
-        if m not in col_of:
-            return False
     unknown = [c for c, m in enumerate(order) if m not in known]
-    sub = scheme.coefficients[:, unknown]
-    rr = _Rref(sub, scheme.field)
-    pos = {order[unknown[j]]: j for j in range(len(unknown))}
-    return all(rr.contains_unit(pos[m]) for m in want)
+    rr = _Rref(scheme.coefficients[:, unknown], scheme.field)
+    pos = {order[c]: j for j, c in enumerate(unknown)}
+    return [all(m in pos and rr.contains_unit(pos[m]) for m in want) for want in wants]
 
 
 def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
     """Per-user decodability, sharing elimination work between users with the
     same known set (structured instances have few distinct ones)."""
-    results = [False] * len(icp.users)
-    by_known: dict[frozenset, list[int]] = {}
-    for idx, u in enumerate(icp.users):
-        by_known.setdefault(u.known, []).append(idx)
-    order = scheme.message_order
-    for known, members in by_known.items():
-        unknown = [c for c, m in enumerate(order) if m not in known]
-        rr = _Rref(scheme.coefficients[:, unknown], scheme.field)
-        pos = {order[unknown[j]]: j for j in range(len(unknown))}
-        for idx in members:
-            results[idx] = all(
-                m in pos and rr.contains_unit(pos[m]) for m in icp.users[idx].want
-            )
-    return tuple(results)
+    wants: dict[frozenset, list[frozenset]] = {}
+    for u in icp.users:
+        wants.setdefault(u.known, []).append(u.want)
+    verdicts = {known: iter(_decodable(scheme, known, w)) for known, w in wants.items()}
+    return tuple(next(verdicts[u.known]) for u in icp.users)
 
 
 def require_all_decode(scheme: TransmissionScheme, icp: IcpInstance) -> None:

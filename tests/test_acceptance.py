@@ -34,7 +34,6 @@ from macc_lab import (
     rate_linear,
     rate_prior_general,
     rate_prior_restricted,
-    realize_union,
     realize_union_split,
     reduce_macc,
     smallest_valid_divisor,
@@ -121,7 +120,7 @@ def test_criterion_3_scalar_union_bounds():
     if (bounds.lower, bounds.scalar, bounds.divisor) != (6, 8, 7):
         failures.append(f"bounds {bounds} != (6, 8, 7, _)")
     coloring = divisor_coloring(desc, 7)
-    icp = realize_union(desc)
+    icp = realize_union_split(desc, 1)
     if not is_proper(icp, coloring):
         failures.append("7-color residue coloring improper")
     scheme = encode(icp, coloring)
@@ -163,7 +162,7 @@ def test_criterion_5_random_coloring_suite():
 
         palette = smallest_valid_divisor(desc.k, a1 + a2 + 2)
         coloring = divisor_coloring(desc, palette)
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         if not is_proper(icp, coloring):
             failures.append(f"{tag}: residue coloring improper")
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import subprocess
@@ -209,6 +210,20 @@ class TestSweep:
         )
         assert code == 0
         assert target.read_text().startswith(",".join(cli._SWEEP_HEADER))
+
+    def test_undecodable_user_marks_row_false(self, capsys, monkeypatch):
+        real = cli.verify_plan
+
+        def one_user_fails(plan):
+            check = real(plan)
+            users_ok = (False,) + check.users_ok[1:]
+            return dataclasses.replace(check, ok=False, users_ok=users_ok)
+
+        monkeypatch.setattr(cli, "verify_plan", one_user_fails)
+        code, out, _ = run_cli(capsys, "sweep", "--K-range", "3", "--out", "-")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows and all(row[-1] == "false" for row in rows)
 
     def test_k_cap(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--K-range", "3:41", "--out", "-")

@@ -22,9 +22,7 @@ from macc_lab import (
     is_proper,
     local_count,
     realize_single,
-    realize_union,
     realize_union_split,
-    union_coloring_instance,
 )
 
 
@@ -143,7 +141,7 @@ class TestDivisorColoring:
     def test_whole_cycle_palette(self, desc):
         # n_colors = K always divides K
         coloring = divisor_coloring(desc, desc.k)
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         assert is_proper(icp, coloring)
         assert local_count(icp, coloring) == min(desc.a1 + 2 * desc.a2 + 2, desc.k)
 
@@ -151,7 +149,7 @@ class TestDivisorColoring:
     @settings(max_examples=80)
     def test_every_valid_divisor(self, desc):
         k, s = desc.k, desc.a1 + desc.a2 + 2
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         for t in range(s, k + 1):
             if k % t:
                 continue
@@ -208,7 +206,7 @@ class TestGreedyColoring:
     @given(union_descs())
     @settings(max_examples=40)
     def test_proper_on_unions(self, desc):
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         assert is_proper(icp, greedy_coloring(icp))
 
     def test_same_message_nodes_get_distinct_colors(self):
@@ -223,10 +221,3 @@ class TestGreedyColoring:
         icp = realize_single(StructuredIcpDesc(0, 0, 4))
         assert greedy_coloring(icp).n_colors == 1
 
-
-class TestUnionColoringInstance:
-    @given(union_descs())
-    @settings(max_examples=20)
-    def test_split_one_is_plain_union(self, desc):
-        assert union_coloring_instance(desc) == realize_union(desc)
-        assert union_coloring_instance(desc, 2) == realize_union_split(desc, 2)

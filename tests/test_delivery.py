@@ -106,6 +106,50 @@ class TestFrozenPlans:
         assert verify_plan(plan).ok
 
 
+# (K, L, i), mode -> (kind, tag, cell_split, n_transmissions) per component;
+# together these reach all 13 (mode, kind, tag) combinations seen for K <= 12
+BRANCH_TABLE = [
+    ((3, 1, 1), "quadratic", [("union", "divisor", 1, 3)]),
+    ((3, 1, 1), "linear", [("union", "divisor", 1, 3)]),
+    ((3, 1, 1), "divisor", [("union", "divisor", 1, 3)]),
+    ((3, 1, 2), "quadratic", [("column", "clique", 1, 1)]),
+    ((3, 1, 2), "linear", [("column", "clique", 1, 1)]),
+    ((3, 1, 2), "divisor", [("middle", "divisor", 2, 3)]),
+    ((4, 1, 1), "quadratic", [("union", "divisor", 1, 4), ("middle", "divisor", 2, 4)]),
+    ((4, 1, 1), "linear", [("union", "divisor", 1, 4), ("middle", "divisor", 2, 4)]),
+    ((4, 1, 2), "quadratic", [("union", "fractional", 1, 3)]),
+    (
+        (5, 1, 2),
+        "quadratic",
+        [("union", "fractional", 1, 4), ("middle", "fractional", 2, 5)],
+    ),
+    ((5, 1, 2), "linear", [("union", "divisor", 1, 4), ("column", "greedy", 1, 3)]),
+    (
+        (8, 1, 3),
+        "linear",
+        [("union", "divisor", 1, 6), ("union", "divisor", 1, 7), ("column", "oracle", 1, 4)],
+    ),
+    (
+        (11, 1, 5),
+        "linear",
+        [("union", "divisor", 1, 7), ("union", "divisor", 1, 8), ("union", "greedy", 1, 8)],
+    ),
+]
+
+
+class TestComponentBranches:
+    @pytest.mark.parametrize(
+        "corner, mode, expected",
+        BRANCH_TABLE,
+        ids=[f"K{k}-L{l}-i{i}-{mode}" for (k, l, i), mode, _ in BRANCH_TABLE],
+    )
+    def test_kind_tag_split_and_count(self, corner, mode, expected):
+        plan = plan_for(*corner, mode)
+        got = [(p.kind, p.tag, p.cell_split, p.n_transmissions) for p in plan.pairs]
+        assert got == expected
+        assert verify_plan(plan).ok
+
+
 class TestAssembleValidation:
     def test_unknown_mode(self):
         with pytest.raises(ParameterError):

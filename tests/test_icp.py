@@ -23,7 +23,6 @@ from macc_lab import (
     pair_columns,
     paired_column_indices,
     realize_single,
-    realize_union,
     realize_union_split,
     reduce_macc,
 )
@@ -105,7 +104,7 @@ class TestRealizeSingle:
 class TestRealizeUnion:
     @given(union_descs())
     def test_shape(self, desc):
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         k = desc.k
         assert icp.n_messages == 2 * k
         assert len(icp.users) == 2 * k
@@ -113,7 +112,7 @@ class TestRealizeUnion:
 
     @given(union_descs())
     def test_row_known_is_union_of_both_copies(self, desc):
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         k = desc.k
         for u in range(1, k + 1):
             expected = set()
@@ -129,7 +128,7 @@ class TestRealizeUnion:
 
     @given(union_descs(), st.integers(1, 3))
     def test_split_refines_messages(self, desc, split):
-        whole = realize_union(desc)
+        whole = realize_union_split(desc, 1)
         fine = realize_union_split(desc, split)
         k = desc.k
         assert fine.n_messages == 2 * k * split
@@ -146,8 +145,8 @@ class TestRealizeUnion:
 
     def test_labels(self):
         desc = UnionIcpDesc(1, 0, 2)
-        assert realize_union(desc).label(1) == "x[1,1]"
-        assert realize_union(desc).label(2) == "x[1,2]"
+        assert realize_union_split(desc, 1).label(1) == "x[1,1]"
+        assert realize_union_split(desc, 1).label(2) == "x[1,2]"
         fine = realize_union_split(desc, 2)
         assert fine.label(1) == "x[1,1]#1"
         assert fine.label(4) == "x[1,2]#2"

@@ -26,7 +26,7 @@ from macc_lab import (
     mds_generator,
     rank,
     realize_single,
-    realize_union,
+    realize_union_split,
     require_all_decode,
     verify_scheme,
 )
@@ -258,7 +258,7 @@ class TestEncode:
     def test_row_count_bounds(self):
         # a1 + 2*a2 + 2 = 3 < K = 4, so the local count is exactly 3
         desc = UnionIcpDesc(1, 0, 2)
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         coloring = divisor_coloring(desc, desc.k)
         with pytest.raises(ParameterError):
             encode(icp, coloring, n_rows=2)
@@ -267,7 +267,7 @@ class TestEncode:
 
     def test_padded_rows_still_decode(self):
         desc = UnionIcpDesc(2, 1, 2)
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         coloring = divisor_coloring(desc, desc.k)
         scheme = encode(icp, coloring, n_rows=desc.k)
         assert scheme.n_transmissions == desc.k
@@ -275,7 +275,7 @@ class TestEncode:
 
     def test_field_must_fit_palette(self):
         desc = UnionIcpDesc(2, 1, 2)
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         coloring = divisor_coloring(desc, desc.k)
         with pytest.raises(ParameterError):
             encode(icp, coloring, field=FieldSpec(2))
@@ -283,7 +283,7 @@ class TestEncode:
     @given(union_descs())
     @settings(max_examples=40, deadline=None)
     def test_structured_colorings_decode_everywhere(self, desc):
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         scheme = encode(icp, divisor_coloring(desc, desc.k))
         results = verify_scheme(scheme, icp)
         assert all(results)
@@ -291,9 +291,24 @@ class TestEncode:
             can_decode(scheme, icp, u) for u in range(1, len(icp.users) + 1)
         )
 
+    @pytest.mark.parametrize("desc", [UnionIcpDesc(1, 0, 2), UnionIcpDesc(2, 1, 2)])
+    def test_dropped_row_splits_users(self, desc):
+        icp = realize_union_split(desc, 1)
+        scheme = encode(icp, divisor_coloring(desc, desc.k))
+        short = TransmissionScheme(
+            field=scheme.field,
+            message_order=scheme.message_order,
+            coefficients=scheme.coefficients[1:],
+        )
+        results = verify_scheme(short, icp)
+        assert set(results) == {True, False}
+        assert results == tuple(
+            can_decode(short, icp, u) for u in range(1, len(icp.users) + 1)
+        )
+
     def test_zeroed_coefficients_fail_everywhere(self):
         desc = UnionIcpDesc(1, 0, 2)
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         scheme = encode(icp, divisor_coloring(desc, desc.k))
         dead = TransmissionScheme(
             field=scheme.field,

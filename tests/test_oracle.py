@@ -25,7 +25,7 @@ from macc_lab import (
     mais,
     min_rank_gf2,
     realize_single,
-    realize_union,
+    realize_union_split,
 )
 
 
@@ -175,8 +175,8 @@ class TestExhaustiveChiL:
     def test_frozen_values(self):
         assert exhaustive_chi_l(realize_single(StructuredIcpDesc(0, 0, 3)))[0] == 1
         assert exhaustive_chi_l(realize_single(StructuredIcpDesc(1, 0, 2)))[0] == 2
-        assert exhaustive_chi_l(realize_union(UnionIcpDesc(0, 0, 1)))[0] == 2
-        assert exhaustive_chi_l(realize_union(UnionIcpDesc(1, 0, 1)))[0] == 3
+        assert exhaustive_chi_l(realize_union_split(UnionIcpDesc(0, 0, 1), 1))[0] == 2
+        assert exhaustive_chi_l(realize_union_split(UnionIcpDesc(1, 0, 1), 1))[0] == 3
 
     def test_no_side_information_needs_all_colors(self):
         users = tuple(
@@ -199,7 +199,7 @@ class TestExhaustiveChiL:
             exhaustive_chi_l(icp, max_colors=2)
 
     def test_node_cap(self):
-        icp = realize_union(UnionIcpDesc(2, 1, 2))
+        icp = realize_union_split(UnionIcpDesc(2, 1, 2), 1)
         with pytest.raises(SizeCapError):
             exhaustive_chi_l(icp, node_cap=icp.n_nodes - 1)
 
@@ -213,7 +213,7 @@ class TestMais:
     def test_frozen_values(self):
         assert mais(realize_single(StructuredIcpDesc(1, 0, 2))) == 2
         assert mais(realize_single(StructuredIcpDesc(0, 0, 3))) == 1
-        assert mais(realize_union(UnionIcpDesc(0, 0, 1))) == 2
+        assert mais(realize_union_split(UnionIcpDesc(0, 0, 1), 1)) == 2
 
     def test_no_arcs_means_everything(self):
         users = tuple(
@@ -222,7 +222,7 @@ class TestMais:
         assert mais(IcpInstance(n_messages=5, users=users)) == 5
 
     def test_node_cap(self):
-        icp = realize_union(UnionIcpDesc(2, 1, 2))
+        icp = realize_union_split(UnionIcpDesc(2, 1, 2), 1)
         with pytest.raises(SizeCapError):
             mais(icp, node_cap=5)
 
@@ -234,7 +234,7 @@ class TestMinRank:
         assert min_rank_gf2(icp) == naive_min_rank(icp)
 
     def test_frozen_values(self):
-        assert min_rank_gf2(realize_union(UnionIcpDesc(0, 0, 1))) == 2
+        assert min_rank_gf2(realize_union_split(UnionIcpDesc(0, 0, 1), 1)) == 2
         assert min_rank_gf2(realize_single(StructuredIcpDesc(0, 0, 3))) == 1
         assert min_rank_gf2(realize_single(StructuredIcpDesc(1, 0, 2))) == 2
 
@@ -247,7 +247,7 @@ class TestMinRank:
             min_rank_gf2(IcpInstance(n_messages=2, users=users))
 
     def test_node_cap(self):
-        icp = realize_union(UnionIcpDesc(2, 2, 2))
+        icp = realize_union_split(UnionIcpDesc(2, 2, 2), 1)
         with pytest.raises(SizeCapError):
             min_rank_gf2(icp)
 
@@ -264,7 +264,7 @@ class TestChainOfBounds:
     @given(union_descs())
     @settings(max_examples=25, deadline=None)
     def test_mais_min_rank_transmissions(self, icp_desc):
-        icp = realize_union(icp_desc)
+        icp = realize_union_split(icp_desc, 1)
         lower = mais(icp)
         scheme = encode(icp, divisor_coloring(icp_desc, icp_desc.k))
         assert lower <= scheme.n_transmissions
@@ -275,7 +275,7 @@ class TestChainOfBounds:
     @given(union_descs())
     @settings(max_examples=25, deadline=None)
     def test_chi_l_lower_bounds_constructions(self, desc):
-        icp = realize_union(desc)
+        icp = realize_union_split(desc, 1)
         if icp.n_nodes > 14:
             return
         value, _ = exhaustive_chi_l(icp)
