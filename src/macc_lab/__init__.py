@@ -65,7 +65,6 @@ from .linalg_ff import (
     field_for,
     mds_generator,
     rank,
-    require_all_decode,
     verify_scheme,
 )
 from .macc import (
@@ -151,7 +150,6 @@ __all__ = [
     "encode",
     "can_decode",
     "verify_scheme",
-    "require_all_decode",
     # oracles
     "exhaustive_chi_l",
     "mais",

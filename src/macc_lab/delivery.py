@@ -2,10 +2,11 @@
 
 ``assemble`` reduces a demand round to the column table, routes every column
 pair through a coloring strategy fitting the requested mode, precodes each
-component with an MDS generator over one shared field, and verifies that
-every user can decode before returning the plan. Rates come out of the
-construction itself (transmission counts over split factors, exact
-fractions), so they can be checked against the closed-form calculators.
+component with an MDS generator over one shared field, and returns the plan
+only if every user can decode. That exact rank check runs once, when the
+:class:`DeliveryPlan` is constructed; ``verify_plan`` reads its verdict. Rates
+come out of the construction itself (transmission counts over split factors,
+exact fractions), so they can be checked against the closed-form calculators.
 
 Modes
 -----
@@ -31,7 +32,7 @@ the split except in the two plain-column cases it names.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .coloring import (
@@ -41,7 +42,7 @@ from .coloring import (
     greedy_coloring,
     local_count,
 )
-from .errors import ParameterError
+from .errors import ParameterError, VerificationError
 from .icp import (
     IcpInstance,
     IcpTable,
@@ -58,12 +59,12 @@ from .linalg_ff import (
     TransmissionScheme,
     encode,
     field_for,
-    require_all_decode,
     verify_scheme,
 )
 from .macc import MaccInstance
 from .oracle import exhaustive_chi_l
 from .rates import (
+    _require_divisor,
     rate_divisor,
     rate_linear,
     rate_quadratic,
@@ -111,12 +112,14 @@ class PairPlan:
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """Assembled, verified delivery schedule for one demand round.
+    """Assembled delivery schedule for one demand round, checked on construction.
 
     ``rate`` is in file units; ``subpacketization`` counts the parts each
     file ends up in (cells at ``base_split``, halved leftover cells at twice
     that). ``notes`` carries non-fatal observations such as a best-effort
-    component exceeding its closed-form bound.
+    component exceeding its closed-form bound. ``users_ok[k-1]``, set by exact
+    rank in ``__post_init__`` and never passed in, says if table user ``k``
+    decodes every pair, so a plan made by ``dataclasses.replace`` checks itself.
     """
 
     table: IcpTable
@@ -128,6 +131,10 @@ class DeliveryPlan:
     rate: Fraction
     subpacketization: int
     notes: tuple[str, ...] = ()
+    users_ok: tuple[bool, ...] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "users_ok", _pair_users_ok(self))
 
     @property
     def instance(self) -> MaccInstance:
@@ -140,7 +147,7 @@ class DeliveryPlan:
 
 @dataclass(frozen=True)
 class PlanCheck:
-    """Outcome of re-verifying a plan against its own table and calculator."""
+    """A plan's decode verdict together with its calculator comparison."""
 
     ok: bool
     users_ok: tuple[bool, ...]
@@ -222,11 +229,11 @@ def assemble(
     field: FieldSpec | None = None,
     oracle_node_cap: int = 20,
 ) -> DeliveryPlan:
-    """Build and verify a delivery plan for one demand round.
+    """Build a delivery plan for one demand round; the plan checks itself.
 
     Raises :class:`ParameterError` on invalid parameters and
-    :class:`~.errors.VerificationError` if any component fails its own decode
-    check (which would indicate a construction bug, not bad input).
+    :class:`~.errors.VerificationError`, naming the failing components and
+    users, if the plan fails its own decode check (a construction bug).
     """
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -238,6 +245,10 @@ def assemble(
     table = reduce_macc(instance, demands)
     k = table.n_rows
     d = table.n_cols
+    if mode == "divisor":
+        _require_divisor(k, d + 1, divisor)
+    elif divisor is not None:
+        raise ParameterError("an explicit divisor only applies to divisor mode")
 
     if d == 0:
         return DeliveryPlan(
@@ -252,15 +263,7 @@ def assemble(
         )
 
     s = d + 1
-    x: int | None = None
-    if mode == "divisor":
-        x = smallest_valid_divisor(k, s) if divisor is None else divisor
-        if x < s or x > k or k % x:
-            raise ParameterError(
-                f"divisor must divide K={k} and be at least K-iL+1={s}, got {x}"
-            )
-    elif divisor is not None:
-        raise ParameterError("an explicit divisor only applies to divisor mode")
+    x = smallest_valid_divisor(k, s) if mode == "divisor" and divisor is None else divisor
 
     if mode == "quadratic" and d > 1 and k % s != 0:
         base_split = k // s
@@ -288,7 +291,6 @@ def assemble(
         kind = "union" if single is None else "middle" if cell_split > 1 else "column"
         scheme = encode(inst, coloring, field=field, n_rows=n_rows)
         scheme = replace(scheme, split_factor=cell_split)
-        require_all_decode(scheme, inst)
         pairs.append(
             PairPlan(
                 columns=cols,
@@ -323,7 +325,7 @@ def assemble(
                 f"linear value {bound.rate}",
             )
 
-    return DeliveryPlan(
+    plan = DeliveryPlan(
         table=table,
         mode=mode,
         divisor=x,
@@ -334,31 +336,39 @@ def assemble(
         subpacketization=subpack,
         notes=notes,
     )
+    if not all(plan.users_ok):  # failure path only: name the components that broke
+        failing = (f"columns {list(p.columns)} ({p.tag}) table users {bad}"
+                   for p in plan.pairs if (bad := _failed_users(p, k)))
+        raise VerificationError("users unable to decode: " + "; ".join(failing))
+    return plan
+
+
+def _failed_users(pair: PairPlan, k: int) -> list[int]:
+    """Table users (1-based) who cannot decode ``pair``, by exact rank."""
+    inst = pair_instance(pair)
+    per_user = len(inst.users) // k
+    verdicts = verify_scheme(pair.scheme, inst)
+    return sorted({idx // per_user + 1 for idx, good in enumerate(verdicts) if not good})
 
 
 def _pair_users_ok(plan: DeliveryPlan) -> tuple[bool, ...]:
     """Fold per-component decode checks down to the K table users."""
-    k = plan.table.n_rows
-    ok = [True] * k
-    for pair in plan.pairs:
-        inst = pair_instance(pair)
-        per_user = len(inst.users) // k
-        for idx, good in enumerate(verify_scheme(pair.scheme, inst)):
-            ok[idx // per_user] &= good
-    return tuple(ok)
+    bad = {u for pair in plan.pairs for u in _failed_users(pair, plan.table.n_rows)}
+    return tuple(u not in bad for u in range(1, plan.table.n_rows + 1))
 
 
 def verify_plan(plan: DeliveryPlan) -> PlanCheck:
-    """Re-verify decodability and compare the plan against its calculator.
+    """Compare a plan against its calculator; decodability is ``plan.users_ok``.
 
-    For the ``quadratic`` and ``divisor`` modes the constructed rate and
+    The exact rank check ran once, when the plan was constructed. For the
+    ``quadratic`` and ``divisor`` modes the constructed rate and
     subpacketization must equal the closed-form values; ``linear`` only
     promises to stay at or below its bound when no best-effort component
     overshot (any overshoot is reported via ``within_bound``).
     """
     inst = plan.table.instance
     k, l, i = inst.n_caches, inst.access_degree, inst.memory_index
-    users_ok = _pair_users_ok(plan)
+    users_ok = plan.users_ok
     if plan.mode == "quadratic":
         rep = rate_quadratic(k, l, i)
     elif plan.mode == "divisor":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -118,10 +118,11 @@ class IcpInstance:
                 if not (1 <= m <= self.n_messages):
                     raise ParameterError(f"message {m} outside [1, {self.n_messages}]")
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[tuple[int, int], ...]:
         """(user, message) pairs, user-major, messages ascending within a user."""
-        return _node_list(self)
+        users = enumerate(self.users, start=1)
+        return tuple((u, m) for u, user in users for m in sorted(user.want))
 
     @property
     def n_nodes(self) -> int:
@@ -131,15 +132,6 @@ class IcpInstance:
         if self.labels and message in self.labels:
             return self.labels[message]
         return f"x{message}"
-
-
-@lru_cache(maxsize=256)
-def _node_list(icp: IcpInstance) -> tuple[tuple[int, int], ...]:
-    out = []
-    for u_idx, user in enumerate(icp.users, start=1):
-        for m in sorted(user.want):
-            out.append((u_idx, m))
-    return tuple(out)
 
 
 class _NodeData:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coloring import Coloring, is_proper, local_count
-from .errors import ParameterError, VerificationError
+from .errors import ParameterError
 from .icp import IcpInstance, node_data
 
 # x^w + ... + 1, one commonly used irreducible polynomial per degree
@@ -319,6 +319,8 @@ def encode(
     cols = np.asarray(coloring.colors, dtype=np.int64) - 1
     for v in range(nd.n_nodes):
         coeff[:, nd.node_msg[v]] ^= gen[:, cols[v]]
+    # read-only, so a verdict checked against these coefficients stays true
+    coeff.setflags(write=False)
     return TransmissionScheme(
         field=field,
         message_order=tuple(range(1, icp.n_messages + 1)),
@@ -359,10 +361,3 @@ def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, .
         wants.setdefault(u.known, []).append(u.want)
     verdicts = {known: iter(_decodable(scheme, known, w)) for known, w in wants.items()}
     return tuple(next(verdicts[u.known]) for u in icp.users)
-
-
-def require_all_decode(scheme: TransmissionScheme, icp: IcpInstance) -> None:
-    results = verify_scheme(scheme, icp)
-    bad = [i + 1 for i, ok in enumerate(results) if not ok]
-    if bad:
-        raise VerificationError(f"users unable to decode: {bad}")

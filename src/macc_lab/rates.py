@@ -81,6 +81,12 @@ def smallest_valid_divisor(k: int, minimum: int) -> int:
     raise AssertionError("unreachable: k divides k")
 
 
+def _require_divisor(k: int, s: int, x: int | None) -> None:
+    """Reject an explicit divisor ``x`` unless ``x | k`` and ``x >= s = K-iL+1``."""
+    if x is not None and (x < s or x > k or k % x):
+        raise ParameterError(f"divisor must divide K={k} and be at least K-iL+1={s}, got {x}")
+
+
 def union_bounds(desc: UnionIcpDesc) -> UnionBounds:
     """Lower bound plus the three constructive upper bounds for a union instance.
 
@@ -162,14 +168,11 @@ def rate_divisor(k: int, l: int, i: int, divisor: int | None = None) -> RateRepo
     name = "divisor"
     if i == 0:
         return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
+    _require_divisor(k, max(k - cov, 0) + 1, divisor)
     if cov > k:
         return RateReport(name, True, Fraction(0), k, _FULL_COVERAGE_NOTE)
     d = k - cov
     x = smallest_valid_divisor(k, d + 1) if divisor is None else divisor
-    if x < d + 1 or x > k or k % x:
-        raise ParameterError(
-            f"divisor must divide K={k} and be at least K-iL+1={d + 1}, got {x}"
-        )
     f = k if d % 2 == 0 else k + 1
     return RateReport(name, True, Fraction(d * x, 2 * k), f, f"X={x}")
 

@@ -114,6 +114,15 @@ class TestPlan:
         assert data["pairs"] == []
         assert data["rate"]["num"] == 0
 
+    def test_full_coverage_divisor_validated(self, capsys):
+        code, out, err = run_cli(
+            capsys, "plan", "--K", "6", "--L", "2", "--i", "3",
+            "--mode", "divisor", "--divisor", "5",
+        )
+        assert code == 2
+        assert out == ""
+        assert "divisor must divide K=6" in err
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "plan.json"
         code, out, _ = run_cli(

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macc_lab import delivery, linalg_ff
 from macc_lab import (
     FieldSpec,
     MaccInstance,
     ParameterError,
+    VerificationError,
     assemble,
     pair_instance,
     plan_to_json,
@@ -70,6 +74,8 @@ class TestFrozenPlans:
         assert plan.rate == 0
         assert plan.subpacketization == 6
         assert verify_plan(plan).ok
+        plan = plan_for(6, 2, 3, "divisor", divisor=3)
+        assert plan.pairs == () and plan.divisor is None
 
     def test_divisor_mode_wide(self):
         plan = plan_for(100, 4, 20, "divisor", divisor=25)
@@ -158,12 +164,16 @@ class TestAssembleValidation:
     def test_divisor_flag_requires_divisor_mode(self):
         with pytest.raises(ParameterError):
             plan_for(8, 2, 3, "quadratic", divisor=4)
+        with pytest.raises(ParameterError):  # K-iL = 0: checked before the empty plan
+            plan_for(6, 2, 3, "quadratic", divisor=4)
 
     def test_divisor_must_fit(self):
         with pytest.raises(ParameterError):
             plan_for(8, 2, 3, "divisor", divisor=3)
         with pytest.raises(ParameterError):
             plan_for(8, 2, 3, "divisor", divisor=2)
+        with pytest.raises(ParameterError):  # K-iL = 0: checked before the empty plan
+            plan_for(6, 2, 3, "divisor", divisor=5)
 
     def test_zero_memory_rejected(self):
         with pytest.raises(ParameterError):
@@ -238,6 +248,67 @@ class TestPlanInternals:
         rep = rate_divisor(12, 2, 4)
         assert plan.rate == rep.rate
         assert f"X={plan.divisor}" == rep.note
+
+
+class TestVerifyOnce:
+    def test_each_pair_is_rank_checked_once(self, monkeypatch):
+        calls = []
+        real = delivery.verify_scheme
+
+        def counted(scheme, icp):
+            calls.append(scheme)
+            return real(scheme, icp)
+
+        # both bindings, so a check reached through either module is counted
+        monkeypatch.setattr(delivery, "verify_scheme", counted)
+        monkeypatch.setattr(linalg_ff, "verify_scheme", counted)
+        plan = plan_for(12, 2, 2, "quadratic")
+        check = verify_plan(plan)
+        assert check.ok and check.users_ok == plan.users_ok
+        assert len(plan.pairs) == 4
+        assert len(calls) == len(plan.pairs)
+
+    def test_replaced_plan_checks_its_own_pairs(self):
+        plan = plan_for(8, 2, 3, "quadratic")
+        first = plan.pairs[0]
+        zeroed = replace(
+            first.scheme, coefficients=np.zeros_like(first.scheme.coefficients)
+        )
+        broken = replace(plan, pairs=(replace(first, scheme=zeroed),) + plan.pairs[1:])
+        check = verify_plan(broken)
+        assert not check.ok
+        assert not any(check.users_ok)
+        assert verify_plan(plan).ok
+
+    def test_verdict_cannot_be_passed_in(self):
+        plan = plan_for(8, 2, 3, "quadratic")
+        with pytest.raises(ValueError):
+            replace(plan, users_ok=(True,) * 8)
+
+    def test_coefficients_are_read_only(self):
+        plan = plan_for(8, 2, 3, "quadratic")
+        with pytest.raises(ValueError):
+            plan.pairs[0].scheme.coefficients[0, 0] = 1
+
+    def test_failure_names_component_and_users(self, monkeypatch):
+        real = delivery.encode
+        seen = []
+
+        def zero_second(inst, coloring, **kw):
+            scheme = real(inst, coloring, **kw)
+            seen.append(scheme)
+            if len(seen) != 2:
+                return scheme
+            return replace(scheme, coefficients=np.zeros_like(scheme.coefficients))
+
+        monkeypatch.setattr(delivery, "encode", zero_second)
+        with pytest.raises(VerificationError) as info:
+            plan_for(12, 2, 2, "quadratic")
+        assert len(seen) == 4
+        assert str(info.value) == (
+            "users unable to decode: columns [2, 7] (fractional) table users "
+            + str(list(range(1, 13)))
+        )
 
 
 class TestPlanJson:

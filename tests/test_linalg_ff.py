@@ -17,7 +17,6 @@ from macc_lab import (
     StructuredIcpDesc,
     TransmissionScheme,
     UnionIcpDesc,
-    VerificationError,
     can_decode,
     divisor_coloring,
     encode,
@@ -27,7 +26,6 @@ from macc_lab import (
     rank,
     realize_single,
     realize_union_split,
-    require_all_decode,
     verify_scheme,
 )
 from macc_lab.linalg_ff import _Rref
@@ -316,8 +314,6 @@ class TestEncode:
             coefficients=np.zeros_like(scheme.coefficients),
         )
         assert not any(verify_scheme(dead, icp))
-        with pytest.raises(VerificationError):
-            require_all_decode(dead, icp)
 
     def test_user_index_validated(self):
         icp = realize_single(StructuredIcpDesc(0, 0, 1))

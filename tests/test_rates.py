@@ -197,6 +197,8 @@ class TestCalculatorsGeneric:
             rate_divisor(8, 2, 3, divisor=2)  # below K-iL+1
         with pytest.raises(ParameterError):
             rate_divisor(8, 2, 3, divisor=16)  # beyond K
+        with pytest.raises(ParameterError):
+            rate_divisor(5, 2, 3, divisor=4)  # iL > K: checked before the early return
 
 
 class TestMemoryCurve:
