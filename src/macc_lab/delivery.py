@@ -32,7 +32,7 @@ the split except in the two plain-column cases it names.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import InitVar, dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .coloring import (
@@ -120,6 +120,10 @@ class DeliveryPlan:
     component exceeding its closed-form bound. ``users_ok[k-1]``, set by exact
     rank in ``__post_init__`` and never passed in, says if table user ``k``
     decodes every pair, so a plan made by ``dataclasses.replace`` checks itself.
+    The check runs on ``instances``, the pairs' local instances in order as
+    :func:`pair_instance` rebuilds them; ``assemble`` passes the ones it coded
+    for, and any other construction (``replace`` too) rebuilds them. They are
+    not stored.
     """
 
     table: IcpTable
@@ -132,9 +136,14 @@ class DeliveryPlan:
     subpacketization: int
     notes: tuple[str, ...] = ()
     users_ok: tuple[bool, ...] = dc_field(init=False, repr=False, compare=False)
+    instances: InitVar[tuple[IcpInstance, ...] | None] = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "users_ok", _pair_users_ok(self))
+    def __post_init__(self, instances: tuple[IcpInstance, ...] | None) -> None:
+        if instances is None:
+            instances = tuple(pair_instance(p) for p in self.pairs)
+        elif len(instances) != len(self.pairs):
+            raise ParameterError(f"{len(instances)} instances for {len(self.pairs)} pairs")
+        object.__setattr__(self, "users_ok", _pair_users_ok(self, instances))
 
     @property
     def instance(self) -> MaccInstance:
@@ -325,6 +334,8 @@ def assemble(
                 f"linear value {bound.rate}",
             )
 
+    # the instances just coded for; the plan checks them and keeps none
+    instances = tuple(inst for _, inst, *_ in built)
     plan = DeliveryPlan(
         table=table,
         mode=mode,
@@ -335,25 +346,30 @@ def assemble(
         rate=rate,
         subpacketization=subpack,
         notes=notes,
+        instances=instances,
     )
     if not all(plan.users_ok):  # failure path only: name the components that broke
         failing = (f"columns {list(p.columns)} ({p.tag}) table users {bad}"
-                   for p in plan.pairs if (bad := _failed_users(p, k)))
+                   for p, inst in zip(plan.pairs, instances)
+                   if (bad := _failed_users(p, inst, k)))
         raise VerificationError("users unable to decode: " + "; ".join(failing))
     return plan
 
 
-def _failed_users(pair: PairPlan, k: int) -> list[int]:
-    """Table users (1-based) who cannot decode ``pair``, by exact rank."""
-    inst = pair_instance(pair)
+def _failed_users(pair: PairPlan, inst: IcpInstance, k: int) -> list[int]:
+    """Table users (1-based) who cannot decode ``pair``, coded for ``inst``,
+    by exact rank."""
     per_user = len(inst.users) // k
     verdicts = verify_scheme(pair.scheme, inst)
     return sorted({idx // per_user + 1 for idx, good in enumerate(verdicts) if not good})
 
 
-def _pair_users_ok(plan: DeliveryPlan) -> tuple[bool, ...]:
+def _pair_users_ok(
+    plan: DeliveryPlan, instances: tuple[IcpInstance, ...]
+) -> tuple[bool, ...]:
     """Fold per-component decode checks down to the K table users."""
-    bad = {u for pair in plan.pairs for u in _failed_users(pair, plan.table.n_rows)}
+    k = plan.table.n_rows
+    bad = {u for pair, inst in zip(plan.pairs, instances) for u in _failed_users(pair, inst, k)}
     return tuple(u not in bad for u in range(1, plan.table.n_rows + 1))
 
 

@@ -143,6 +143,7 @@ class _NodeData:
 
     __slots__ = (
         "n_nodes",
+        "node_user",
         "node_msg",
         "known_rows",
         "node_row",
@@ -151,7 +152,7 @@ class _NodeData:
     def __init__(self, icp: IcpInstance):
         nodes = icp.nodes
         self.n_nodes = len(nodes)
-        node_user = np.fromiter((u - 1 for u, _ in nodes), dtype=np.int32, count=len(nodes))
+        self.node_user = np.fromiter((u - 1 for u, _ in nodes), dtype=np.int32, count=len(nodes))
         self.node_msg = np.fromiter((m - 1 for _, m in nodes), dtype=np.int32, count=len(nodes))
         row_of: dict[frozenset[int], int] = {}
         user_row = np.fromiter(
@@ -163,7 +164,7 @@ class _NodeData:
         for r, s in enumerate(row_of):
             known[r, np.fromiter((m - 1 for m in s), dtype=np.int64, count=len(s))] = True
         self.known_rows = known
-        self.node_row = user_row[node_user]
+        self.node_row = user_row[self.node_user]
 
     def knows(self, node: int, msg0: np.ndarray) -> np.ndarray:
         return self.known_rows[self.node_row[node], msg0]

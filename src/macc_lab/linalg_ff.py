@@ -5,6 +5,11 @@ reduction polynomial). Arithmetic runs on numpy arrays through log/antilog
 tables built around a multiplicative generator; the generator is searched for
 and verified at table-build time, so a non-primitive polynomial fails fast
 instead of corrupting results. Addition is XOR throughout (characteristic 2).
+
+Decodability is one batched Gauss-Jordan elimination per scheme and instance:
+every distinct known set's restriction of the transmissions is stacked into
+one 3-D array, in ``uint8`` with a full ``2^w x 2^w`` product table for
+``w <= 8`` and in ``uint16`` with zero-absorbing log/exp tables above that.
 """
 
 from __future__ import annotations
@@ -85,6 +90,41 @@ class _GF:
         exp, log = self._build_tables()
         self.exp = exp
         self.log = log
+        # narrow tables for the batched elimination: ``vmul`` and ``vinv``
+        # take and return ``dtype`` arrays, and the inverse of 0 reads 0
+        if w <= 8:
+            self.dtype = np.uint8
+            self.product = self._product_table()
+            self.vinv = np.argmax(self.product == 1, axis=1).astype(np.uint8)
+        else:
+            self.dtype = np.uint16
+            # log of 0 lands every sum that involves it in a run of zeros
+            # past the 2*order - 1 products of nonzero elements
+            self.zlog = log.astype(np.int32)
+            self.zlog[0] = 2 * self.order - 1
+            self.zexp = np.zeros(4 * self.order - 1, dtype=np.uint16)
+            self.zexp[: 2 * self.order - 1] = exp[: 2 * self.order - 1]
+            self.vinv = exp[(self.order - log) % self.order].astype(np.uint16)
+            self.vinv[0] = 0
+
+    def _product_table(self) -> np.ndarray:
+        """Every product at once: shift-and-add over the bits of ``b``,
+        reducing ``a * x^k`` by the polynomial as it grows."""
+        a = np.arange(self.size, dtype=np.uint16)[:, None]
+        b = np.arange(self.size, dtype=np.uint16)[None, :]
+        out = np.zeros((self.size, self.size), dtype=np.uint16)
+        for k in range(self.w):
+            out ^= ((b >> k) & 1) * a
+            a = a << 1
+            a ^= (a >> self.w) * np.uint16(self.poly)
+        return out.astype(np.uint8)
+
+    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Broadcast product of two ``dtype`` arrays."""
+        if self.w <= 8:
+            # one flat gather is about twice as fast as indexing by two arrays
+            return self.product.ravel().take((a.astype(np.uint16) << self.w) | b)
+        return self.zexp[self.zlog[a] + self.zlog[b]]
 
     def _poly_mul(self, a: int, b: int) -> int:
         res = 0
@@ -239,13 +279,30 @@ class TransmissionScheme:
     ``coefficients[r, c]`` multiplies the message at ``message_order[c]`` in
     transmission ``r``. ``split_factor`` records how many equal parts each
     message was cut into before coding (the scheme's symbols are that
-    fraction of a message).
+    fraction of a message). Coefficients outside ``[0, field.size)``, a
+    non-integer or non-2-D array, or a column count other than
+    ``len(message_order)`` raise :class:`ParameterError`.
     """
 
     field: FieldSpec
     message_order: tuple[int, ...]
     coefficients: np.ndarray
     split_factor: int = 1
+
+    def __post_init__(self) -> None:
+        coeff = np.asarray(self.coefficients)
+        if coeff.ndim != 2 or coeff.shape[1] != len(self.message_order):
+            raise ParameterError(
+                f"coefficients must be a matrix with one column per message "
+                f"({len(self.message_order)}), got shape {coeff.shape}"
+            )
+        if not np.issubdtype(coeff.dtype, np.integer):
+            raise ParameterError(f"coefficients must be integers, got {coeff.dtype}")
+        if coeff.size and not (0 <= coeff.min() and coeff.max() < self.field.size):
+            raise ParameterError(
+                f"coefficients must lie in [0, {self.field.size}) for GF(2^{self.field.w}), "
+                f"got [{coeff.min()}, {coeff.max()}]"
+            )
 
     @property
     def n_transmissions(self) -> int:
@@ -273,14 +330,16 @@ class TransmissionScheme:
         spec = FieldSpec(w=data["field"]["w"], poly=data["field"]["poly"])
         width = 2 if spec.w <= 8 else 4
         order = tuple(data["message_order"])
-        rows = data["rows"]
-        coeff = np.zeros((len(rows), len(order)), dtype=np.uint32)
-        for r, row in enumerate(rows):
-            coeff[r] = [int(row[i : i + width], 16) for i in range(0, len(row), width)]
+        rows = [
+            [int(row[i : i + width], 16) for i in range(0, len(row), width)]
+            for row in data["rows"]
+        ]
+        if any(len(row) != len(order) for row in rows):
+            raise ParameterError(f"every row needs {len(order)} coefficients")
         return cls(
             field=spec,
             message_order=order,
-            coefficients=coeff,
+            coefficients=np.array(rows, dtype=np.int64).reshape(len(rows), len(order)),
             split_factor=data["split_factor"],
         )
 
@@ -333,31 +392,92 @@ def can_decode(scheme: TransmissionScheme, icp: IcpInstance, user: int) -> bool:
 
     Equivalent to: after zeroing the user's known coordinates in every
     transmission, each wanted unit vector lies in the row span. Implemented
-    on the unknown coordinates only, which is the same span test.
+    on the unknown coordinates only, which is the same span test, as
+    :func:`verify_scheme` on the user alone.
     """
     if not (1 <= user <= len(icp.users)):
         raise ParameterError(f"user must lie in [1, {len(icp.users)}], got {user}")
-    u = icp.users[user - 1]
-    return _decodable(scheme, u.known, [u.want])[0]
-
-
-def _decodable(
-    scheme: TransmissionScheme, known: frozenset, wants: list[frozenset]
-) -> list[bool]:
-    """One elimination over the columns outside ``known``; per want set,
-    whether every wanted message's unit vector lies in the row span."""
-    order = scheme.message_order
-    unknown = [c for c, m in enumerate(order) if m not in known]
-    rr = _Rref(scheme.coefficients[:, unknown], scheme.field)
-    pos = {order[c]: j for j, c in enumerate(unknown)}
-    return [all(m in pos and rr.contains_unit(pos[m]) for m in want) for want in wants]
+    alone = IcpInstance(n_messages=icp.n_messages, users=(icp.users[user - 1],))
+    return verify_scheme(scheme, alone)[0]
 
 
 def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
-    """Per-user decodability, sharing elimination work between users with the
-    same known set (structured instances have few distinct ones)."""
-    wants: dict[frozenset, list[frozenset]] = {}
-    for u in icp.users:
-        wants.setdefault(u.known, []).append(u.want)
-    verdicts = {known: iter(_decodable(scheme, known, w)) for known, w in wants.items()}
-    return tuple(next(verdicts[u.known]) for u in icp.users)
+    """Per-user decodability: one batched elimination over the instance's
+    distinct known sets (structured instances have few)."""
+    nd = node_data(icp)
+    order = np.array(scheme.message_order, dtype=np.int64)
+    inside = (order >= 1) & (order <= icp.n_messages)
+    known = np.zeros((len(nd.known_rows), len(order)), dtype=bool)
+    known[:, inside] = nd.known_rows[:, order[inside] - 1]
+    # column of each message id; one listed twice is read at its last column
+    col_of = np.full(icp.n_messages, -1, dtype=np.intp)
+    np.maximum.at(col_of, order[inside] - 1, np.flatnonzero(inside))
+    cols = col_of[nd.node_msg]
+    listed = cols >= 0
+    ok = np.zeros(nd.n_nodes, dtype=bool)
+    ok[listed] = _unit_spans(scheme, known)[nd.node_row[listed], cols[listed]]
+    failed = np.bincount(nd.node_user[~ok], minlength=len(icp.users))
+    return tuple((failed == 0).tolist())
+
+
+# cells one elimination step updates at once: a table lookup holds 11 to 14
+# bytes per cell while it runs (index, numpy's intp copy of it, result), so
+# this bounds the temporaries near 1 MB whatever the batch size
+_UPDATE_CELLS = 1 << 16
+
+
+def _unit_spans(scheme: TransmissionScheme, known: np.ndarray) -> np.ndarray:
+    """``out[s, c]``: whether the unit vector of column ``c`` lies in the row
+    span of the transmissions restricted to the columns ``known[s]`` leaves
+    out (False on known columns).
+
+    All restrictions are eliminated together in one ``(sets, rows, width)``
+    array: each set's unknown columns sit left-justified in message order and
+    the shorter ones are padded with zero columns, which never take a pivot.
+    Gauss-Jordan steps over the columns once; a pivot row is zero left of its
+    column, so each step touches only the columns from there on. In the
+    reduced form the unit vector of a pivot column is in the span iff its
+    pivot row has no other nonzero entry, and a column without a pivot is
+    never in it.
+    """
+    gf = scheme.field.tables()
+    n_sets, n_cols = known.shape
+    n_rows = scheme.n_transmissions
+    out = np.zeros((n_sets, n_cols), dtype=bool)
+    unknown = ~known
+    width = int(unknown.sum(axis=1).max(initial=0))
+    if n_rows == 0 or width == 0:
+        return out
+    cols = np.argsort(known, axis=1, kind="stable")[:, :width]
+    valid = np.take_along_axis(unknown, cols, axis=1)
+    coeff = scheme.coefficients.astype(gf.dtype)[:, cols].transpose(1, 0, 2)
+    a = np.where(valid[:, None, :], coeff, gf.dtype(0))
+    n_pivots = np.zeros(n_sets, dtype=np.intp)
+    pivot_row = np.full((n_sets, width), -1, dtype=np.intp)
+    row_ids = np.arange(n_rows)
+    for c in range(width):
+        cand = (a[:, :, c] != 0) & (row_ids >= n_pivots[:, None])
+        hit = np.flatnonzero(cand.any(axis=1))
+        if len(hit) == 0:
+            continue
+        p = cand[hit].argmax(axis=1)
+        r = n_pivots[hit]
+        piv = a[hit, p, c:]
+        piv = gf.vmul(piv, gf.vinv[piv[:, :1]])
+        a[hit, p, c:] = a[hit, r, c:]
+        a[hit, r, c:] = piv
+        factor = a[hit, :, c]
+        factor[np.arange(len(hit)), r] = 0
+        # a few sets at a time, so the temporaries stay small
+        step = max(1, _UPDATE_CELLS // (n_rows * (width - c)))
+        for lo in range(0, len(hit), step):
+            part = slice(lo, lo + step)
+            a[hit[part], :, c:] ^= gf.vmul(factor[part, :, None], piv[part, None, :])
+        pivot_row[hit, c] = r
+        n_pivots[hit] += 1
+        if n_pivots.min() == n_rows:
+            break
+    alone = np.count_nonzero(a, axis=2) == 1
+    unit = (pivot_row >= 0) & np.take_along_axis(alone, np.maximum(pivot_row, 0), axis=1)
+    np.put_along_axis(out, cols, unit & valid, axis=1)
+    return out

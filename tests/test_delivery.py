@@ -311,6 +311,42 @@ class TestVerifyOnce:
         )
 
 
+class TestRealizeOnce:
+    @staticmethod
+    def count_realizations(monkeypatch) -> list:
+        realized = []
+        for name in ("realize_union_split", "realize_single"):
+            real = getattr(delivery, name)
+
+            def counted(*args, _real=real):
+                realized.append(_real(*args))
+                return realized[-1]
+
+            monkeypatch.setattr(delivery, name, counted)
+        return realized
+
+    @pytest.mark.parametrize("mode", ["quadratic", "linear", "divisor"])
+    def test_each_component_is_realized_once(self, monkeypatch, mode):
+        realized = self.count_realizations(monkeypatch)
+        plan = plan_for(9, 2, 3, mode, oracle_node_cap=0)
+        assert plan.users_ok == (True,) * 9
+        assert len(plan.pairs) == 2
+        got = list(realized)
+        assert got == [pair_instance(p) for p in plan.pairs]
+
+    def test_replaced_plan_realizes_its_own_pairs(self, monkeypatch):
+        plan = plan_for(9, 2, 3, "quadratic")
+        realized = self.count_realizations(monkeypatch)
+        assert replace(plan).users_ok == plan.users_ok
+        got = list(realized)
+        assert got == [pair_instance(p) for p in plan.pairs]
+
+    def test_instances_must_match_pairs(self):
+        plan = plan_for(9, 2, 3, "quadratic")
+        with pytest.raises(ParameterError):
+            replace(plan, instances=(pair_instance(plan.pairs[0]),))
+
+
 class TestPlanJson:
     def test_structure_and_stability(self):
         plan = plan_for(9, 2, 3, "quadratic")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,7 @@ from macc_lab import (
     realize_union_split,
     verify_scheme,
 )
-from macc_lab.linalg_ff import _Rref
+from macc_lab.linalg_ff import _DEFAULT_POLY, _Rref
 
 
 def ref_mul(a: int, b: int, w: int, poly: int) -> int:
@@ -224,6 +225,52 @@ class TestTransmissionScheme:
         )
         assert scheme.n_transmissions == 3
 
+    def test_coefficient_outside_field(self):
+        with pytest.raises(ParameterError):
+            TransmissionScheme(
+                field=FieldSpec(8),
+                message_order=(1, 2),
+                coefficients=np.array([[1, 300]], dtype=np.uint32),
+            )
+        with pytest.raises(ParameterError):
+            TransmissionScheme(
+                field=FieldSpec(8),
+                message_order=(1,),
+                coefficients=np.array([[-1]], dtype=np.int64),
+            )
+        # two hex digits per coefficient up to w = 8, so GF(2^4) can read 0xff
+        text = json.dumps(
+            {"field": {"w": 4, "poly": 0x13}, "message_order": [1, 2],
+             "split_factor": 1, "rows": ["0aff"]}
+        )
+        with pytest.raises(ParameterError):
+            TransmissionScheme.from_json(text)
+        with pytest.raises(ParameterError):
+            TransmissionScheme.from_json(text.replace("0aff", "0a-1"))
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2, 3)])
+    def test_coefficients_must_be_a_matrix(self, shape):
+        with pytest.raises(ParameterError):
+            TransmissionScheme(
+                field=FieldSpec(8),
+                message_order=(1, 2, 3),
+                coefficients=np.ones(shape, dtype=np.uint32),
+            )
+
+    def test_column_count_must_match_order(self):
+        with pytest.raises(ParameterError):
+            TransmissionScheme(
+                field=FieldSpec(8),
+                message_order=(1, 2, 3),
+                coefficients=np.ones((2, 2), dtype=np.uint32),
+            )
+        text = json.dumps(
+            {"field": {"w": 8, "poly": 0x11D}, "message_order": [1, 2],
+             "split_factor": 1, "rows": ["0102", "01"]}
+        )
+        with pytest.raises(ParameterError):
+            TransmissionScheme.from_json(text)
+
 
 @st.composite
 def union_descs(draw):
@@ -320,3 +367,134 @@ class TestEncode:
         scheme = encode(icp, greedy_coloring(icp))
         with pytest.raises(ParameterError):
             can_decode(scheme, icp, 0)
+
+
+def reference_verdicts(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
+    """One ``_Rref`` per user over its unknown columns, and a residual test of
+    each wanted unit vector (the last column of a repeated message id)."""
+    order = scheme.message_order
+    out = []
+    for u in icp.users:
+        unknown = [c for c, m in enumerate(order) if m not in u.known]
+        rr = _Rref(scheme.coefficients[:, unknown], scheme.field)
+        pos = {order[c]: j for j, c in enumerate(unknown)}
+        ok = True
+        for m in u.want:
+            unit = np.zeros(len(unknown), dtype=np.uint32)
+            if m in pos:
+                unit[pos[m]] = 1
+            ok = ok and m in pos and rr.contains(unit)
+        out.append(ok)
+    return tuple(out)
+
+
+def assert_matches_reference(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
+    expected = reference_verdicts(scheme, icp)
+    assert verify_scheme(scheme, icp) == expected
+    assert tuple(can_decode(scheme, icp, u) for u in range(1, len(icp.users) + 1)) == expected
+    return expected
+
+
+@st.composite
+def random_schemes(draw):
+    """A general instance (multi-message wants, known sets of unequal sizes)
+    and a scheme over a permuted, partial message order that may also list
+    ids outside the instance, with zero to eight rows."""
+    spec = FieldSpec(draw(st.sampled_from([1, 4, 8, 16])))
+    n = draw(st.integers(1, 8))
+    users = []
+    for _ in range(draw(st.integers(1, 6))):
+        want = draw(st.sets(st.integers(1, n), min_size=1, max_size=3))
+        rest = [m for m in range(1, n + 1) if m not in want]
+        known = draw(st.sets(st.sampled_from(rest))) if rest else set()
+        users.append(IcpUser(want=frozenset(want), known=frozenset(known)))
+    icp = IcpInstance(n_messages=n, users=tuple(users))
+    order = draw(st.permutations(range(1, n + 3)))
+    order = tuple(order[: draw(st.integers(0, len(order)) | st.just(len(order)))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coeff = rng.integers(0, spec.size, size=(draw(st.integers(0, 8)), len(order)))
+    # sparse rows give both verdicts in every field
+    coeff[rng.random(coeff.shape) < draw(st.sampled_from([0.0, 0.5, 0.8]))] = 0
+    return icp, TransmissionScheme(field=spec, message_order=order, coefficients=coeff)
+
+
+class TestBatchedVerifier:
+    @given(random_schemes())
+    @settings(max_examples=300, deadline=None)
+    def test_random_schemes_match_reference(self, case):
+        assert_matches_reference(case[1], case[0])
+
+    def test_padding_unequal_known_sets(self):
+        # known sets of sizes 0, 1 and 3 leave 4, 3 and 1 unknown columns
+        users = (
+            IcpUser(want=frozenset({1}), known=frozenset()),
+            IcpUser(want=frozenset({2}), known=frozenset({1})),
+            IcpUser(want=frozenset({4}), known=frozenset({1, 2, 3})),
+            IcpUser(want=frozenset({2, 3}), known=frozenset({4})),
+        )
+        icp = IcpInstance(n_messages=4, users=users)
+        coeff = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 7]], dtype=np.uint32)
+        scheme = TransmissionScheme(
+            field=FieldSpec(4), message_order=(1, 2, 3, 4), coefficients=coeff
+        )
+        assert assert_matches_reference(scheme, icp) == (False, True, True, False)
+
+    def test_wants_outside_order_repeats_and_zero_rows(self):
+        users = (
+            IcpUser(want=frozenset({1}), known=frozenset({2})),
+            IcpUser(want=frozenset({3}), known=frozenset({1})),
+        )
+        icp = IcpInstance(n_messages=3, users=users)
+        scheme = TransmissionScheme(
+            field=FieldSpec(8),
+            message_order=(2, 5, 1),
+            coefficients=np.array([[3, 0, 4]], dtype=np.uint32),
+        )
+        assert assert_matches_reference(scheme, icp) == (True, False)
+        empty = TransmissionScheme(
+            field=FieldSpec(8),
+            message_order=(2, 5, 1),
+            coefficients=np.zeros((0, 3), dtype=np.uint32),
+        )
+        assert assert_matches_reference(empty, icp) == (False, False)
+        # a message listed twice is read at its last column
+        twice = TransmissionScheme(
+            field=FieldSpec(8),
+            message_order=(1, 2, 1),
+            coefficients=np.array([[0, 0, 5]], dtype=np.uint32),
+        )
+        assert assert_matches_reference(twice, icp) == (True, False)
+
+    @pytest.mark.parametrize("w", [4, 8, 16])
+    @pytest.mark.parametrize("desc", [UnionIcpDesc(2, 1, 2), UnionIcpDesc(4, 2, 3)])
+    def test_union_minus_one_row(self, desc, w):
+        icp = realize_union_split(desc, 1)
+        scheme = encode(icp, divisor_coloring(desc, desc.k), field=FieldSpec(w))
+        assert all(assert_matches_reference(scheme, icp))
+        seen = set()
+        for drop in range(scheme.n_transmissions):
+            short = TransmissionScheme(
+                field=scheme.field,
+                message_order=scheme.message_order,
+                coefficients=np.delete(scheme.coefficients, drop, axis=0),
+            )
+            seen.update(assert_matches_reference(short, icp))
+        assert False in seen
+
+    @pytest.mark.parametrize("w", sorted(_DEFAULT_POLY))
+    def test_narrow_tables_match_mul(self, w):
+        gf = FieldSpec(w).tables()
+        if w <= 8:
+            a, b = np.meshgrid(np.arange(gf.size), np.arange(gf.size), indexing="ij")
+            assert gf.product.dtype == np.uint8
+            assert (gf.product == gf.mul(a, b)).all()
+        else:
+            rng = np.random.default_rng(w)
+            a = np.concatenate([[0, 0, 1], rng.integers(0, gf.size, 4000)])
+            b = np.concatenate([[0, 5, 0], rng.integers(0, gf.size, 4000)])
+        got = gf.vmul(a.astype(gf.dtype), b.astype(gf.dtype))
+        assert got.dtype == gf.dtype
+        assert (got == gf.mul(a, b)).all()
+        nonzero = np.arange(1, gf.size)
+        assert gf.vinv[0] == 0
+        assert (gf.mul(nonzero, gf.vinv[nonzero]) == 1).all()
