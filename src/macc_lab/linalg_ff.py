@@ -1,20 +1,22 @@
 """GF(2^w) arithmetic, MDS precoding, and decodability checks.
 
 Fields are described by a :class:`FieldSpec` (extension degree ``w`` and the
-reduction polynomial). Arithmetic runs on numpy arrays through log/antilog
-tables built around a multiplicative generator; the generator is searched for
-and verified at table-build time, so a non-primitive polynomial fails fast
-instead of corrupting results. Addition is XOR throughout (characteristic 2).
+reduction polynomial); building its tables rejects a reducible polynomial, so
+it fails fast instead of corrupting results. Every multiply and inverse reads
+one table family per width, after Plank, Greenan & Miller (FAST 2013): a full
+``2^w x 2^w`` ``uint8`` product table for ``w <= 8``, and above that
+``uint16`` antilogs at sums of ``int32`` logs, where the log of 0 points into
+a run of zeros. Addition is XOR throughout (characteristic 2).
 
 Decodability is one batched Gauss-Jordan elimination per scheme and instance:
 every distinct known set's restriction of the transmissions is stacked into
-one 3-D array, in ``uint8`` with a full ``2^w x 2^w`` product table for
-``w <= 8`` and in ``uint16`` with zero-absorbing log/exp tables above that.
+one 3-D array of field elements.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -80,107 +82,84 @@ def field_for(n_symbols: int) -> FieldSpec:
 
 
 class _GF:
-    """Log/antilog tables plus vectorized multiply over GF(2^w)."""
+    """Lookup tables over GF(2^w) and the one multiply and inverse that read
+    them; elements are ``dtype`` integers and ``vinv`` holds every inverse,
+    with 0 at 0.
+
+    For ``w <= 8`` every product sits in a ``2^w x 2^w`` table. Above that a
+    product is the antilog of a sum of two logs, and the log of 0 points into
+    a run of zeros past every sum of two nonzero logs, so a product with 0
+    reads 0 without a mask.
+    """
 
     def __init__(self, w: int, poly: int):
+        if not _irreducible(w, poly):
+            raise ParameterError(f"0x{poly:X} is reducible, so it does not define GF(2^{w})")
         self.w = w
-        self.poly = poly
         self.size = 1 << w
-        self.order = self.size - 1
-        exp, log = self._build_tables()
-        self.exp = exp
-        self.log = log
-        # narrow tables for the batched elimination: ``vmul`` and ``vinv``
-        # take and return ``dtype`` arrays, and the inverse of 0 reads 0
+        order = self.size - 1
+        elements = np.arange(self.size, dtype=np.uint32)
         if w <= 8:
             self.dtype = np.uint8
-            self.product = self._product_table()
+            product = _products(elements[:, None], elements[None, :], w, poly)
+            self.product = product.astype(np.uint8)
             self.vinv = np.argmax(self.product == 1, axis=1).astype(np.uint8)
-        else:
-            self.dtype = np.uint16
-            # log of 0 lands every sum that involves it in a run of zeros
-            # past the 2*order - 1 products of nonzero elements
-            self.zlog = log.astype(np.int32)
-            self.zlog[0] = 2 * self.order - 1
-            self.zexp = np.zeros(4 * self.order - 1, dtype=np.uint16)
-            self.zexp[: 2 * self.order - 1] = exp[: 2 * self.order - 1]
-            self.vinv = exp[(self.order - log) % self.order].astype(np.uint16)
-            self.vinv[0] = 0
+            return
+        self.dtype = np.uint16
+        for g in range(2, self.size):
+            # g^0 .. g^order, doubling the run each step: the next run is the
+            # last one times g^n, read from a multiply-by-g^n table that squares
+            times = _products(elements, np.uint32(g), w, poly)
+            exp = np.ones(1, dtype=np.uint32)
+            while len(exp) < self.size:
+                exp = np.concatenate([exp, times[exp]])
+                times = times[times]
+            if np.count_nonzero(exp[:order] == 1) == 1:
+                break
+        self.zlog = np.full(self.size, 2 * order - 1, dtype=np.int32)
+        self.zlog[exp[:order]] = np.arange(order)
+        self.zexp = np.zeros(4 * order - 1, dtype=np.uint16)
+        self.zexp[: 2 * order - 1] = exp[np.arange(2 * order - 1) % order]
+        self.vinv = np.zeros(self.size, dtype=np.uint16)
+        self.vinv[exp[:order]] = exp[order:0:-1]
 
-    def _product_table(self) -> np.ndarray:
-        """Every product at once: shift-and-add over the bits of ``b``,
-        reducing ``a * x^k`` by the polynomial as it grows."""
-        a = np.arange(self.size, dtype=np.uint16)[:, None]
-        b = np.arange(self.size, dtype=np.uint16)[None, :]
-        out = np.zeros((self.size, self.size), dtype=np.uint16)
-        for k in range(self.w):
-            out ^= ((b >> k) & 1) * a
-            a = a << 1
-            a ^= (a >> self.w) * np.uint16(self.poly)
-        return out.astype(np.uint8)
-
-    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Broadcast product of two ``dtype`` arrays."""
+    def mul(self, a, b) -> np.ndarray:
+        """Broadcast product of two integer arrays or scalars of field elements."""
+        a = np.asarray(a, self.dtype)
+        b = np.asarray(b, self.dtype)
         if self.w <= 8:
             # one flat gather is about twice as fast as indexing by two arrays
             return self.product.ravel().take((a.astype(np.uint16) << self.w) | b)
         return self.zexp[self.zlog[a] + self.zlog[b]]
 
-    def _poly_mul(self, a: int, b: int) -> int:
-        res = 0
-        while b:
-            if b & 1:
-                res ^= a
-            b >>= 1
-            a <<= 1
-            if a >> self.w:
-                a ^= self.poly
-        return res
-
-    def _build_tables(self):
-        candidates = range(2, self.size) if self.size > 2 else (1,)
-        for g in candidates:
-            seen = bytearray(self.size)
-            exp = np.zeros(2 * self.order, dtype=np.uint32)
-            x = 1
-            ok = True
-            for e in range(self.order):
-                if seen[x]:
-                    ok = False
-                    break
-                seen[x] = 1
-                exp[e] = x
-                x = self._poly_mul(x, g)
-            if ok and x == 1:
-                exp[self.order : 2 * self.order] = exp[: self.order]
-                log = np.zeros(self.size, dtype=np.int64)
-                log[exp[: self.order]] = np.arange(self.order)
-                return exp, log
-        raise ParameterError(
-            f"0x{self.poly:X} does not define GF(2^{self.w}); no generator found"
-        )
-
-    def mul(self, a, b):
-        a = np.asarray(a, dtype=np.uint32)
-        b = np.asarray(b, dtype=np.uint32)
-        out = self.exp[self.log[a] + self.log[b]]
-        zero = (a == 0) | (b == 0)
-        if zero.ndim == 0:
-            return np.uint32(0) if zero else out
-        return np.where(zero, np.uint32(0), out)
-
-    def inv(self, a):
-        a = np.asarray(a, dtype=np.uint32)
+    def inv(self, a) -> np.ndarray:
+        a = np.asarray(a, self.dtype)
         if np.any(a == 0):
             raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self.exp[self.order - self.log[a]]
+        return self.vinv[a]
 
-    def pow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self.exp[(int(self.log[a]) * e) % self.order])
+
+def _products(a: np.ndarray, b: np.ndarray, w: int, poly: int) -> np.ndarray:
+    """Broadcast products of ``uint32`` arrays without tables: shift-and-add
+    over the bits of ``b``, reducing ``a * x^k`` by the polynomial as it grows."""
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint32)
+    for k in range(w):
+        out ^= ((b >> k) & 1) * a
+        a = a << 1
+        a ^= (a >> w) * np.uint32(poly)
+    return out
+
+
+def _irreducible(w: int, poly: int) -> bool:
+    """Whether no polynomial of degree 1 to ``w // 2`` divides ``poly``: long
+    division by all of them at once, top bit first."""
+    div = np.arange(2, 2 << w // 2, dtype=np.int64)
+    deg = np.frexp(div)[1] - 1
+    rem = np.full(len(div), poly, dtype=np.int64)
+    for k in range(w, 0, -1):
+        lead = ((rem >> k) & 1) * (deg <= k)
+        rem ^= lead * (div << np.maximum(k - deg, 0))
+    return bool(rem.all())
 
 
 @lru_cache(maxsize=8)
@@ -214,9 +193,20 @@ def mds_generator(rows: int, cols: int, field: FieldSpec) -> np.ndarray:
 
 
 def rank(matrix: np.ndarray, field: FieldSpec) -> int:
-    """Rank of an integer matrix over GF(2^w)."""
-    rr = _Rref(np.asarray(matrix, dtype=np.uint32), field)
-    return rr.rank
+    """Rank of an integer matrix over GF(2^w); an entry outside the field
+    raises :class:`ParameterError`."""
+    return _Rref(matrix, field).rank
+
+
+def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
+    """:class:`ParameterError` unless ``values`` are integers in ``[0, field.size)``."""
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ParameterError(f"{what} must be integers, got {values.dtype}")
+    if values.size and not (0 <= values.min() and values.max() < field.size):
+        raise ParameterError(
+            f"{what} must lie in [0, {field.size}) for GF(2^{field.w}), "
+            f"got [{values.min()}, {values.max()}]"
+        )
 
 
 class _Rref:
@@ -224,7 +214,9 @@ class _Rref:
 
     def __init__(self, matrix: np.ndarray, field: FieldSpec):
         gf = field.tables()
-        m = np.array(matrix, dtype=np.uint32, copy=True)
+        m = np.asarray(matrix)
+        _check_entries(m, field, "matrix entries")
+        m = m.astype(gf.dtype)
         n_rows, n_cols = m.shape if m.ndim == 2 else (0, 0)
         pivots: list[int] = []
         r = 0
@@ -247,11 +239,10 @@ class _Rref:
         self.gf = gf
         self.rows = m[:r]
         self.pivots = pivots
-        self._pivot_row = {c: i for i, c in enumerate(pivots)}
         self.rank = r
 
     def residual(self, v: np.ndarray) -> np.ndarray:
-        v = np.array(v, dtype=np.uint32, copy=True)
+        v = np.array(v, dtype=self.gf.dtype)
         for r, c in enumerate(self.pivots):
             if v[c]:
                 v ^= self.gf.mul(v[c], self.rows[r])
@@ -259,17 +250,6 @@ class _Rref:
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.residual(v).any()
-
-    def contains_unit(self, j: int) -> bool:
-        """Span membership of the j-th unit vector.
-
-        In the fully reduced form the only candidate combination is the
-        pivot row of column j, so membership means that row is e_j itself.
-        """
-        r = self._pivot_row.get(j)
-        if r is None:
-            return False
-        return int(np.count_nonzero(self.rows[r])) == 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,24 +276,16 @@ class TransmissionScheme:
                 f"coefficients must be a matrix with one column per message "
                 f"({len(self.message_order)}), got shape {coeff.shape}"
             )
-        if not np.issubdtype(coeff.dtype, np.integer):
-            raise ParameterError(f"coefficients must be integers, got {coeff.dtype}")
-        if coeff.size and not (0 <= coeff.min() and coeff.max() < self.field.size):
-            raise ParameterError(
-                f"coefficients must lie in [0, {self.field.size}) for GF(2^{self.field.w}), "
-                f"got [{coeff.min()}, {coeff.max()}]"
-            )
+        _check_entries(coeff, self.field, "coefficients")
 
     @property
     def n_transmissions(self) -> int:
         return int(self.coefficients.shape[0])
 
     def to_json(self) -> str:
-        width = 2 if self.field.w <= 8 else 4
-        rows = [
-            "".join(format(int(v), f"0{width}x") for v in row)
-            for row in self.coefficients
-        ]
+        # big-endian bytes: two hex digits per coefficient up to w = 8, four above
+        coeff = self.coefficients.astype(">u1" if self.field.w <= 8 else ">u2")
+        rows = [row.tobytes().hex() for row in coeff]
         return json.dumps(
             {
                 "field": {"w": self.field.w, "poly": self.field.poly},
@@ -330,16 +302,17 @@ class TransmissionScheme:
         spec = FieldSpec(w=data["field"]["w"], poly=data["field"]["poly"])
         width = 2 if spec.w <= 8 else 4
         order = tuple(data["message_order"])
-        rows = [
-            [int(row[i : i + width], 16) for i in range(0, len(row), width)]
-            for row in data["rows"]
-        ]
-        if any(len(row) != len(order) for row in rows):
-            raise ParameterError(f"every row needs {len(order)} coefficients")
+        rows = data["rows"]
+        for row in rows:
+            if not (isinstance(row, str) and re.fullmatch(f"[0-9a-fA-F]{{{width * len(order)}}}", row)):
+                raise ParameterError(
+                    f"every row needs {len(order)} coefficients of {width} hex digits, got {row!r}"
+                )
+        coeff = np.frombuffer(bytes.fromhex("".join(rows)), dtype=f">u{width // 2}")
         return cls(
             field=spec,
             message_order=order,
-            coefficients=np.array(rows, dtype=np.int64).reshape(len(rows), len(order)),
+            coefficients=coeff.astype(np.int64).reshape(len(rows), len(order)),
             split_factor=data["split_factor"],
         )
 
@@ -463,7 +436,7 @@ def _unit_spans(scheme: TransmissionScheme, known: np.ndarray) -> np.ndarray:
         p = cand[hit].argmax(axis=1)
         r = n_pivots[hit]
         piv = a[hit, p, c:]
-        piv = gf.vmul(piv, gf.vinv[piv[:, :1]])
+        piv = gf.mul(piv, gf.vinv[piv[:, :1]])
         a[hit, p, c:] = a[hit, r, c:]
         a[hit, r, c:] = piv
         factor = a[hit, :, c]
@@ -472,7 +445,7 @@ def _unit_spans(scheme: TransmissionScheme, known: np.ndarray) -> np.ndarray:
         step = max(1, _UPDATE_CELLS // (n_rows * (width - c)))
         for lo in range(0, len(hit), step):
             part = slice(lo, lo + step)
-            a[hit[part], :, c:] ^= gf.vmul(factor[part, :, None], piv[part, None, :])
+            a[hit[part], :, c:] ^= gf.mul(factor[part, :, None], piv[part, None, :])
         pivot_row[hit, c] = r
         n_pivots[hit] += 1
         if n_pivots.min() == n_rows:

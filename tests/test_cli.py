@@ -6,12 +6,14 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import macc_lab
 from macc_lab import SizeCapError, cli
 
 
@@ -340,11 +342,16 @@ class TestExitCodes:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child imports the same package, wherever pytest found it
+        src = os.path.dirname(os.path.dirname(macc_lab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "macc_lab.cli", "rates",
              "--K", "8", "--L", "2", "--i", "3"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_RATES
