@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .icp import IcpInstance, UnionIcpDesc, node_data
+from .icp import IcpInstance, UnionIcpDesc
 from .macc import mod1
 
 
@@ -64,12 +64,9 @@ def _check_len(icp: IcpInstance, coloring: Coloring) -> None:
 
 def interferers(icp: IcpInstance, node: int) -> set[int]:
     """Node indices whose wanted message node ``node`` cannot account for."""
-    nd = node_data(icp)
-    if not (1 <= node <= nd.n_nodes):
-        raise ParameterError(f"node must lie in [1, {nd.n_nodes}], got {node}")
-    u = node - 1
-    visible = nd.knows(u, nd.node_msg) | (nd.node_msg == nd.node_msg[u])
-    out = np.flatnonzero(~visible) + 1
+    if not (1 <= node <= icp.n_nodes):
+        raise ParameterError(f"node must lie in [1, {icp.n_nodes}], got {node}")
+    out = np.flatnonzero(~icp.visible(node - 1)) + 1
     return set(int(v) for v in out)
 
 
@@ -80,14 +77,13 @@ def is_proper(icp: IcpInstance, coloring: Coloring) -> bool:
     must be visible (known or identical) to every other member.
     """
     _check_len(icp, coloring)
-    nd = node_data(icp)
     cols = np.asarray(coloring.colors, dtype=np.int32)
     for c in range(1, (coloring.n_colors if coloring.colors else 0) + 1):
         members = np.flatnonzero(cols == c)
         if len(members) < 2:
             continue
-        msgs = nd.node_msg[members]
-        vis = nd.known_rows[np.ix_(nd.node_row[members], msgs)]
+        msgs = icp.node_msg[members]
+        vis = icp.known_rows[np.ix_(icp.node_row[members], msgs)]
         vis |= msgs[None, :] == msgs[:, None]
         if not vis.all():
             return False
@@ -99,15 +95,14 @@ def local_count(icp: IcpInstance, coloring: Coloring) -> int:
     _check_len(icp, coloring)
     if not coloring.colors:
         return 0
-    nd = node_data(icp)
     cols = np.asarray(coloring.colors, dtype=np.int32)
-    counts = np.zeros(nd.n_nodes, dtype=np.int32)
-    own_seen = np.zeros(nd.n_nodes, dtype=bool)
+    counts = np.zeros(icp.n_nodes, dtype=np.int32)
+    own_seen = np.zeros(icp.n_nodes, dtype=bool)
     for c in range(1, coloring.n_colors + 1):
         members = np.flatnonzero(cols == c)
-        msgs = nd.node_msg[members]
-        vis = nd.known_rows[:, msgs][nd.node_row]
-        vis |= msgs[None, :] == nd.node_msg[:, None]
+        msgs = icp.node_msg[members]
+        vis = icp.known_rows[:, msgs][icp.node_row]
+        vis |= msgs[None, :] == icp.node_msg[:, None]
         sees = ~vis.all(axis=1)
         counts += sees
         own_seen |= sees & (cols == c)
@@ -180,16 +175,11 @@ def greedy_coloring(icp: IcpInstance) -> Coloring:
     nodes on one color would cancel each other out of every linear
     combination built from the coloring).
     """
-    nd = node_data(icp)
-    n = nd.n_nodes
-    colors = [0] * n
-    for u in range(n):
-        visible_to_u = nd.knows(u, nd.node_msg) | (nd.node_msg == nd.node_msg[u])
-        u_visible_to = nd.known_rows[nd.node_row, nd.node_msg[u]] | (
-            nd.node_msg == nd.node_msg[u]
-        )
-        conflict = ~(visible_to_u & u_visible_to)
-        conflict |= nd.node_msg == nd.node_msg[u]
+    msg = icp.node_msg
+    colors = [0] * icp.n_nodes
+    for u in range(icp.n_nodes):
+        knows_u = icp.known_rows[icp.node_row, msg[u]]
+        conflict = ~(icp.visible(u) & knows_u) | (msg == msg[u])
         conflict[u] = False
         taken = {colors[v] for v in np.flatnonzero(conflict[:u])}
         c = 1
@@ -205,12 +195,10 @@ def closed_color_sets(icp: IcpInstance, coloring: Coloring) -> list[set[int]]:
     Small-instance helper for reports and tests; quadratic in node count.
     """
     _check_len(icp, coloring)
-    nd = node_data(icp)
     out = []
-    for u in range(nd.n_nodes):
-        visible = nd.knows(u, nd.node_msg) | (nd.node_msg == nd.node_msg[u])
+    for u in range(icp.n_nodes):
         seen = {coloring.colors[u]}
-        seen.update(coloring.colors[v] for v in np.flatnonzero(~visible))
+        seen.update(coloring.colors[v] for v in np.flatnonzero(~icp.visible(u)))
         out.append(seen)
     return out
 

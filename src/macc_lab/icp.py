@@ -4,10 +4,13 @@ index coding columns.
 
 Conventions
 -----------
-Messages and users are 1-based. An :class:`IcpInstance` lists one user per
-*node*: every user wants exactly one message in the instances built here, so
-node ``v`` and user ``v`` coincide and ``nodes`` enumerates ``(user, message)``
-pairs in user order. Structured instances lay nodes out row-major over
+Messages and users are 1-based. A *node* is one (user, wanted message) pair,
+user-major with each user's messages ascending; every user wants exactly one
+message in the instances built here, so node ``v`` and user ``v`` coincide.
+The instance itself carries the 0-based node arrays the colorings, the encoder,
+the rank verifier and the oracles read (``node_user``, ``node_msg``,
+``known_rows``, ``node_row``), each built on first use and kept with it.
+Structured instances lay nodes out row-major over
 ``(row k, column p)`` grids, so the node for row ``k``, column ``p`` of a
 ``2m``-column grid has index ``(k-1)*2m + p``.
 """
@@ -119,14 +122,44 @@ class IcpInstance:
                     raise ParameterError(f"message {m} outside [1, {self.n_messages}]")
 
     @cached_property
-    def nodes(self) -> tuple[tuple[int, int], ...]:
-        """(user, message) pairs, user-major, messages ascending within a user."""
-        users = enumerate(self.users, start=1)
-        return tuple((u, m) for u, user in users for m in sorted(user.want))
+    def node_user(self) -> np.ndarray:
+        """Each node's 0-based user."""
+        wants = [len(u.want) for u in self.users]
+        return np.repeat(np.arange(len(self.users), dtype=np.int32), wants)
+
+    @cached_property
+    def node_msg(self) -> np.ndarray:
+        """Each node's 0-based wanted message."""
+        return np.array([m - 1 for u in self.users for m in sorted(u.want)], dtype=np.int32)
+
+    @cached_property
+    def _row_of(self) -> dict[frozenset[int], int]:
+        return {s: r for r, s in enumerate(dict.fromkeys(u.known for u in self.users))}
+
+    @cached_property
+    def known_rows(self) -> np.ndarray:
+        """The distinct known sets as boolean rows over messages, in order of
+        first use; structured instances have K of them even for K*2m nodes."""
+        known = np.zeros((len(self._row_of), self.n_messages), dtype=bool)
+        for s, r in self._row_of.items():
+            known[r, [m - 1 for m in s]] = True
+        return known
+
+    @cached_property
+    def node_row(self) -> np.ndarray:
+        """Each node's row of :attr:`known_rows`."""
+        user_row = np.array([self._row_of[u.known] for u in self.users], dtype=np.int32)
+        return user_row[self.node_user]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.node_msg)
+
+    def visible(self, node: int) -> np.ndarray:
+        """Per node ``v``: does 0-based ``node``'s user know ``v``'s message,
+        or want the same one?"""
+        msg = self.node_msg
+        return self.known_rows[self.node_row[node], msg] | (msg == msg[node])
 
     def label(self, message: int) -> str:
         if self.labels and message in self.labels:
@@ -134,45 +167,12 @@ class IcpInstance:
         return f"x{message}"
 
 
-class _NodeData:
-    """Numpy view of an instance used by the coloring/verification hot paths.
-
-    Known sets are deduplicated into rows of a boolean matrix; structured
-    instances have only K distinct rows even when the node count is K*2m.
-    """
-
-    __slots__ = (
-        "n_nodes",
-        "node_user",
-        "node_msg",
-        "known_rows",
-        "node_row",
-    )
-
-    def __init__(self, icp: IcpInstance):
-        nodes = icp.nodes
-        self.n_nodes = len(nodes)
-        self.node_user = np.fromiter((u - 1 for u, _ in nodes), dtype=np.int32, count=len(nodes))
-        self.node_msg = np.fromiter((m - 1 for _, m in nodes), dtype=np.int32, count=len(nodes))
-        row_of: dict[frozenset[int], int] = {}
-        user_row = np.fromiter(
-            (row_of.setdefault(u.known, len(row_of)) for u in icp.users),
-            dtype=np.int32,
-            count=len(icp.users),
-        )
-        known = np.zeros((len(row_of), icp.n_messages), dtype=bool)
-        for r, s in enumerate(row_of):
-            known[r, np.fromiter((m - 1 for m in s), dtype=np.int64, count=len(s))] = True
-        self.known_rows = known
-        self.node_row = user_row[self.node_user]
-
-    def knows(self, node: int, msg0: np.ndarray) -> np.ndarray:
-        return self.known_rows[self.node_row[node], msg0]
-
-
 @lru_cache(maxsize=16)
-def node_data(icp: IcpInstance) -> _NodeData:
-    return _NodeData(icp)
+def node_data(icp: IcpInstance) -> IcpInstance:
+    """The instance itself, which carries the node arrays; kept with its cache
+    because benchmark harnesses read ``node_data.cache_info()``. An equal
+    instance passed before may come back in place of ``icp``."""
+    return icp
 
 
 def realize_single(desc: StructuredIcpDesc) -> IcpInstance:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .coloring import Coloring, is_proper, local_count
 from .errors import ParameterError
-from .icp import IcpInstance, node_data
+from .icp import IcpInstance
 
 # x^w + ... + 1, one commonly used irreducible polynomial per degree
 _DEFAULT_POLY = {
@@ -346,11 +346,10 @@ def encode(
     if field is None:
         field = field_for(t)
     gen = mds_generator(n_rows, t, field)
-    nd = node_data(icp)
     coeff = np.zeros((n_rows, icp.n_messages), dtype=np.uint32)
     cols = np.asarray(coloring.colors, dtype=np.int64) - 1
-    for v in range(nd.n_nodes):
-        coeff[:, nd.node_msg[v]] ^= gen[:, cols[v]]
+    for v in range(icp.n_nodes):
+        coeff[:, icp.node_msg[v]] ^= gen[:, cols[v]]
     # read-only, so a verdict checked against these coefficients stays true
     coeff.setflags(write=False)
     return TransmissionScheme(
@@ -377,19 +376,18 @@ def can_decode(scheme: TransmissionScheme, icp: IcpInstance, user: int) -> bool:
 def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
     """Per-user decodability: one batched elimination over the instance's
     distinct known sets (structured instances have few)."""
-    nd = node_data(icp)
     order = np.array(scheme.message_order, dtype=np.int64)
     inside = (order >= 1) & (order <= icp.n_messages)
-    known = np.zeros((len(nd.known_rows), len(order)), dtype=bool)
-    known[:, inside] = nd.known_rows[:, order[inside] - 1]
+    known = np.zeros((len(icp.known_rows), len(order)), dtype=bool)
+    known[:, inside] = icp.known_rows[:, order[inside] - 1]
     # column of each message id; one listed twice is read at its last column
     col_of = np.full(icp.n_messages, -1, dtype=np.intp)
     np.maximum.at(col_of, order[inside] - 1, np.flatnonzero(inside))
-    cols = col_of[nd.node_msg]
+    cols = col_of[icp.node_msg]
     listed = cols >= 0
-    ok = np.zeros(nd.n_nodes, dtype=bool)
-    ok[listed] = _unit_spans(scheme, known)[nd.node_row[listed], cols[listed]]
-    failed = np.bincount(nd.node_user[~ok], minlength=len(icp.users))
+    ok = np.zeros(icp.n_nodes, dtype=bool)
+    ok[listed] = _unit_spans(scheme, known)[icp.node_row[listed], cols[listed]]
+    failed = np.bincount(icp.node_user[~ok], minlength=len(icp.users))
     return tuple((failed == 0).tolist())
 
 

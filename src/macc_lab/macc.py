@@ -173,6 +173,16 @@ def place(instance: MaccInstance) -> PlacementMap:
     return PlacementMap(instance=instance, cache_contents=contents, subfile_users=users)
 
 
+def _user_corner(instance: MaccInstance, user: int) -> tuple[int, int, int]:
+    """``(K, L, i)`` once ``user`` is checked to be a user of a placed corner."""
+    k, l, i = instance.n_caches, instance.access_degree, instance.memory_index
+    if not (1 <= user <= k):
+        raise ParameterError(f"user must lie in [1, {k}], got {user}")
+    if i < 1:
+        raise ParameterError("subfile sets need memory index >= 1")
+    return k, l, i
+
+
 def accessible_subfiles(instance: MaccInstance, user: int) -> frozenset[int]:
     """Subfile indices user ``j`` can read across its ``L`` caches.
 
@@ -181,11 +191,7 @@ def accessible_subfiles(instance: MaccInstance, user: int) -> frozenset[int]:
     the user needs nothing from the broadcast. The complement (size ``K-iL``)
     is exactly the set of subfiles the delivery phase must supply.
     """
-    k, l, i = instance.n_caches, instance.access_degree, instance.memory_index
-    if not (1 <= user <= k):
-        raise ParameterError(f"user must lie in [1, {k}], got {user}")
-    if i < 1:
-        raise ParameterError("accessible set needs memory index >= 1")
+    k, l, i = _user_corner(instance, user)
     return frozenset(
         mod1(user + off - 1 - (r - 1) * l, k)
         for off in range(1, l + 1)
@@ -199,6 +205,5 @@ def needed_subfiles(instance: MaccInstance, user: int) -> tuple[int, ...]:
     Listing order matches the delivery table's want rows: entry ``q`` is the
     subfile whose user interval starts at ``mod1(j + q, K)``.
     """
-    k, l, i = instance.n_caches, instance.access_degree, instance.memory_index
-    cov = i * l
-    return tuple(mod1(user + q + l - 1, k) for q in range(1, k - cov + 1))
+    k, l, i = _user_corner(instance, user)
+    return tuple(mod1(user + q + l - 1, k) for q in range(1, k - i * l + 1))

@@ -13,18 +13,16 @@ import numpy as np
 
 from .coloring import Coloring
 from .errors import ParameterError, SizeCapError
-from .icp import IcpInstance, node_data
+from .icp import IcpInstance
 
 
 def _interference_masks(icp: IcpInstance) -> tuple[list[int], list[int]]:
     """Per node: interferer mask I_u, and symmetric conflict mask X_u."""
-    nd = node_data(icp)
-    n = nd.n_nodes
+    n = icp.n_nodes
     inter = []
     for u in range(n):
-        visible = nd.knows(u, nd.node_msg) | (nd.node_msg == nd.node_msg[u])
         mask = 0
-        for v in np.flatnonzero(~visible):
+        for v in np.flatnonzero(~icp.visible(u)):
             mask |= 1 << int(v)
         inter.append(mask)
     sym = list(inter)
@@ -52,9 +50,8 @@ def exhaustive_chi_l(
     degree, a new color index may only follow all smaller ones, and a branch
     dies as soon as some node's closed set already sees ``best`` colors.
     """
+    node_cap_check(icp, node_cap)
     n = icp.n_nodes
-    if n > node_cap:
-        raise SizeCapError(f"instance has {n} nodes, cap is {node_cap}")
     if n == 0:
         return 0, Coloring(())
     if max_colors is None:
@@ -137,11 +134,11 @@ def mais(icp: IcpInstance, node_cap: int = 24) -> int:
     program over subsets: a set is acyclic iff removing one in-degree-0
     vertex leaves an acyclic set.
     """
-    nd = node_data(node_cap_check(icp, node_cap))
-    n = nd.n_nodes
+    node_cap_check(icp, node_cap)
+    n = icp.n_nodes
     preds = [0] * n  # preds[v]: users that know v's message
     for u in range(n):
-        knows = nd.knows(u, nd.node_msg)
+        knows = icp.known_rows[icp.node_row[u], icp.node_msg]
         knows = knows & (np.arange(n) != u)
         for v in np.flatnonzero(knows):
             preds[int(v)] |= 1 << u
@@ -178,15 +175,15 @@ def min_rank_gf2(icp: IcpInstance, node_cap: int = 10) -> int:
     coordinates) under a rank budget, increasing the budget until a fitting
     matrix exists. For single-unicast instances nodes and messages coincide.
     """
-    nd = node_data(node_cap_check(icp, node_cap))
-    n = nd.n_nodes
+    node_cap_check(icp, node_cap)
+    n = icp.n_nodes
     if n == 0:
         return 0
-    if any(nd.node_msg[v] != v for v in range(n)):
+    if any(icp.node_msg[v] != v for v in range(n)):
         raise ParameterError("min-rank needs one node per message, in order")
     known_bits = []
     for v in range(n):
-        row = nd.known_rows[nd.node_row[v]]
+        row = icp.known_rows[icp.node_row[v]]
         bits = [int(b) for b in np.flatnonzero(row)]
         known_bits.append(bits)
     order = sorted(range(n), key=lambda v: len(known_bits[v]))

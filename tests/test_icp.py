@@ -16,6 +16,8 @@ from macc_lab import (
     StructuredIcpDesc,
     UnionIcpDesc,
     as_icp,
+    encode,
+    greedy_coloring,
     icp_from_json,
     icp_to_json,
     interval_contains,
@@ -25,6 +27,7 @@ from macc_lab import (
     realize_single,
     realize_union_split,
     reduce_macc,
+    verify_scheme,
 )
 
 
@@ -44,6 +47,33 @@ def union_descs(draw):
     a2 = draw(st.integers(0, a1))
     z = draw(st.integers(1, 4))
     return UnionIcpDesc(a1, a2, z)
+
+
+@st.composite
+def generic_instances(draw):
+    """Multi-message wants; known sets that are empty, distinct or shared."""
+    n = draw(st.integers(1, 8))
+    used: list[frozenset[int]] = []
+    users = []
+    for _ in range(draw(st.integers(1, 6))):
+        want = frozenset(draw(st.sets(st.integers(1, n), min_size=1, max_size=3)))
+        shared = [s for s in used if not s & want]
+        if shared and draw(st.booleans()):
+            known = draw(st.sampled_from(shared))
+        else:
+            rest = sorted(set(range(1, n + 1)) - want)
+            known = frozenset(draw(st.sets(st.sampled_from(rest)))) if rest else frozenset()
+            used.append(known)
+        users.append(IcpUser(want=want, known=known))
+    return IcpInstance(n_messages=n, users=tuple(users))
+
+
+def array_instances():
+    return st.one_of(
+        generic_instances(),
+        single_descs().map(realize_single),
+        st.tuples(union_descs(), st.integers(1, 3)).map(lambda d: realize_union_split(*d)),
+    )
 
 
 @st.composite
@@ -154,6 +184,39 @@ class TestRealizeUnion:
     def test_rejects_bad_split(self):
         with pytest.raises(ParameterError):
             realize_union_split(UnionIcpDesc(1, 0, 2), 0)
+
+
+class TestNodeArrays:
+    @given(array_instances())
+    def test_arrays_follow_users(self, icp):
+        nodes = [(u, m) for u, user in enumerate(icp.users) for m in sorted(user.want)]
+        assert icp.n_nodes == len(nodes)
+        assert icp.node_user.tolist() == [u for u, _ in nodes]
+        assert icp.node_msg.tolist() == [m - 1 for _, m in nodes]
+        assert len(icp.known_rows) == len({user.known for user in icp.users})
+        for v, (u, _) in enumerate(nodes):
+            indicator = [m in icp.users[u].known for m in range(1, icp.n_messages + 1)]
+            assert icp.known_rows[icp.node_row[v]].tolist() == indicator
+
+    @given(array_instances())
+    def test_visible_is_known_or_same_message(self, icp):
+        msg = icp.node_msg.tolist()
+        for v in range(icp.n_nodes):
+            known = icp.users[icp.node_user[v]].known
+            expected = [m + 1 in known or m == msg[v] for m in msg]
+            assert icp.visible(v).tolist() == expected
+
+    def test_arrays_are_built_once_per_instance(self):
+        # the arrays belong to the instance: however many other instances are
+        # colored, encoded and verified in between, they are not rebuilt
+        icp = realize_union_split(UnionIcpDesc(2, 1, 2), 2)
+        assert all(verify_scheme(encode(icp, greedy_coloring(icp)), icp))
+        rows = icp.known_rows
+        for a1 in range(17):
+            other = realize_union_split(UnionIcpDesc(a1, 0, 1), 1)
+            assert all(verify_scheme(encode(other, greedy_coloring(other)), other))
+        assert all(verify_scheme(encode(icp, greedy_coloring(icp)), icp))
+        assert icp.known_rows is rows
 
 
 class TestInstanceValidation:

@@ -155,3 +155,12 @@ class TestPlacement:
     def test_full_coverage_corner_needs_nothing(self):
         inst = MaccInstance(n_files=6, n_caches=6, access_degree=4, memory_index=2)
         assert all(needed_subfiles(inst, u) == () for u in range(1, 7))
+
+    @pytest.mark.parametrize("fn", [accessible_subfiles, needed_subfiles])
+    def test_subfile_sets_reject_bad_user_and_zero_index(self, fn):
+        inst = MaccInstance(n_files=8, n_caches=8, access_degree=2, memory_index=2)
+        for user in (0, 9, 99):
+            with pytest.raises(ParameterError):
+                fn(inst, user)
+        with pytest.raises(ParameterError):
+            fn(MaccInstance(n_files=8, n_caches=8, access_degree=2, memory_index=0), 1)
