@@ -11,9 +11,10 @@ Three subcommands under one ``macc-lab`` entry point:
     constructed rate and a decode-verified flag, in a fixed row order.
 
 Exit codes: 0 success, 2 invalid parameters, 3 verification failure, 4 size
-cap exceeded.  ``MACC_LAB_FIELD_W`` overrides the field degree used when
-encoding plans.  ``--config FILE`` supplies JSON defaults for any flag of the
-chosen subcommand; explicitly passed flags win.  Identical inputs produce
+cap exceeded (an exact search's node cap, or a plan too large to verify).
+``MACC_LAB_FIELD_W`` overrides the field degree used when encoding plans.
+``--config FILE`` supplies JSON defaults for any flag of the chosen
+subcommand; explicitly passed flags win.  Identical inputs produce
 byte-identical output: orderings are fixed and rationals are rendered as
 ``num/den`` plus a six-digit decimal.
 """

@@ -42,7 +42,7 @@ from .coloring import (
     greedy_coloring,
     local_count,
 )
-from .errors import ParameterError, VerificationError
+from .errors import ParameterError, SizeCapError, VerificationError
 from .icp import (
     IcpInstance,
     IcpTable,
@@ -59,6 +59,8 @@ from .linalg_ff import (
     TransmissionScheme,
     encode,
     field_for,
+    rank,
+    verify_cells,
     verify_scheme,
 )
 from .macc import MaccInstance
@@ -72,6 +74,7 @@ from .rates import (
 )
 
 __all__ = [
+    "VERIFY_CELL_BUDGET",
     "PairPlan",
     "DeliveryPlan",
     "PlanCheck",
@@ -82,6 +85,12 @@ __all__ = [
 ]
 
 _MODES = ("linear", "quadratic", "divisor")
+
+# the most exact-rank work a plan may need, in table cells on the cheaper side
+# of each component (``verify_cells``); a plan above it is refused before its
+# first elimination. At 2 to 4 ns a cell this is under a minute, and about
+# ten times what (K, L, i) = (100, 2, 12) needs.
+VERIFY_CELL_BUDGET = 10**10
 
 
 @dataclass(frozen=True)
@@ -240,9 +249,12 @@ def assemble(
 ) -> DeliveryPlan:
     """Build a delivery plan for one demand round; the plan checks itself.
 
-    Raises :class:`ParameterError` on invalid parameters and
-    :class:`~.errors.VerificationError`, naming the failing components and
-    users, if the plan fails its own decode check (a construction bug).
+    Raises :class:`ParameterError` on invalid parameters;
+    :class:`~.errors.SizeCapError`, before any elimination, if checking the
+    plan would take more than :data:`VERIFY_CELL_BUDGET` cells; and
+    :class:`~.errors.VerificationError` if the plan fails its own decode check
+    (a construction bug), naming the failing components and users, and per
+    component the first message a user cannot decode and its rank deficit.
     """
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -350,6 +362,7 @@ def assemble(
     )
     if not all(plan.users_ok):  # failure path only: name the components that broke
         failing = (f"columns {list(p.columns)} ({p.tag}) table users {bad}"
+                   f" ({_first_failure(p, inst, table, bad[0])})"
                    for p, inst in zip(plan.pairs, instances)
                    if (bad := _failed_users(p, inst, k)))
         raise VerificationError("users unable to decode: " + "; ".join(failing))
@@ -364,13 +377,49 @@ def _failed_users(pair: PairPlan, inst: IcpInstance, k: int) -> list[int]:
     return sorted({idx // per_user + 1 for idx, good in enumerate(verdicts) if not good})
 
 
+def _first_failure(pair: PairPlan, inst: IcpInstance, table: IcpTable, user: int) -> str:
+    """The first message table user ``user`` cannot decode from ``pair`` and
+    the user's rank deficit: how many of the dimensions it wants there the
+    transmissions on its unknown messages leave out."""
+    per_user = len(inst.users) // table.n_rows
+    local = inst.users[(user - 1) * per_user : user * per_user]
+    order = pair.scheme.message_order
+    coeff = pair.scheme.coefficients
+    known = local[0].known
+    wants = [m for u in local for m in sorted(u.want)]
+
+    def rank_without(drop) -> int:
+        cols = [c for c, m in enumerate(order) if m not in known and m not in drop]
+        return rank(coeff[:, cols], pair.scheme.field)
+
+    full = rank_without(())
+    missed = next(m for m in wants if rank_without({m}) == full)
+    g, part = pair.part_map[missed - 1]
+    label = _part_label(table, g, part, pair.cell_split)
+    deficit = len(wants) - full + rank_without(set(wants))
+    return f"table user {user} cannot decode {label}, rank deficit {deficit}"
+
+
 def _pair_users_ok(
     plan: DeliveryPlan, instances: tuple[IcpInstance, ...]
 ) -> tuple[bool, ...]:
-    """Fold per-component decode checks down to the K table users."""
+    """Fold per-component decode checks down to the K table users, after
+    refusing a plan whose checks would exceed :data:`VERIFY_CELL_BUDGET`."""
+    pairs = tuple(zip(plan.pairs, instances))
+    # the primal side needs at most r * n * min(r, n) cells per known set,
+    # so only a plan whose shapes reach the budget runs the per-set model
+    shapes = sum(len(i.known_rows) * p.scheme.coefficients.size * min(p.scheme.coefficients.shape)
+                 for p, i in pairs)
+    if shapes > VERIFY_CELL_BUDGET:
+        cells = sum(min(verify_cells(p.scheme, i)) for p, i in pairs)
+        if cells > VERIFY_CELL_BUDGET:
+            raise SizeCapError(
+                f"verifying this plan takes about {cells:.2e} cells of exact "
+                f"elimination, above the budget of {VERIFY_CELL_BUDGET:.0e}"
+            )
     k = plan.table.n_rows
-    bad = {u for pair, inst in zip(plan.pairs, instances) for u in _failed_users(pair, inst, k)}
-    return tuple(u not in bad for u in range(1, plan.table.n_rows + 1))
+    bad = {u for pair, inst in pairs for u in _failed_users(pair, inst, k)}
+    return tuple(u not in bad for u in range(1, k + 1))
 
 
 def verify_plan(plan: DeliveryPlan) -> PlanCheck:
@@ -410,6 +459,10 @@ def verify_plan(plan: DeliveryPlan) -> PlanCheck:
     )
 
 
+def _part_label(table: IcpTable, msg: int, part: int, split: int) -> str:
+    return table.message_label(msg) + ("" if split == 1 else f"#{part}")
+
+
 def plan_to_json(plan: DeliveryPlan) -> str:
     """Stable JSON rendering of a plan (schedule, colorings, coefficients)."""
     inst = plan.table.instance
@@ -427,8 +480,7 @@ def plan_to_json(plan: DeliveryPlan) -> str:
                     {
                         "table_message": g,
                         "part": part,
-                        "label": plan.table.message_label(g)
-                        + ("" if pair.cell_split == 1 else f"#{part}"),
+                        "label": _part_label(plan.table, g, part, pair.cell_split),
                     }
                     for g, part in pair.part_map
                 ],

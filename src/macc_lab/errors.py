@@ -14,4 +14,5 @@ class VerificationError(MaccLabError, RuntimeError):
 
 
 class SizeCapError(MaccLabError, RuntimeError):
-    """An exact-search oracle was asked to exceed its size cap."""
+    """An exact-search oracle was asked to exceed its size cap, or a plan's
+    exact verification would exceed its work budget."""

@@ -117,9 +117,9 @@ class IcpInstance:
         # structured builders share known sets between users, so validating
         # each distinct set once covers everything
         for s in dict.fromkeys(s for u in self.users for s in (u.want, u.known)):
-            for m in s:
-                if not (1 <= m <= self.n_messages):
-                    raise ParameterError(f"message {m} outside [1, {self.n_messages}]")
+            if s and not (1 <= min(s) and max(s) <= self.n_messages):
+                m = min(s) if min(s) < 1 else max(s)
+                raise ParameterError(f"message {m} outside [1, {self.n_messages}]")
 
     @cached_property
     def node_user(self) -> np.ndarray:
@@ -142,7 +142,7 @@ class IcpInstance:
         first use; structured instances have K of them even for K*2m nodes."""
         known = np.zeros((len(self._row_of), self.n_messages), dtype=bool)
         for s, r in self._row_of.items():
-            known[r, [m - 1 for m in s]] = True
+            known[r, np.fromiter(s, np.intp, len(s)) - 1] = True
         return known
 
     @cached_property
@@ -197,16 +197,14 @@ def realize_union_split(desc: UnionIcpDesc, split: int) -> IcpInstance:
     if split < 1:
         raise ParameterError(f"split factor must be >= 1, got {split}")
     k = desc.k
-    shifts = (desc.a1, desc.a2)
-    known_sets = []
-    for u in range(1, k + 1):
-        ids = []
-        for t in (1, 2):
-            for r in range(1, desc.z + 1):
-                b = mod1(u + shifts[t - 1] + r, k)
-                base = ((b - 1) * 2 + (t - 1)) * split
-                ids.extend(range(base + 1, base + split + 1))
-        known_sets.append(frozenset(ids))
+    # 0-based user u knows parts 1..split of copy t of 0-based row
+    # b = (u + shift_t + r) mod k for r = 1..z; axes (user, copy, r, part)
+    u = np.arange(k)[:, None, None, None]
+    t = np.arange(2)[None, :, None, None]
+    r = np.arange(1, desc.z + 1)[None, None, :, None]
+    b = (u + np.array([desc.a1, desc.a2])[t] + r) % k
+    ids = (b * 2 + t) * split + np.arange(1, split + 1)
+    known_sets = [frozenset(row) for row in ids.reshape(k, -1).tolist()]
     users = []
     labels = {}
     for u in range(1, k + 1):

@@ -8,9 +8,16 @@ one table family per width, after Plank, Greenan & Miller (FAST 2013): a full
 ``uint16`` antilogs at sums of ``int32`` logs, where the log of 0 points into
 a run of zeros. Addition is XOR throughout (characteristic 2).
 
-Decodability is one batched Gauss-Jordan elimination per scheme and instance:
-every distinct known set's restriction of the transmissions is stacked into
-one 3-D array of field elements.
+Decodability is one batched elimination per scheme and instance, over every
+distinct known set at once, stacked into one 3-D array of field elements. It
+runs on one of two exactly equivalent sides of the rank-nullity duality
+(a row span is the annihilator of the kernel, over any field). The primal
+side reduces the transmissions on a set's unknown columns and asks whether
+each wanted unit vector is in their row span. The dual side takes a basis
+``B`` of the kernel of the ``r x n`` coefficients from one :class:`_Rref`,
+reduces ``B``'s rows at the known columns and asks whether each wanted
+column's row of ``B`` is in their span. :func:`verify_cells` models each
+side's work in table cells, and :func:`verify_scheme` takes the cheaper one.
 """
 
 from __future__ import annotations
@@ -210,7 +217,8 @@ def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
 
 
 class _Rref:
-    """Reduced row echelon form over GF(2^w) with span-membership queries."""
+    """Reduced row echelon form over GF(2^w) with span-membership queries and
+    a kernel basis."""
 
     def __init__(self, matrix: np.ndarray, field: FieldSpec):
         gf = field.tables()
@@ -250,6 +258,19 @@ class _Rref:
 
     def contains(self, v: np.ndarray) -> bool:
         return not self.residual(v).any()
+
+    def kernel(self) -> np.ndarray:
+        """An ``n x (n - rank)`` basis of the null space: per free column
+        ``f``, a 1 at ``f`` and, on the pivot columns, the pivot rows' entries
+        at ``f`` (their own negatives in characteristic 2)."""
+        pivots = np.array(self.pivots, dtype=np.intp)
+        is_free = np.ones(self.rows.shape[1], dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
+        basis = np.zeros((len(is_free), len(free)), dtype=self.gf.dtype)
+        basis[free, np.arange(len(free))] = 1
+        basis[pivots] = self.rows[:, free]
+        return basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,18 +396,77 @@ def can_decode(scheme: TransmissionScheme, icp: IcpInstance, user: int) -> bool:
 
 def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
     """Per-user decodability: one batched elimination over the instance's
-    distinct known sets (structured instances have few)."""
+    distinct known sets (structured instances have few), on the side of the
+    rank-nullity duality that :func:`verify_cells` models as cheaper."""
+    known, wanted, cols = _columns(scheme, icp)
+    primal_cost, dual_cost = _side_cells(scheme.n_transmissions, known, wanted, _STEP_CELLS)
+    spans = _dual_spans if dual_cost < primal_cost else _unit_spans
+    return _user_verdicts(icp, cols, spans(scheme, known, wanted))
+
+
+def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[int, int]:
+    """Modelled work of :func:`verify_scheme` on ``icp``, in table cells, on
+    the primal and on the dual side.
+
+    Per distinct known set with ``k`` known, ``u`` unknown and ``h`` wanted
+    columns, the primal side eliminates ``r`` rows over the unknown columns,
+    ``r * u * min(r, u)`` cells. The dual side eliminates ``nu = n - r`` kernel
+    rows (the kernel's dimension when the ``r x n`` coefficients have full row
+    rank, as MDS-precoded rows do) over the known and wanted columns,
+    ``nu * (k + h) * min(nu, k)`` cells, after one ``r x n`` elimination for
+    the kernel basis. To pick its side, :func:`verify_scheme` also charges
+    each side :data:`_STEP_CELLS` per elimination step, so a tiny component
+    stays primal.
+    """
+    known, wanted, _ = _columns(scheme, icp)
+    return _side_cells(scheme.n_transmissions, known, wanted, 0)
+
+
+def _columns(scheme: TransmissionScheme, icp: IcpInstance):
+    """``known[s, c]`` and ``wanted[s, c]``: whether known set ``s`` holds the
+    message at column ``c`` and whether one of its nodes wants it; and each
+    node's column, -1 for a message the scheme does not list. A message listed
+    twice is read at its last column."""
     order = np.array(scheme.message_order, dtype=np.int64)
     inside = (order >= 1) & (order <= icp.n_messages)
     known = np.zeros((len(icp.known_rows), len(order)), dtype=bool)
     known[:, inside] = icp.known_rows[:, order[inside] - 1]
-    # column of each message id; one listed twice is read at its last column
     col_of = np.full(icp.n_messages, -1, dtype=np.intp)
     np.maximum.at(col_of, order[inside] - 1, np.flatnonzero(inside))
     cols = col_of[icp.node_msg]
     listed = cols >= 0
+    wanted = np.zeros_like(known)
+    wanted[icp.node_row[listed], cols[listed]] = True
+    return known, wanted, cols
+
+
+# fixed cost of one elimination step (a dozen numpy calls) in cells of table
+# arithmetic. Timing both sides on every component of `sweep --K-range 3:14`
+# in all three modes, this value leaves on the primal side nearly every
+# component the dual side would slow, and moves most of those it speeds up.
+_STEP_CELLS = 1 << 12
+
+
+def _side_cells(n_rows: int, known: np.ndarray, wanted: np.ndarray, step: int) -> tuple[int, int]:
+    n_cols = known.shape[1]
+    full = min(n_rows, n_cols)  # the rank of coefficients with full row rank
+    nu = n_cols - full
+    ks = known.sum(axis=1).tolist()
+    hs = wanted.sum(axis=1).tolist()
+    primal = sum(n_rows * (n_cols - k) * min(n_rows, n_cols - k) for k in ks)
+    dual = sum(nu * (k + h) * min(nu, k) for k, h in zip(ks, hs)) + n_rows * n_cols * full
+    return (
+        primal + step * (n_cols - min(ks, default=n_cols)),
+        dual + step * (n_cols + max(ks, default=0)),
+    )
+
+
+def _user_verdicts(icp: IcpInstance, cols: np.ndarray, spans: np.ndarray) -> tuple[bool, ...]:
+    """Fold a side's ``spans[s, c]`` to users: a user decodes iff every node
+    of it wants a listed message whose column its known set spans."""
+    listed = cols >= 0
     ok = np.zeros(icp.n_nodes, dtype=bool)
-    ok[listed] = _unit_spans(scheme, known)[icp.node_row[listed], cols[listed]]
+    ok[listed] = spans[icp.node_row[listed], cols[listed]]
     failed = np.bincount(icp.node_user[~ok], minlength=len(icp.users))
     return tuple((failed == 0).tolist())
 
@@ -397,36 +477,22 @@ def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, .
 _UPDATE_CELLS = 1 << 16
 
 
-def _unit_spans(scheme: TransmissionScheme, known: np.ndarray) -> np.ndarray:
-    """``out[s, c]``: whether the unit vector of column ``c`` lies in the row
-    span of the transmissions restricted to the columns ``known[s]`` leaves
-    out (False on known columns).
+def _eliminate(gf: _GF, a: np.ndarray, n_pivot_cols: int, reduced: bool = True) -> np.ndarray:
+    """Gauss-Jordan in place on every ``(rows, width)`` matrix of the stack
+    ``a`` at once, taking pivots only in the first ``n_pivot_cols`` columns;
+    returns each matrix's pivot row per such column, -1 where none. With
+    ``reduced`` False each step clears its column only from the lowest new
+    pivot row of the batch down, which covers every row below each pivot:
+    the result is an echelon form, not a reduced one.
 
-    All restrictions are eliminated together in one ``(sets, rows, width)``
-    array: each set's unknown columns sit left-justified in message order and
-    the shorter ones are padded with zero columns, which never take a pivot.
-    Gauss-Jordan steps over the columns once; a pivot row is zero left of its
-    column, so each step touches only the columns from there on. In the
-    reduced form the unit vector of a pivot column is in the span iff its
-    pivot row has no other nonzero entry, and a column without a pivot is
-    never in it.
+    A pivot row is zero left of its column, so each step touches only the
+    columns from there on. Zero padding columns never take a pivot.
     """
-    gf = scheme.field.tables()
-    n_sets, n_cols = known.shape
-    n_rows = scheme.n_transmissions
-    out = np.zeros((n_sets, n_cols), dtype=bool)
-    unknown = ~known
-    width = int(unknown.sum(axis=1).max(initial=0))
-    if n_rows == 0 or width == 0:
-        return out
-    cols = np.argsort(known, axis=1, kind="stable")[:, :width]
-    valid = np.take_along_axis(unknown, cols, axis=1)
-    coeff = scheme.coefficients.astype(gf.dtype)[:, cols].transpose(1, 0, 2)
-    a = np.where(valid[:, None, :], coeff, gf.dtype(0))
+    n_sets, n_rows, width = a.shape
     n_pivots = np.zeros(n_sets, dtype=np.intp)
-    pivot_row = np.full((n_sets, width), -1, dtype=np.intp)
+    pivot_row = np.full((n_sets, n_pivot_cols), -1, dtype=np.intp)
     row_ids = np.arange(n_rows)
-    for c in range(width):
+    for c in range(n_pivot_cols):
         cand = (a[:, :, c] != 0) & (row_ids >= n_pivots[:, None])
         hit = np.flatnonzero(cand.any(axis=1))
         if len(hit) == 0:
@@ -437,18 +503,86 @@ def _unit_spans(scheme: TransmissionScheme, known: np.ndarray) -> np.ndarray:
         piv = gf.mul(piv, gf.vinv[piv[:, :1]])
         a[hit, p, c:] = a[hit, r, c:]
         a[hit, r, c:] = piv
-        factor = a[hit, :, c]
-        factor[np.arange(len(hit)), r] = 0
+        # rows from here on hold every row below some pivot (and a few above)
+        top = 0 if reduced else int(r.min())
+        factor = a[hit, top:, c]
+        factor[np.arange(len(hit)), r - top] = 0
         # a few sets at a time, so the temporaries stay small
-        step = max(1, _UPDATE_CELLS // (n_rows * (width - c)))
+        step = max(1, _UPDATE_CELLS // ((n_rows - top) * (width - c)))
+        every = len(hit) == n_sets
         for lo in range(0, len(hit), step):
             part = slice(lo, lo + step)
-            a[hit[part], :, c:] ^= gf.mul(factor[part, :, None], piv[part, None, :])
+            rows = part if every else hit[part]
+            a[rows, top:, c:] ^= gf.mul(factor[part, :, None], piv[part, None, :])
         pivot_row[hit, c] = r
         n_pivots[hit] += 1
         if n_pivots.min() == n_rows:
             break
+    return pivot_row
+
+
+def _left_justify(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``mask``, the columns it holds in order, padded to the
+    longest row with other columns, and which entries are real."""
+    width = int(mask.sum(axis=1).max(initial=0))
+    cols = np.argsort(~mask, axis=1, kind="stable")[:, :width]
+    return cols, np.take_along_axis(mask, cols, axis=1)
+
+
+def _stack(matrix: np.ndarray, cols: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """``out[s] = matrix[:, cols[s]]`` with the padding columns zeroed."""
+    return np.where(valid[:, None, :], matrix[:, cols].transpose(1, 0, 2), matrix.dtype.type(0))
+
+
+def _unit_spans(scheme: TransmissionScheme, known: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Primal side. ``out[s, c]`` for each ``wanted`` column ``c`` of set
+    ``s`` (False elsewhere): whether the unit vector of column ``c`` lies in
+    the row span of the transmissions restricted to the columns ``known[s]``
+    leaves out.
+
+    Each set's unknown columns sit left-justified in message order, all sets
+    in one ``(sets, rows, width)`` stack. In the reduced form the unit vector
+    of a pivot column is in the span iff its pivot row has no other nonzero
+    entry, and a column without a pivot is never in it.
+    """
+    gf = scheme.field.tables()
+    out = np.zeros(known.shape, dtype=bool)
+    cols, valid = _left_justify(~known)
+    if scheme.n_transmissions == 0 or cols.shape[1] == 0:
+        return out
+    a = _stack(scheme.coefficients.astype(gf.dtype), cols, valid)
+    pivot_row = _eliminate(gf, a, cols.shape[1])
     alone = np.count_nonzero(a, axis=2) == 1
     unit = (pivot_row >= 0) & np.take_along_axis(alone, np.maximum(pivot_row, 0), axis=1)
     np.put_along_axis(out, cols, unit & valid, axis=1)
+    return out & wanted
+
+
+def _dual_spans(scheme: TransmissionScheme, known: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Dual side of :func:`_unit_spans`, with the same result.
+
+    With ``B`` a basis of the kernel of the coefficients ``C``, the unit
+    vector of an unknown column ``c`` lies in the row span of ``C``'s unknown
+    columns iff row ``c`` of ``B`` lies in the row span of ``B``'s known rows:
+    over any field a row span is the annihilator of the kernel, and the
+    kernel of ``C`` on the unknown columns is ``{Bz : B[known] z = 0}``.
+
+    Each set stacks ``B``'s known rows left-justified, then its wanted rows,
+    as columns of one ``(sets, nu, width)`` stack. Pivots are taken in the
+    known columns only; a wanted column is then in their span iff it is zero
+    below the set's pivots.
+    """
+    gf = scheme.field.tables()
+    out = np.zeros(known.shape, dtype=bool)
+    wcols, wvalid = _left_justify(wanted)
+    if wcols.shape[1] == 0:
+        return out
+    basis = _Rref(scheme.coefficients, scheme.field).kernel().T
+    kcols, kvalid = _left_justify(known)
+    n_known = kcols.shape[1]
+    a = _stack(basis, np.hstack([kcols, wcols]), np.hstack([kvalid, wvalid]))
+    n_pivots = (_eliminate(gf, a, n_known, reduced=False) >= 0).sum(axis=1)
+    below = np.arange(basis.shape[0]) >= n_pivots[:, None]
+    spanned = ~((a[:, :, n_known:] != 0) & below[:, :, None]).any(axis=1)
+    np.put_along_axis(out, wcols, spanned & wvalid, axis=1)
     return out

@@ -339,6 +339,16 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("size cap exceeded:")
 
+    def test_oversized_plan_refused_with_four(self, capsys):
+        # the verification budget, not a stub: refused before any elimination
+        code, out, err = run_cli(
+            capsys, "plan", "--K", "300", "--L", "100", "--i", "2", "--mode", "quadratic"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("size cap exceeded: verifying this plan takes about ")
+        assert err.endswith(f"above the budget of {macc_lab.delivery.VERIFY_CELL_BUDGET:.0e}\n")
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

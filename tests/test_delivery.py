@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,8 +15,11 @@ from hypothesis import strategies as st
 from macc_lab import delivery, linalg_ff
 from macc_lab import (
     FieldSpec,
+    IcpInstance,
+    IcpUser,
     MaccInstance,
     ParameterError,
+    SizeCapError,
     VerificationError,
     assemble,
     pair_instance,
@@ -305,10 +309,114 @@ class TestVerifyOnce:
         with pytest.raises(VerificationError) as info:
             plan_for(12, 2, 2, "quadratic")
         assert len(seen) == 4
+        # zero coefficients: user 1 decodes neither of its two messages there
         assert str(info.value) == (
             "users unable to decode: columns [2, 7] (fractional) table users "
             + str(list(range(1, 13)))
+            + " (table user 1 cannot decode F[d1,[3:6]], rank deficit 2)"
         )
+
+    def test_failure_names_message_and_rank_deficit(self, monkeypatch):
+        real = delivery.encode
+        seen = []
+
+        def zero_last_row(inst, coloring, **kw):
+            scheme = real(inst, coloring, **kw)
+            if len(seen) == 1:
+                coeff = scheme.coefficients.copy()
+                coeff[-1] = 0
+                scheme = replace(scheme, coefficients=coeff)
+            seen.append((scheme, inst))
+            return scheme
+
+        monkeypatch.setattr(delivery, "encode", zero_last_row)
+        with pytest.raises(VerificationError) as info:
+            plan_for(12, 2, 2, "quadratic")
+        found = re.fullmatch(
+            r"users unable to decode: columns \[2, 7\] \(fractional\) table users "
+            r"(\[[0-9, ]+\]) \(table user (\d+) cannot decode (\S+), rank deficit (\d+)\)",
+            str(info.value),
+        )
+        assert found
+        users, user, label, deficit = json.loads(found[1]), int(found[2]), found[3], int(found[4])
+        # one row fewer takes at most one dimension from any user
+        assert users and user == users[0] and deficit == 1
+        # the label is a message the user wants in this pair and cannot decode
+        scheme, inst = seen[1]
+        monkeypatch.undo()
+        plan = plan_for(12, 2, 2, "quadratic")
+        pair = plan.pairs[1]
+        per_user = len(inst.users) // 12
+        local = inst.users[(user - 1) * per_user : user * per_user]
+        labels = {
+            delivery._part_label(plan.table, *pair.part_map[m - 1], pair.cell_split): m
+            for u in local
+            for m in u.want
+        }
+        alone = IcpInstance(
+            n_messages=inst.n_messages,
+            users=(IcpUser(want=frozenset({labels[label]}), known=local[0].known),),
+        )
+        assert verify_scheme(scheme, alone) == (False,)
+
+
+class TestVerifierSide:
+    @staticmethod
+    def sides(monkeypatch) -> list:
+        """Record, per elimination, whether it ran on the dual side."""
+        taken = []
+        for name, dual in (("_unit_spans", False), ("_dual_spans", True)):
+            real = getattr(linalg_ff, name)
+
+            def recorded(*args, _real=real, _dual=dual):
+                taken.append(_dual)
+                return _real(*args)
+
+            monkeypatch.setattr(linalg_ff, name, recorded)
+        return taken
+
+    @pytest.mark.parametrize(
+        "corner, dual",
+        [((40, 2, 6), True), ((60, 2, 7), True), ((48, 2, 14), False), ((60, 4, 12), False)],
+    )
+    def test_cost_model_picks_side(self, monkeypatch, corner, dual):
+        taken = self.sides(monkeypatch)
+        plan = plan_for(*corner, "quadratic")
+        assert taken == [dual] * len(plan.pairs)
+
+    def test_small_corners_stay_primal(self, monkeypatch):
+        taken = self.sides(monkeypatch)
+        for mode in ("quadratic", "linear", "divisor"):
+            for k in range(3, 7):
+                for l in range(1, k + 1):
+                    for i in range(1, -(-k // l) + 1):
+                        plan_for(k, l, i, mode, oracle_node_cap=0)
+        assert taken and not any(taken)
+
+
+class TestVerifyBudget:
+    def test_oversized_corner_refused_before_elimination(self, monkeypatch):
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("eliminated before the budget check")
+
+        monkeypatch.setattr(linalg_ff, "_eliminate", no_elimination)
+        monkeypatch.setattr(linalg_ff, "_Rref", no_elimination)
+        with pytest.raises(SizeCapError) as info:
+            assemble(MaccInstance(300, 300, 100, 2))
+        found = re.fullmatch(
+            r"verifying this plan takes about (\S+) cells of exact elimination, "
+            r"above the budget of (\S+)",
+            str(info.value),
+        )
+        assert found
+        assert float(found[1]) > float(found[2]) == delivery.VERIFY_CELL_BUDGET
+
+    def test_k100_fits_the_budget(self, monkeypatch):
+        # the estimate alone: the exact check after it is stubbed out
+        monkeypatch.setattr(delivery, "verify_scheme", lambda scheme, icp: (True,) * len(icp.users))
+        plan = plan_for(100, 2, 12, "quadratic")
+        cells = sum(min(linalg_ff.verify_cells(p.scheme, pair_instance(p))) for p in plan.pairs)
+        assert delivery.VERIFY_CELL_BUDGET / 100 < cells < delivery.VERIFY_CELL_BUDGET
 
 
 class TestRealizeOnce:

@@ -29,7 +29,14 @@ from macc_lab import (
     realize_union_split,
     verify_scheme,
 )
-from macc_lab.linalg_ff import _DEFAULT_POLY, _Rref
+from macc_lab.linalg_ff import (
+    _DEFAULT_POLY,
+    _Rref,
+    _columns,
+    _dual_spans,
+    _unit_spans,
+    _user_verdicts,
+)
 
 
 def ref_mul(a: int, b: int, w: int, poly: int) -> int:
@@ -392,6 +399,11 @@ def reference_verdicts(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bo
 def assert_matches_reference(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
     expected = reference_verdicts(scheme, icp)
     assert verify_scheme(scheme, icp) == expected
+    # each side of the rank-nullity duality on its own, whichever the model picks
+    known, wanted, cols = _columns(scheme, icp)
+    primal = _unit_spans(scheme, known, wanted)
+    assert (primal == _dual_spans(scheme, known, wanted)).all()
+    assert _user_verdicts(icp, cols, primal) == expected
     assert tuple(can_decode(scheme, icp, u) for u in range(1, len(icp.users) + 1)) == expected
     return expected
 
@@ -479,8 +491,51 @@ class TestBatchedVerifier:
                 message_order=scheme.message_order,
                 coefficients=np.delete(scheme.coefficients, drop, axis=0),
             )
+            # the reference helper also runs the primal and the dual side alone
             seen.update(assert_matches_reference(short, icp))
         assert False in seen
+
+    def test_pivot_counts_diverge(self):
+        # unit rows e1, e2 zero the kernel basis at messages 1 and 2, so the
+        # first set's first two known columns take no pivot while the second
+        # set's do: the sets reach later columns at different pivot counts
+        users = (
+            IcpUser(want=frozenset({9}), known=frozenset({1, 2, 3, 4, 5})),
+            IcpUser(want=frozenset({10}), known=frozenset({3, 4, 6, 7, 8})),
+        )
+        icp = IcpInstance(n_messages=10, users=users)
+        seen = set()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rest = rng.integers(0, 256, size=(int(rng.integers(1, 6)), 10))
+            coeff = np.vstack([np.eye(10, dtype=np.int64)[:2], rest])
+            scheme = TransmissionScheme(FieldSpec(8), tuple(range(1, 11)), coeff)
+            seen.update(assert_matches_reference(scheme, icp))
+        assert seen == {False, True}
+
+    @given(
+        st.sampled_from([1, 4, 8, 16]),
+        st.integers(0, 6),
+        st.integers(0, 8),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 0.5, 0.8]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_basis(self, w, n_rows, n_cols, seed, sparsity):
+        spec = FieldSpec(w)
+        rng = np.random.default_rng(seed)
+        coeff = rng.integers(0, spec.size, size=(n_rows, n_cols))
+        coeff[rng.random(coeff.shape) < sparsity] = 0
+        basis = _Rref(coeff, spec).kernel()
+        nullity = n_cols - rank(coeff, spec)
+        assert basis.shape == (n_cols, nullity)
+        assert rank(basis, spec) == nullity
+        for r in range(n_rows):
+            for j in range(nullity):
+                acc = 0
+                for c in range(n_cols):
+                    acc ^= ref_mul(int(coeff[r, c]), int(basis[c, j]), w, spec.poly)
+                assert acc == 0
 
     @pytest.mark.parametrize("w", sorted(_DEFAULT_POLY))
     def test_narrow_tables_match_mul(self, w):
