@@ -1,13 +1,19 @@
 """Exact small-instance oracles: local chromatic search, largest acyclic
 induced subgraph, and binary min-rank.
 
-These are deliberately independent of the constructive machinery so they can
-certify it. All three work on single-unicast instances (one wanted message
-per node) and use bitmask searches; the size caps keep worst cases tractable
-and are arguments, not constants.
+These are deliberately independent of the constructive machinery, and of one
+another, so they can certify it: ``mais <= min_rank_gf2 <= transmissions``
+says nothing once one search is seeded by the other. All three work on
+single-unicast instances (one wanted message per node). ``exhaustive_chi_l``
+is a branch and bound over canonical colorings, ``mais`` a subset dynamic
+program run one popcount layer at a time in numpy, and ``min_rank_gf2`` an
+iterative-deepening search over subspaces of GF(2)^n. The size caps keep
+worst cases tractable and are arguments, not constants.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -126,38 +132,78 @@ def _canonical(colors: list[int]) -> list[int]:
     return out
 
 
+_LOW_BITS = 16  # mais: set bits below this come from the cached layer lists
+
+
 def mais(icp: IcpInstance, node_cap: int = 24) -> int:
     """Largest acyclic induced subgraph of the side-information digraph.
 
     Arc u -> v when u's user knows v's message, so an acyclic subset can be
-    decoded sequentially and lower-bounds the transmission count. Dynamic
-    program over subsets: a set is acyclic iff removing one in-degree-0
-    vertex leaves an acyclic set.
+    decoded sequentially and lower-bounds the transmission count.
+
+    Dynamic program over subsets: a set is acyclic iff it has a source (a
+    vertex with no arc from inside the set) whose removal leaves an acyclic
+    set; the lowest source is tried. Sets are visited one popcount layer at a
+    time, as numpy arrays: a set is its high bits (above the low 16) plus a
+    precomputed list of low parts of the right popcount, and the vertices its
+    members point to are the OR of a low-part and a high-part table. Acyclic
+    sets are closed under subsets, so the first layer without one ends the
+    search. Memory is the ``2**n`` boolean table plus chunks of at most
+    C(16, 8) sets.
     """
     node_cap_check(icp, node_cap)
     n = icp.n_nodes
-    preds = [0] * n  # preds[v]: users that know v's message
+    succ = [0] * n  # succ[u]: nodes whose message u's user knows
     for u in range(n):
         knows = icp.known_rows[icp.node_row[u], icp.node_msg]
         knows = knows & (np.arange(n) != u)
         for v in np.flatnonzero(knows):
-            preds[int(v)] |= 1 << u
-    acyclic = bytearray(1 << n)
-    acyclic[0] = 1
-    out = 0
-    for s in range(1, 1 << n):
-        m = s
-        while m:
-            v = (m & -m).bit_length() - 1
-            if preds[v] & s == 0:
-                if acyclic[s & ~(1 << v)]:
-                    acyclic[s] = 1
-                    pc = s.bit_count()
-                    if pc > out:
-                        out = pc
-                break
-            m &= m - 1
-    return out
+            succ[u] |= 1 << int(v)
+    # int32 set indices halve the tables and fit every n <= 31
+    word = np.int32 if n < 32 else np.int64
+    low = min(n, _LOW_BITS)
+    low_reach = _or_table(succ[:low], word)
+    high_reach = _or_table(succ[low:], word)
+    layers = [x[: np.searchsorted(x, 1 << low)] for x in _low_layers()[: low + 1]]
+    acyclic = np.zeros(1 << n, dtype=bool)
+    acyclic[0] = True
+    for k in range(1, n + 1):
+        found = False
+        for high, reach in enumerate(high_reach.tolist()):
+            j = k - high.bit_count()
+            if not 0 <= j <= low:
+                continue
+            s = layers[j] | word(high << low)
+            sources = low_reach[layers[j]]
+            sources |= reach
+            np.invert(sources, out=sources)
+            sources &= s
+            ok = acyclic[s ^ (sources & -sources)]
+            ok &= sources != 0
+            acyclic[s] = ok
+            found = found or bool(ok.any())
+        if not found:
+            return k - 1
+    return n
+
+
+@cache
+def _low_layers() -> tuple[np.ndarray, ...]:
+    """Every 16-bit integer as int32, grouped by popcount, each group
+    ascending, so a prefix of a group is the group for fewer bits."""
+    x = np.arange(1 << _LOW_BITS, dtype=np.int32)
+    pc = np.zeros(1 << _LOW_BITS, dtype=np.uint8)
+    for b in range(_LOW_BITS):
+        pc += (x >> b & 1).astype(np.uint8)
+    return tuple(np.flatnonzero(pc == j).astype(np.int32) for j in range(_LOW_BITS + 1))
+
+
+def _or_table(masks: list[int], dtype) -> np.ndarray:
+    """Entry s: the OR of ``masks[b]`` over the set bits b of s."""
+    table = np.zeros(1 << len(masks), dtype=dtype)
+    for b, m in enumerate(masks):
+        table[1 << b : 2 << b] = table[: 1 << b] | m
+    return table
 
 
 def node_cap_check(icp: IcpInstance, node_cap: int) -> IcpInstance:
@@ -171,9 +217,20 @@ def min_rank_gf2(icp: IcpInstance, node_cap: int = 10) -> int:
     of a matrix with ones on the diagonal and support otherwise confined to
     each row's known set.
 
-    Backtracking over row choices (row v is e_v plus any subset of its known
-    coordinates) under a rank budget, increasing the budget until a fitting
-    matrix exists. For single-unicast instances nodes and messages coincide.
+    Equivalently, the least dimension of a subspace T of GF(2)^n that serves
+    every row, where row v is served when T holds a vector with bit v set and
+    support inside {v} + known(v); the matrix rows are only witnesses. T is
+    searched by iterative deepening on its dimension. T is kept as a fully
+    reduced echelon basis, and each unserved row as its reduced options in
+    the quotient by T: the coset ``a + span(W)`` of reduced e_v plus the span
+    of its reduced known unit vectors. Every option with the same reduced
+    form gives the same larger T, so a row has ``2**len(W)`` distinct
+    branches. The search branches on the unserved row with the fewest; rows
+    already served need no vector and are never branched on, which is exact
+    because f(T) <= 1 + f(T + x) for any x. With
+    one vector left, the unserved rows' cosets are intersected instead. A
+    basis and the largest budget that failed from it are memoized. For
+    single-unicast instances nodes and messages coincide.
     """
     node_cap_check(icp, node_cap)
     n = icp.n_nodes
@@ -181,51 +238,101 @@ def min_rank_gf2(icp: IcpInstance, node_cap: int = 10) -> int:
         return 0
     if any(icp.node_msg[v] != v for v in range(n)):
         raise ParameterError("min-rank needs one node per message, in order")
-    known_bits = []
-    for v in range(n):
-        row = icp.known_rows[icp.node_row[v]]
-        bits = [int(b) for b in np.flatnonzero(row)]
-        known_bits.append(bits)
-    order = sorted(range(n), key=lambda v: len(known_bits[v]))
-
-    def options(v: int):
-        base = 1 << v
-        bits = known_bits[v]
-        for pick in range(1 << len(bits)):
-            x = base
-            p = pick
-            idx = 0
-            while p:
-                if p & 1:
-                    x |= 1 << bits[idx]
-                p >>= 1
-                idx += 1
-            yield x
-
-    def reduce(x: int, basis: list[int]) -> int:
-        for b in basis:
-            top = 1 << (b.bit_length() - 1)
-            if x & top:
-                x ^= b
-        return x
-
-    def search(pos: int, basis: list[int], budget: int) -> bool:
-        if pos == n:
-            return True
-        v = order[pos]
-        for x in options(v):
-            r = reduce(x, basis)
-            if r == 0:
-                if search(pos + 1, basis, budget):
-                    return True
-            elif budget > 0:
-                # keep basis sorted by leading bit, descending
-                nb = sorted(basis + [r], key=lambda y: -y.bit_length())
-                if search(pos + 1, nb, budget - 1):
-                    return True
-        return False
-
-    for r in range(0, n + 1):
-        if search(0, [], r):
+    rows = [
+        (1 << v, [1 << int(b) for b in np.flatnonzero(icp.known_rows[icp.node_row[v]])[::-1]])
+        for v in range(n)
+    ]
+    failed: dict[tuple[int, ...], int] = {}
+    for r in range(n + 1):
+        if _search((), rows, r, n, failed):
             return r
     raise AssertionError("unreachable: identity always fits")
+
+
+def _search(basis: tuple[int, ...], rows: list, budget: int, n: int, failed: dict) -> bool:
+    """Can ``budget`` more vectors extend span(basis) to serve every row?
+
+    ``rows`` holds (a, W) per unserved row, reduced by ``basis``, with W an
+    echelon basis from :func:`_echelon`; ``failed`` maps a basis to the
+    largest budget that failed from it. (Not nested in the caller: a
+    recursive closure is a reference cycle that keeps each call's memo
+    alive until the garbage collector's oldest generation runs.)
+    """
+    if not rows:
+        return True
+    if budget == 0 or failed.get(basis, -1) >= budget:
+        return False
+    if budget == 1:
+        # one vector y must serve every row: y in every row's coset
+        met = rows[0]
+        for row in rows[1:]:
+            met = _meet(*met, *row, n)
+            if met is None:
+                break
+        else:
+            return True
+        failed[basis] = budget
+        return False
+    i = min(range(len(rows)), key=lambda j: len(rows[j][1]))
+    a, w = rows[i]
+    others = rows[:i] + rows[i + 1 :]
+    for y in _coset(a, w):
+        p = 1 << (y.bit_length() - 1)
+        child = tuple(sorted([b ^ y if b & p else b for b in basis] + [y], reverse=True))
+        rest = [
+            (a2 ^ y if a2 & p else a2, _echelon(x ^ y if x & p else x for x in w2))
+            for a2, w2 in others
+            if not _in_coset(y, a2, w2)
+        ]
+        if _search(child, rest, budget - 1, n, failed):
+            return True
+    failed[basis] = budget
+    return False
+
+
+def _reduce(x: int, w: list[int]) -> int:
+    """``x`` with the leading bit of every vector of echelon basis ``w``
+    cleared, zero iff ``x`` lies in span(w)."""
+    for b in w:
+        if x & (1 << (b.bit_length() - 1)):
+            x ^= b
+    return x
+
+
+def _echelon(vectors) -> list[int]:
+    """An echelon basis of the vectors' span, leading bits descending."""
+    basis: list[int] = []
+    for x in vectors:
+        x = _reduce(x, basis)
+        if x:
+            basis.append(x)
+            basis.sort(reverse=True)
+    return basis
+
+
+def _in_coset(y: int, a: int, w: list[int]) -> bool:
+    """Is ``y`` in ``a + span(w)``, for ``w`` an echelon basis?"""
+    return _reduce(y ^ a, w) == 0
+
+
+def _meet(a: int, w: list[int], a2: int, w2: list[int], n: int):
+    """The intersection of cosets ``a + span(w)`` and ``a2 + span(w2)`` of
+    GF(2)^n as a coset (point, echelon basis), or None if empty.
+
+    Zassenhaus: in the doubled space, rows (x, x) for x in w and (x, 0) for
+    x in w2. Reducing (a + a2, 0) clears the high half iff a + a2 lies in
+    span(w) + span(w2), and leaves in the low half the span(w) part to move
+    a by; the rows with a zero high half span the intersection."""
+    rows = _echelon([(x << n) | x for x in w] + [x << n for x in w2])
+    r = _reduce((a ^ a2) << n, rows)
+    if r >> n:
+        return None
+    return a ^ r, [x for x in rows if not x >> n]
+
+
+def _coset(a: int, w: list[int]) -> list[int]:
+    """The distinct elements of ``a + span(w)``."""
+    out = [a]
+    for b in w:
+        out += [x ^ b for x in out]
+    return out

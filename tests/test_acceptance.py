@@ -232,6 +232,69 @@ def test_criterion_6_recovery_and_strict_improvement():
     )
 
 
+def oracle_sandwich(inst: MaccInstance, failures: list[str]) -> tuple[int, int]:
+    """Check mais <= min_rank <= transmissions and chi_l <= local count on
+    the corner's reduction and on every component of its plans, below each
+    oracle's cap; returns the schemes and colorings checked."""
+    checked_schemes = 0
+    checked_colorings = 0
+    icp = as_icp(reduce_macc(inst))
+    n = icp.n_nodes
+    tag = f"({inst.n_caches},{inst.access_degree},{inst.memory_index})"
+
+    colorings = [greedy_coloring(icp),
+                 Coloring(tuple(range(1, n + 1)))]
+    chi = None
+    if n <= 20:
+        chi, witness = exhaustive_chi_l(icp)
+        colorings.append(witness)
+    schemes = [encode(icp, c) for c in colorings]
+
+    lower = mais(icp) if n <= 24 else None
+    min_rank = min_rank_gf2(icp) if n <= 10 else None
+    if lower is not None and min_rank is not None:
+        if not lower <= min_rank:
+            failures.append(f"{tag}: mais > min_rank")
+    for scheme in schemes:
+        tx = scheme.n_transmissions
+        if lower is not None and not lower <= tx:
+            failures.append(f"{tag}: mais {lower} > {tx} transmissions")
+        if min_rank is not None and not min_rank <= tx:
+            failures.append(f"{tag}: min_rank {min_rank} > {tx}")
+        checked_schemes += 1
+    if chi is not None:
+        for c in colorings:
+            if not chi <= local_count(icp, c):
+                failures.append(f"{tag}: chi_l above a local count")
+            checked_colorings += 1
+
+    # component-level sandwich inside assembled plans
+    for mode in ("linear", "quadratic", "divisor"):
+        plan = assemble(inst, mode=mode)
+        for pair in plan.pairs:
+            comp = pair_instance(pair)
+            cn = comp.n_nodes
+            if cn <= 20:
+                comp_chi = exhaustive_chi_l(comp)[0]
+                if not comp_chi <= local_count(comp, pair.coloring):
+                    failures.append(f"{tag} {mode}: component chi")
+                checked_colorings += 1
+            if cn <= 24:
+                comp_lower = mais(comp)
+                if not comp_lower <= pair.n_transmissions:
+                    failures.append(f"{tag} {mode}: component mais")
+                checked_schemes += 1
+    return checked_schemes, checked_colorings
+
+
+def sandwich_corners(k: int):
+    """Every corner (K, L, i) with K - iL >= 1 at this K."""
+    for l in range(1, k + 1):
+        for i in range(1, -(-k // l) + 1):
+            if k - i * l >= 1:
+                yield MaccInstance(k, k, l, i)
+
+
 def test_criterion_7_oracle_sandwich():
     t0 = time.time()
     failures = []
@@ -239,62 +302,37 @@ def test_criterion_7_oracle_sandwich():
     checked_colorings = 0
 
     for k in range(2, 7):
-        for l in range(1, k + 1):
-            for i in range(1, -(-k // l) + 1):
-                if k - i * l < 1:
-                    continue
-                inst = MaccInstance(k, k, l, i)
-                icp = as_icp(reduce_macc(inst))
-                n = icp.n_nodes
-                tag = f"({k},{l},{i})"
-
-                colorings = [greedy_coloring(icp),
-                             Coloring(tuple(range(1, n + 1)))]
-                chi = None
-                if n <= 20:
-                    chi, witness = exhaustive_chi_l(icp)
-                    colorings.append(witness)
-                schemes = [encode(icp, c) for c in colorings]
-
-                lower = mais(icp) if n <= 24 else None
-                min_rank = min_rank_gf2(icp) if n <= 10 else None
-                if lower is not None and min_rank is not None:
-                    if not lower <= min_rank:
-                        failures.append(f"{tag}: mais > min_rank")
-                for scheme in schemes:
-                    tx = scheme.n_transmissions
-                    if lower is not None and not lower <= tx:
-                        failures.append(f"{tag}: mais {lower} > {tx} transmissions")
-                    if min_rank is not None and not min_rank <= tx:
-                        failures.append(f"{tag}: min_rank {min_rank} > {tx}")
-                    checked_schemes += 1
-                if chi is not None:
-                    for c in colorings:
-                        if not chi <= local_count(icp, c):
-                            failures.append(f"{tag}: chi_l above a local count")
-                        checked_colorings += 1
-
-                # component-level sandwich inside assembled plans
-                for mode in ("linear", "quadratic", "divisor"):
-                    plan = assemble(inst, mode=mode)
-                    for pair in plan.pairs:
-                        comp = pair_instance(pair)
-                        cn = comp.n_nodes
-                        if cn <= 20:
-                            comp_chi = exhaustive_chi_l(comp)[0]
-                            if not comp_chi <= local_count(comp, pair.coloring):
-                                failures.append(f"{tag} {mode}: component chi")
-                            checked_colorings += 1
-                        if cn <= 24:
-                            comp_lower = mais(comp)
-                            if not comp_lower <= pair.n_transmissions:
-                                failures.append(f"{tag} {mode}: component mais")
-                            checked_schemes += 1
+        for inst in sandwich_corners(k):
+            schemes, colorings = oracle_sandwich(inst, failures)
+            checked_schemes += schemes
+            checked_colorings += colorings
 
     report(
         7,
         failures,
         f"{checked_schemes} schemes, {checked_colorings} colorings sandwiched",
+        t0,
+        300.0,
+    )
+
+
+def test_criterion_7_oracle_sandwich_k7():
+    """The same sandwich on the K = 7 corners whose reductions fit the mais
+    cap: a reduction has K(K - iL) nodes, here 21, 14 or 7."""
+    t0 = time.time()
+    failures = []
+    checked_schemes = 0
+    checked_colorings = 0
+    for inst in sandwich_corners(7):
+        if 7 * (7 - inst.memory_index * inst.access_degree) > 24:
+            continue
+        schemes, colorings = oracle_sandwich(inst, failures)
+        checked_schemes += schemes
+        checked_colorings += colorings
+    report(
+        7,
+        failures,
+        f"K=7: {checked_schemes} schemes, {checked_colorings} colorings sandwiched",
         t0,
         300.0,
     )

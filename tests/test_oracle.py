@@ -1,10 +1,12 @@
 """Oracle tests: each exact solver is checked against a slower reference
-implementation written directly from the definitions."""
+implementation written directly from the definitions, and the two searches
+the package replaced are kept here as references for mid-sized instances."""
 
 from __future__ import annotations
 
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,10 +14,12 @@ from hypothesis import strategies as st
 from macc_lab import (
     IcpInstance,
     IcpUser,
+    MaccInstance,
     ParameterError,
     SizeCapError,
     StructuredIcpDesc,
     UnionIcpDesc,
+    as_icp,
     divisor_coloring,
     encode,
     exhaustive_chi_l,
@@ -26,7 +30,9 @@ from macc_lab import (
     min_rank_gf2,
     realize_single,
     realize_union_split,
+    reduce_macc,
 )
+from macc_lab import oracle
 
 
 def _msg(users, v):
@@ -146,14 +152,142 @@ def naive_min_rank(icp: IcpInstance) -> int:
     return min(gf2_rank(list(combo)) for combo in product(*options))
 
 
+def reference_mais(icp: IcpInstance) -> int:
+    """Pure-Python subset DP: a set is acyclic iff removing its lowest
+    in-degree-0 vertex leaves an acyclic set; sets in numeric order."""
+    n = icp.n_nodes
+    preds = [0] * n  # preds[v]: users that know v's message
+    for u in range(n):
+        knows = icp.known_rows[icp.node_row[u], icp.node_msg]
+        knows = knows & (np.arange(n) != u)
+        for v in np.flatnonzero(knows):
+            preds[int(v)] |= 1 << u
+    acyclic = bytearray(1 << n)
+    acyclic[0] = 1
+    out = 0
+    for s in range(1, 1 << n):
+        m = s
+        while m:
+            v = (m & -m).bit_length() - 1
+            if preds[v] & s == 0:
+                if acyclic[s & ~(1 << v)]:
+                    acyclic[s] = 1
+                    out = max(out, s.bit_count())
+                break
+            m &= m - 1
+    return out
+
+
+def reference_min_rank(icp: IcpInstance) -> int:
+    """Backtracking over row choices (row v is e_v plus any subset of its
+    known coordinates) under a rank budget, raised until a matrix fits."""
+    n = icp.n_nodes
+    known_bits = [
+        [int(b) for b in np.flatnonzero(icp.known_rows[icp.node_row[v]])]
+        for v in range(n)
+    ]
+    order = sorted(range(n), key=lambda v: len(known_bits[v]))
+
+    def options(v):
+        bits = known_bits[v]
+        for pick in range(1 << len(bits)):
+            yield (1 << v) | sum(1 << b for i, b in enumerate(bits) if pick >> i & 1)
+
+    def reduce(x, basis):
+        for b in basis:
+            if x & (1 << (b.bit_length() - 1)):
+                x ^= b
+        return x
+
+    def search(pos, basis, budget):
+        if pos == n:
+            return True
+        for x in options(order[pos]):
+            r = reduce(x, basis)
+            if r == 0:
+                if search(pos + 1, basis, budget):
+                    return True
+            elif budget > 0:
+                nb = sorted(basis + [r], key=lambda y: -y.bit_length())
+                if search(pos + 1, nb, budget - 1):
+                    return True
+        return False
+
+    return next(r for r in range(n + 1) if search(0, [], r))
+
+
+def renamed(icp: IcpInstance, perm: list[int]) -> IcpInstance:
+    """The same single-unicast instance with message m renamed perm[m - 1],
+    users reordered so that node v still wants message v + 1."""
+    users = sorted(
+        (
+            IcpUser(
+                want=frozenset(perm[m - 1] for m in u.want),
+                known=frozenset(perm[m - 1] for m in u.known),
+            )
+            for u in icp.users
+        ),
+        key=lambda u: min(u.want),
+    )
+    return IcpInstance(n_messages=icp.n_messages, users=tuple(users))
+
+
 @st.composite
-def small_instances(draw, max_nodes=7):
-    n = draw(st.integers(1, max_nodes))
+def small_instances(draw, max_nodes=7, min_nodes=1, max_known=None):
+    n = draw(st.integers(min_nodes, max_nodes))
     users = []
     for m in range(1, n + 1):
-        known = draw(st.sets(st.integers(1, n), max_size=n)) - {m}
+        known = draw(st.sets(st.integers(1, n), max_size=max_known or n)) - {m}
         users.append(IcpUser(want=frozenset({m}), known=frozenset(known)))
     return IcpInstance(n_messages=n, users=tuple(users))
+
+
+def reduction(k: int, l: int, i: int) -> IcpInstance:
+    return as_icp(reduce_macc(MaccInstance(k, k, l, i)))
+
+
+# Every K <= 6 corner of criterion 7: nodes, mais (n <= 24), min_rank_gf2
+# (n <= 10) and exhaustive_chi_l (n <= 20), None above a cap. Recorded from
+# the reference searches above (mais at n = 24 has no other record).
+REDUCTION_VALUES = {
+    (2, 1, 1): (2, 1, 1, 1),
+    (3, 1, 1): (6, 3, 3, 3),
+    (3, 1, 2): (3, 1, 1, 1),
+    (3, 2, 1): (3, 1, 1, 1),
+    (4, 1, 1): (12, 6, None, 6),
+    (4, 1, 2): (8, 3, 3, 3),
+    (4, 1, 3): (4, 1, 1, 1),
+    (4, 2, 1): (8, 3, 3, 3),
+    (4, 3, 1): (4, 1, 1, 1),
+    (5, 1, 1): (20, 10, None, 10),
+    (5, 1, 2): (15, 6, None, 7),
+    (5, 1, 3): (10, 3, 3, 3),
+    (5, 1, 4): (5, 1, 1, 1),
+    (5, 2, 1): (15, 6, None, 7),
+    (5, 2, 2): (5, 1, 1, 1),
+    (5, 3, 1): (10, 3, 3, 3),
+    (5, 4, 1): (5, 1, 1, 1),
+    (6, 1, 1): (30, None, None, None),
+    (6, 1, 2): (24, 10, None, None),
+    (6, 1, 3): (18, 6, None, 6),
+    (6, 1, 4): (12, 3, None, 3),
+    (6, 1, 5): (6, 1, 1, 1),
+    (6, 2, 1): (24, 10, None, None),
+    (6, 2, 2): (12, 3, None, 3),
+    (6, 3, 1): (18, 6, None, 6),
+    (6, 4, 1): (12, 3, None, 3),
+    (6, 5, 1): (6, 1, 1, 1),
+}
+
+
+@pytest.mark.parametrize("corner", sorted(REDUCTION_VALUES), ids=lambda c: "K{}-L{}-i{}".format(*c))
+def test_reduction_frozen_values(corner):
+    n, lower, min_rank, chi = REDUCTION_VALUES[corner]
+    icp = reduction(*corner)
+    assert icp.n_nodes == n
+    assert (mais(icp) if n <= 24 else None) == lower
+    assert (min_rank_gf2(icp) if n <= 10 else None) == min_rank
+    assert (exhaustive_chi_l(icp)[0] if n <= 20 else None) == chi
 
 
 class TestExhaustiveChiL:
@@ -221,6 +355,11 @@ class TestMais:
         )
         assert mais(IcpInstance(n_messages=5, users=users)) == 5
 
+    @given(small_instances(max_nodes=14, min_nodes=8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_dp(self, icp):
+        assert mais(icp) == reference_mais(icp)
+
     def test_node_cap(self):
         icp = realize_union_split(UnionIcpDesc(2, 1, 2), 1)
         with pytest.raises(SizeCapError):
@@ -232,6 +371,41 @@ class TestMinRank:
     @settings(max_examples=40, deadline=None)
     def test_matches_matrix_enumeration(self, icp):
         assert min_rank_gf2(icp) == naive_min_rank(icp)
+
+    # At most 4 known messages a row, and a fixed sample: the reference's
+    # time on one 9-node instance ranges from milliseconds to minutes.
+    @given(small_instances(max_nodes=9, min_nodes=6, max_known=4))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_reference_backtracking(self, icp):
+        assert min_rank_gf2(icp) == reference_min_rank(icp)
+
+    def test_never_calls_mais(self, monkeypatch):
+        # mais <= min_rank is a check only while the two searches are apart
+        def forbidden(*args, **kwargs):
+            raise AssertionError("min_rank_gf2 called mais")
+
+        monkeypatch.setattr(oracle, "mais", forbidden)
+        for corner, (n, _, value, _) in REDUCTION_VALUES.items():
+            if n <= 10:
+                assert min_rank_gf2(reduction(*corner)) == value, corner
+
+    def test_branches_are_distinct(self, monkeypatch):
+        # equal reduced options give equal subspaces; without the dedup the
+        # values stay right and the n = 10 corners take about 40x longer
+        coset = oracle._coset
+        calls = []
+
+        def distinct_coset(a, w):
+            out = coset(a, w)
+            assert len(set(out)) == len(out)
+            calls.append(len(out))
+            return out
+
+        monkeypatch.setattr(oracle, "_coset", distinct_coset)
+        for corner, (n, _, value, _) in REDUCTION_VALUES.items():
+            if n <= 10:
+                assert min_rank_gf2(reduction(*corner)) == value, corner
+        assert calls
 
     def test_frozen_values(self):
         assert min_rank_gf2(realize_union_split(UnionIcpDesc(0, 0, 1), 1)) == 2
@@ -250,6 +424,16 @@ class TestMinRank:
         icp = realize_union_split(UnionIcpDesc(2, 2, 2), 1)
         with pytest.raises(SizeCapError):
             min_rank_gf2(icp)
+
+
+@given(small_instances(max_nodes=9), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_values_survive_renaming(icp, rng):
+    perm = list(range(1, icp.n_messages + 1))
+    rng.shuffle(perm)
+    other = renamed(icp, perm)
+    assert mais(other) == mais(icp)
+    assert min_rank_gf2(other) == min_rank_gf2(icp)
 
 
 @st.composite
