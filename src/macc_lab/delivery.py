@@ -86,10 +86,11 @@ __all__ = [
 
 _MODES = ("linear", "quadratic", "divisor")
 
-# the most exact-rank work a plan may need, in table cells on the cheaper side
-# of each component (``verify_cells``); a plan above it is refused before its
-# first elimination. At 2 to 4 ns a cell this is under a minute, and about
-# ten times what (K, L, i) = (100, 2, 12) needs.
+# the most exact-rank work a plan may need, in table cells of the flat
+# per-set estimate (the cheaper of ``verify_cells``' two), not the work of the
+# elimination tree, which shares work between sets and does less; a plan
+# above it is refused before its first elimination. At 2 to 4 ns a cell this
+# is under a minute, and about ten times what (K, L, i) = (100, 2, 12) needs.
 VERIFY_CELL_BUDGET = 10**10
 
 
@@ -484,7 +485,7 @@ def plan_to_json(plan: DeliveryPlan) -> str:
                     }
                     for g, part in pair.part_map
                 ],
-                "scheme": json.loads(pair.scheme.to_json()),
+                "scheme": pair.scheme.to_dict(),
             }
         )
     payload = {

@@ -8,16 +8,14 @@ one table family per width, after Plank, Greenan & Miller (FAST 2013): a full
 ``uint16`` antilogs at sums of ``int32`` logs, where the log of 0 points into
 a run of zeros. Addition is XOR throughout (characteristic 2).
 
-Decodability is one batched elimination per scheme and instance, over every
-distinct known set at once, stacked into one 3-D array of field elements. It
-runs on one of two exactly equivalent sides of the rank-nullity duality
-(a row span is the annihilator of the kernel, over any field). The primal
-side reduces the transmissions on a set's unknown columns and asks whether
-each wanted unit vector is in their row span. The dual side takes a basis
-``B`` of the kernel of the ``r x n`` coefficients from one :class:`_Rref`,
-reduces ``B``'s rows at the known columns and asks whether each wanted
-column's row of ``B`` is in their span. :func:`verify_cells` models each
-side's work in table cells, and :func:`verify_scheme` takes the cheaper one.
+Decodability asks, per distinct known set, whether each wanted unit vector
+lies in the row span of the transmissions on the set's unknown columns.
+Structured known sets are cyclic windows that share most of those columns, so
+:func:`verify_scheme` reduces them as a tree over ranges of consecutive sets:
+each range eliminates once the columns all its sets lack and hands the result
+to its halves, and each depth is one batched Gauss-Jordan over a 3-D stack of
+field elements. Where a cell model says the tree does not pay, as on small
+instances, it is one flat batch with one matrix per set.
 """
 
 from __future__ import annotations
@@ -217,8 +215,7 @@ def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
 
 
 class _Rref:
-    """Reduced row echelon form over GF(2^w) with span-membership queries and
-    a kernel basis."""
+    """Reduced row echelon form over GF(2^w) with span-membership queries."""
 
     def __init__(self, matrix: np.ndarray, field: FieldSpec):
         gf = field.tables()
@@ -259,19 +256,6 @@ class _Rref:
     def contains(self, v: np.ndarray) -> bool:
         return not self.residual(v).any()
 
-    def kernel(self) -> np.ndarray:
-        """An ``n x (n - rank)`` basis of the null space: per free column
-        ``f``, a 1 at ``f`` and, on the pivot columns, the pivot rows' entries
-        at ``f`` (their own negatives in characteristic 2)."""
-        pivots = np.array(self.pivots, dtype=np.intp)
-        is_free = np.ones(self.rows.shape[1], dtype=bool)
-        is_free[pivots] = False
-        free = np.flatnonzero(is_free)
-        basis = np.zeros((len(is_free), len(free)), dtype=self.gf.dtype)
-        basis[free, np.arange(len(free))] = 1
-        basis[pivots] = self.rows[:, free]
-        return basis
-
 
 @dataclass(frozen=True, eq=False)
 class TransmissionScheme:
@@ -303,19 +287,19 @@ class TransmissionScheme:
     def n_transmissions(self) -> int:
         return int(self.coefficients.shape[0])
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON object :meth:`to_json` writes, for embedding elsewhere."""
         # big-endian bytes: two hex digits per coefficient up to w = 8, four above
         coeff = self.coefficients.astype(">u1" if self.field.w <= 8 else ">u2")
-        rows = [row.tobytes().hex() for row in coeff]
-        return json.dumps(
-            {
-                "field": {"w": self.field.w, "poly": self.field.poly},
-                "message_order": list(self.message_order),
-                "split_factor": self.split_factor,
-                "rows": rows,
-            },
-            indent=2,
-        )
+        return {
+            "field": {"w": self.field.w, "poly": self.field.poly},
+            "message_order": list(self.message_order),
+            "split_factor": self.split_factor,
+            "rows": [row.tobytes().hex() for row in coeff],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "TransmissionScheme":
@@ -395,18 +379,19 @@ def can_decode(scheme: TransmissionScheme, icp: IcpInstance, user: int) -> bool:
 
 
 def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
-    """Per-user decodability: one batched elimination over the instance's
-    distinct known sets (structured instances have few), on the side of the
-    rank-nullity duality that :func:`verify_cells` models as cheaper."""
+    """Per-user decodability: one elimination tree over the instance's
+    distinct known sets (structured instances have few), each depth of it one
+    batched Gauss-Jordan (:func:`_tree_spans`)."""
     known, wanted, cols = _columns(scheme, icp)
-    primal_cost, dual_cost = _side_cells(scheme.n_transmissions, known, wanted, _STEP_CELLS)
-    spans = _dual_spans if dual_cost < primal_cost else _unit_spans
-    return _user_verdicts(icp, cols, spans(scheme, known, wanted))
+    return _user_verdicts(icp, cols, _tree_spans(scheme, known, wanted))
 
 
 def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[int, int]:
-    """Modelled work of :func:`verify_scheme` on ``icp``, in table cells, on
-    the primal and on the dual side.
+    """Flat estimates of exact verification work on ``icp``, in table cells,
+    one elimination per distinct known set on the primal and on the dual side
+    of the rank-nullity duality. The plan budget reads their minimum as a
+    size measure; :func:`verify_scheme`'s tree shares elimination between
+    overlapping sets and does less.
 
     Per distinct known set with ``k`` known, ``u`` unknown and ``h`` wanted
     columns, the primal side eliminates ``r`` rows over the unknown columns,
@@ -414,12 +399,17 @@ def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[int, int
     rows (the kernel's dimension when the ``r x n`` coefficients have full row
     rank, as MDS-precoded rows do) over the known and wanted columns,
     ``nu * (k + h) * min(nu, k)`` cells, after one ``r x n`` elimination for
-    the kernel basis. To pick its side, :func:`verify_scheme` also charges
-    each side :data:`_STEP_CELLS` per elimination step, so a tiny component
-    stays primal.
+    the kernel basis.
     """
     known, wanted, _ = _columns(scheme, icp)
-    return _side_cells(scheme.n_transmissions, known, wanted, 0)
+    n_rows, n_cols = scheme.n_transmissions, known.shape[1]
+    full = min(n_rows, n_cols)  # the rank of coefficients with full row rank
+    nu = n_cols - full
+    ks = known.sum(axis=1).tolist()
+    hs = wanted.sum(axis=1).tolist()
+    primal = sum(n_rows * (n_cols - k) * min(n_rows, n_cols - k) for k in ks)
+    dual = sum(nu * (k + h) * min(nu, k) for k, h in zip(ks, hs)) + n_rows * n_cols * full
+    return primal, dual
 
 
 def _columns(scheme: TransmissionScheme, icp: IcpInstance):
@@ -440,30 +430,9 @@ def _columns(scheme: TransmissionScheme, icp: IcpInstance):
     return known, wanted, cols
 
 
-# fixed cost of one elimination step (a dozen numpy calls) in cells of table
-# arithmetic. Timing both sides on every component of `sweep --K-range 3:14`
-# in all three modes, this value leaves on the primal side nearly every
-# component the dual side would slow, and moves most of those it speeds up.
-_STEP_CELLS = 1 << 12
-
-
-def _side_cells(n_rows: int, known: np.ndarray, wanted: np.ndarray, step: int) -> tuple[int, int]:
-    n_cols = known.shape[1]
-    full = min(n_rows, n_cols)  # the rank of coefficients with full row rank
-    nu = n_cols - full
-    ks = known.sum(axis=1).tolist()
-    hs = wanted.sum(axis=1).tolist()
-    primal = sum(n_rows * (n_cols - k) * min(n_rows, n_cols - k) for k in ks)
-    dual = sum(nu * (k + h) * min(nu, k) for k, h in zip(ks, hs)) + n_rows * n_cols * full
-    return (
-        primal + step * (n_cols - min(ks, default=n_cols)),
-        dual + step * (n_cols + max(ks, default=0)),
-    )
-
-
 def _user_verdicts(icp: IcpInstance, cols: np.ndarray, spans: np.ndarray) -> tuple[bool, ...]:
-    """Fold a side's ``spans[s, c]`` to users: a user decodes iff every node
-    of it wants a listed message whose column its known set spans."""
+    """Fold ``spans[s, c]`` to users: a user decodes iff every node of it
+    wants a listed message whose column its known set spans."""
     listed = cols >= 0
     ok = np.zeros(icp.n_nodes, dtype=bool)
     ok[listed] = spans[icp.node_row[listed], cols[listed]]
@@ -477,22 +446,23 @@ def _user_verdicts(icp: IcpInstance, cols: np.ndarray, spans: np.ndarray) -> tup
 _UPDATE_CELLS = 1 << 16
 
 
-def _eliminate(gf: _GF, a: np.ndarray, n_pivot_cols: int, reduced: bool = True) -> np.ndarray:
+def _eliminate(gf: _GF, a: np.ndarray, n_pivot_cols: int, n_pivots: np.ndarray) -> np.ndarray:
     """Gauss-Jordan in place on every ``(rows, width)`` matrix of the stack
-    ``a`` at once, taking pivots only in the first ``n_pivot_cols`` columns;
-    returns each matrix's pivot row per such column, -1 where none. With
-    ``reduced`` False each step clears its column only from the lowest new
-    pivot row of the batch down, which covers every row below each pivot:
-    the result is an echelon form, not a reduced one.
+    ``a`` at once, taking pivots only in the first ``n_pivot_cols`` columns
+    and below each matrix's first ``n_pivots`` rows, which already hold
+    pivots of columns outside ``a``; returns each matrix's pivot row per such
+    column, -1 where none.
 
     A pivot row is zero left of its column, so each step touches only the
     columns from there on. Zero padding columns never take a pivot.
     """
     n_sets, n_rows, width = a.shape
-    n_pivots = np.zeros(n_sets, dtype=np.intp)
+    n_pivots = n_pivots.copy()
     pivot_row = np.full((n_sets, n_pivot_cols), -1, dtype=np.intp)
     row_ids = np.arange(n_rows)
     for c in range(n_pivot_cols):
+        if n_pivots.min() == n_rows:
+            break
         cand = (a[:, :, c] != 0) & (row_ids >= n_pivots[:, None])
         hit = np.flatnonzero(cand.any(axis=1))
         if len(hit) == 0:
@@ -503,21 +473,17 @@ def _eliminate(gf: _GF, a: np.ndarray, n_pivot_cols: int, reduced: bool = True) 
         piv = gf.mul(piv, gf.vinv[piv[:, :1]])
         a[hit, p, c:] = a[hit, r, c:]
         a[hit, r, c:] = piv
-        # rows from here on hold every row below some pivot (and a few above)
-        top = 0 if reduced else int(r.min())
-        factor = a[hit, top:, c]
-        factor[np.arange(len(hit)), r - top] = 0
+        factor = a[hit, :, c]
+        factor[np.arange(len(hit)), r] = 0
         # a few sets at a time, so the temporaries stay small
-        step = max(1, _UPDATE_CELLS // ((n_rows - top) * (width - c)))
+        step = max(1, _UPDATE_CELLS // (n_rows * (width - c)))
         every = len(hit) == n_sets
         for lo in range(0, len(hit), step):
             part = slice(lo, lo + step)
             rows = part if every else hit[part]
-            a[rows, top:, c:] ^= gf.mul(factor[part, :, None], piv[part, None, :])
+            a[rows, :, c:] ^= gf.mul(factor[part, :, None], piv[part, None, :])
         pivot_row[hit, c] = r
         n_pivots[hit] += 1
-        if n_pivots.min() == n_rows:
-            break
     return pivot_row
 
 
@@ -526,63 +492,135 @@ def _left_justify(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     longest row with other columns, and which entries are real."""
     width = int(mask.sum(axis=1).max(initial=0))
     cols = np.argsort(~mask, axis=1, kind="stable")[:, :width]
-    return cols, np.take_along_axis(mask, cols, axis=1)
+    return cols, mask[np.arange(len(mask))[:, None], cols]
 
 
-def _stack(matrix: np.ndarray, cols: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """``out[s] = matrix[:, cols[s]]`` with the padding columns zeroed."""
-    return np.where(valid[:, None, :], matrix[:, cols].transpose(1, 0, 2), matrix.dtype.type(0))
+# the fixed cost of one more depth of the elimination tree, in cells of
+# table arithmetic: its gather, and a dozen numpy calls per elimination step.
+# Timed on the components of `sweep --K-range 3:14` in all three modes, none
+# splits from 2^15 up; every component of the plan_large corners splits up to
+# 2^18, and fewer, more slowly, from 2^19. This sits between.
+_DEPTH_CELLS = 1 << 17
 
 
-def _unit_spans(scheme: TransmissionScheme, known: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Primal side. ``out[s, c]`` for each ``wanted`` column ``c`` of set
-    ``s`` (False elsewhere): whether the unit vector of column ``c`` lies in
-    the row span of the transmissions restricted to the columns ``known[s]``
-    leaves out.
+def _cells(n_rows, n_pivot_cols, width):
+    """Modelled cells of eliminating ``n_pivot_cols`` columns of a matrix."""
+    return n_rows * np.minimum(n_rows, n_pivot_cols) * width
 
-    Each set's unknown columns sit left-justified in message order, all sets
-    in one ``(sets, rows, width)`` stack. In the reduced form the unit vector
-    of a pivot column is in the span iff its pivot row has no other nonzero
-    entry, and a column without a pivot is never in it.
+
+def _splits(n_rows: int, unknown: np.ndarray, seen: np.ndarray) -> set[tuple[int, int]]:
+    """The ranges ``(lo, hi)`` of known sets that :func:`_tree_spans` splits
+    into halves; every other range of two or more sets hands each set on.
+
+    Bottom-up over the halving of all sets: a range's sets either each
+    eliminate their unknown columns beyond the range's shared ones, or each
+    half eliminates its own shared columns once and goes on as cheaply as it
+    can, for :data:`_DEPTH_CELLS` more. Empty when the root does not split.
+    """
+    n_sets = len(unknown)
+    u = unknown.sum(axis=1)
+    if n_sets < 2 or _cells(n_rows, u, u).sum() <= _DEPTH_CELLS:
+        return set()
+    ranges, parent = [(0, n_sets)], [0]
+    for v, (lo, hi) in enumerate(ranges):  # grows while it is read: breadth first
+        if hi - lo > 1:
+            ranges += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
+            parent += [v, v]
+    lo, hi = np.array(ranges).T
+    lack = seen[hi] - seen[lo]
+    shared = (lack == (hi - lo)[:, None]).sum(axis=1)
+    shared[0] = 0  # the root's halves eliminate its shared columns
+    base = shared[parent]
+    own = _cells(n_rows, shared - base, (lack > 0).sum(axis=1) - base).tolist()
+    rest = u - shared[:, None]
+    sets = np.arange(n_sets)
+    inside = (sets >= lo[:, None]) & (sets < hi[:, None])
+    flat = (_cells(n_rows, rest, rest) * inside).sum(axis=1).tolist()
+    split = [_DEPTH_CELLS] * len(ranges)
+    splits = set()
+    for v in reversed(range(len(ranges))):  # every half before its range
+        best = 0
+        if hi[v] - lo[v] > 1:
+            best = min(flat[v], split[v])
+            if split[v] < flat[v]:
+                splits.add(ranges[v])
+        split[parent[v]] += own[v] + best
+    return splits if (0, n_sets) in splits else set()
+
+
+def _tree_spans(scheme: TransmissionScheme, known: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """``out[s, c]`` for each ``wanted`` column ``c`` of set ``s`` (False
+    elsewhere): whether the unit vector of column ``c`` lies in the row span
+    of the transmissions restricted to the columns ``known[s]`` leaves out.
+
+    A divide and conquer over ranges of consecutive sets, cut where
+    :func:`_splits` says. Each range runs Gauss-Jordan once on the columns
+    unknown to all its sets that its parent left, and hands the reduced rows,
+    on the columns some of its sets still lack, to its halves or to each of
+    its sets. All ranges at one depth are one :func:`_eliminate` stack, each
+    with its columns left-justified: those it eliminates, then those it
+    hands on. An eliminated column never changes again, so each set ends
+    with the reduced form of its unknown columns in tree order, where the
+    unit vector of a column is in the span iff the column has a pivot row
+    that no pivot-free column of the set is nonzero in.
     """
     gf = scheme.field.tables()
+    n_sets, n_cols = known.shape
+    n_rows = scheme.n_transmissions
     out = np.zeros(known.shape, dtype=bool)
-    cols, valid = _left_justify(~known)
-    if scheme.n_transmissions == 0 or cols.shape[1] == 0:
+    if n_rows == 0 or n_sets == 0:
         return out
-    a = _stack(scheme.coefficients.astype(gf.dtype), cols, valid)
-    pivot_row = _eliminate(gf, a, cols.shape[1])
-    alone = np.count_nonzero(a, axis=2) == 1
-    unit = (pivot_row >= 0) & np.take_along_axis(alone, np.maximum(pivot_row, 0), axis=1)
-    np.put_along_axis(out, cols, unit & valid, axis=1)
+    # seen[hi] - seen[lo]: how many of the sets lo..hi-1 lack each column
+    seen = np.zeros((n_sets + 1, n_cols), dtype=np.int32)
+    seen[1:] = np.cumsum(~known, axis=0)
+    splits = _splits(n_rows, ~known, seen)
+    if not splits:
+        # each set alone, with all its unknown columns: a column is in the
+        # span iff it has a pivot row with no other nonzero
+        cols, valid = _left_justify(~known)
+        a = np.where(valid[:, None, :], scheme.coefficients[:, cols].transpose(1, 0, 2), 0)
+        a = a.astype(gf.dtype)
+        prow = _eliminate(gf, a, cols.shape[1], np.zeros(n_sets, dtype=np.intp))
+        alone = np.count_nonzero(a, axis=2) == 1
+        np.put_along_axis(out, cols, valid & (prow >= 0) & alone[np.arange(n_sets)[:, None], prow], axis=1)
+        return out & wanted
+    # the root: all sets, the coefficients at every column. Per range, `wide`
+    # holds its reduced rows, transposed, at their global columns; `path` each
+    # column's pivot row, n_rows for a pivot-free column and -1 before
+    # elimination; and `marks` the rows a pivot-free column is nonzero in,
+    # plus row n_rows, so that neither of those two path entries reads spanned
+    ranges = [(0, n_sets)]
+    wide = scheme.coefficients.T.astype(gf.dtype)[None]
+    n_pivots = np.zeros(1, dtype=np.intp)
+    path = np.full((1, n_cols), -1, dtype=np.intp)
+    marks = np.zeros((1, n_rows + 1), dtype=bool)
+    marks[:, n_rows] = True
+    while ranges:
+        children = []
+        for e, (lo, hi) in enumerate(ranges):
+            cuts = (lo, (lo + hi) // 2, hi) if (lo, hi) in splits else range(lo, hi + 1)
+            children += [(e, x, y) for x, y in zip(cuts, cuts[1:])]
+        parent, lo, hi = np.array(children).T
+        lack = seen[hi] - seen[lo]
+        shared = lack == (hi - lo)[:, None]
+        path, marks, n_pivots = path[parent], marks[parent], n_pivots[parent]
+        pcols, pvalid = _left_justify(shared & (path < 0))
+        ccols, cvalid = _left_justify((lack > 0) & ~shared)
+        cols, valid = np.concatenate([pcols, ccols], axis=1), np.concatenate([pvalid, cvalid], axis=1)
+        a = np.where(valid[:, None, :], wide[parent[:, None], cols].transpose(0, 2, 1), gf.dtype(0))
+        prow = _eliminate(gf, a, pcols.shape[1], n_pivots)
+        n_pivots = n_pivots + (prow >= 0).sum(axis=1)
+        marks[:, :n_rows] |= ((a[:, :, : pcols.shape[1]] != 0) & (prow < 0)[:, None, :]).any(axis=2)
+        e, j = np.nonzero(pvalid)
+        path[e, pcols[e, j]] = np.where(prow < 0, n_rows, prow)[e, j]
+        leaf = hi - lo == 1
+        out[lo[leaf]] = ~marks[np.arange(len(lo))[:, None], path][leaf]
+        go = ~leaf
+        ranges = list(zip(lo[go].tolist(), hi[go].tolist()))
+        if ranges:
+            a, cols, valid = a[go], cols[go], valid[go]
+            n_pivots, path, marks = n_pivots[go], path[go], marks[go]
+            e, j = np.nonzero(valid)
+            wide = np.zeros((len(ranges), n_cols, n_rows), dtype=gf.dtype)
+            wide[e, cols[e, j]] = a[e, :, j]
     return out & wanted
-
-
-def _dual_spans(scheme: TransmissionScheme, known: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """Dual side of :func:`_unit_spans`, with the same result.
-
-    With ``B`` a basis of the kernel of the coefficients ``C``, the unit
-    vector of an unknown column ``c`` lies in the row span of ``C``'s unknown
-    columns iff row ``c`` of ``B`` lies in the row span of ``B``'s known rows:
-    over any field a row span is the annihilator of the kernel, and the
-    kernel of ``C`` on the unknown columns is ``{Bz : B[known] z = 0}``.
-
-    Each set stacks ``B``'s known rows left-justified, then its wanted rows,
-    as columns of one ``(sets, nu, width)`` stack. Pivots are taken in the
-    known columns only; a wanted column is then in their span iff it is zero
-    below the set's pivots.
-    """
-    gf = scheme.field.tables()
-    out = np.zeros(known.shape, dtype=bool)
-    wcols, wvalid = _left_justify(wanted)
-    if wcols.shape[1] == 0:
-        return out
-    basis = _Rref(scheme.coefficients, scheme.field).kernel().T
-    kcols, kvalid = _left_justify(known)
-    n_known = kcols.shape[1]
-    a = _stack(basis, np.hstack([kcols, wcols]), np.hstack([kvalid, wvalid]))
-    n_pivots = (_eliminate(gf, a, n_known, reduced=False) >= 0).sum(axis=1)
-    below = np.arange(basis.shape[0]) >= n_pivots[:, None]
-    spanned = ~((a[:, :, n_known:] != 0) & below[:, :, None]).any(axis=1)
-    np.put_along_axis(out, wcols, spanned & wvalid, axis=1)
-    return out

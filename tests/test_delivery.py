@@ -360,38 +360,34 @@ class TestVerifyOnce:
         assert verify_scheme(scheme, alone) == (False,)
 
 
-class TestVerifierSide:
+class TestVerifierTree:
     @staticmethod
-    def sides(monkeypatch) -> list:
-        """Record, per elimination, whether it ran on the dual side."""
-        taken = []
-        for name, dual in (("_unit_spans", False), ("_dual_spans", True)):
-            real = getattr(linalg_ff, name)
+    def splits(monkeypatch) -> list:
+        """Record, per verification, whether its elimination tree splits."""
+        split = []
+        real = linalg_ff._splits
 
-            def recorded(*args, _real=real, _dual=dual):
-                taken.append(_dual)
-                return _real(*args)
+        def recorded(*args):
+            split.append(real(*args))
+            return split[-1]
 
-            monkeypatch.setattr(linalg_ff, name, recorded)
-        return taken
+        monkeypatch.setattr(linalg_ff, "_splits", recorded)
+        return split
 
-    @pytest.mark.parametrize(
-        "corner, dual",
-        [((40, 2, 6), True), ((60, 2, 7), True), ((48, 2, 14), False), ((60, 4, 12), False)],
-    )
-    def test_cost_model_picks_side(self, monkeypatch, corner, dual):
-        taken = self.sides(monkeypatch)
+    @pytest.mark.parametrize("corner", [(40, 2, 6), (60, 2, 7), (48, 2, 14), (60, 4, 12)])
+    def test_large_corners_split(self, monkeypatch, corner):
+        split = self.splits(monkeypatch)
         plan = plan_for(*corner, "quadratic")
-        assert taken == [dual] * len(plan.pairs)
+        assert len(split) == len(plan.pairs) and all(split)
 
-    def test_small_corners_stay_primal(self, monkeypatch):
-        taken = self.sides(monkeypatch)
+    def test_small_corners_stay_flat(self, monkeypatch):
+        split = self.splits(monkeypatch)
         for mode in ("quadratic", "linear", "divisor"):
             for k in range(3, 7):
                 for l in range(1, k + 1):
                     for i in range(1, -(-k // l) + 1):
                         plan_for(k, l, i, mode, oracle_node_cap=0)
-        assert taken and not any(taken)
+        assert split and not any(split)
 
 
 class TestVerifyBudget:

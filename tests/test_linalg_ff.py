@@ -29,14 +29,8 @@ from macc_lab import (
     realize_union_split,
     verify_scheme,
 )
-from macc_lab.linalg_ff import (
-    _DEFAULT_POLY,
-    _Rref,
-    _columns,
-    _dual_spans,
-    _unit_spans,
-    _user_verdicts,
-)
+from macc_lab import linalg_ff
+from macc_lab.linalg_ff import _DEFAULT_POLY, _Rref
 
 
 def ref_mul(a: int, b: int, w: int, poly: int) -> int:
@@ -399,11 +393,11 @@ def reference_verdicts(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bo
 def assert_matches_reference(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
     expected = reference_verdicts(scheme, icp)
     assert verify_scheme(scheme, icp) == expected
-    # each side of the rank-nullity duality on its own, whichever the model picks
-    known, wanted, cols = _columns(scheme, icp)
-    primal = _unit_spans(scheme, known, wanted)
-    assert (primal == _dual_spans(scheme, known, wanted)).all()
-    assert _user_verdicts(icp, cols, primal) == expected
+    # the tree split at every range and never split, whatever the model picks
+    for depth_cells in (-np.inf, np.inf):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg_ff, "_DEPTH_CELLS", depth_cells)
+            assert verify_scheme(scheme, icp) == expected
     assert tuple(can_decode(scheme, icp, u) for u in range(1, len(icp.users) + 1)) == expected
     return expected
 
@@ -431,10 +425,44 @@ def random_schemes(draw):
     return icp, TransmissionScheme(field=spec, message_order=order, coefficients=coeff)
 
 
+@st.composite
+def cyclic_windows(draw):
+    """``k`` known sets that are cyclic windows, as in a structured
+    component: ``d`` messages per position, and user ``s`` knows the ``w``
+    positions after its own and wants its own. The scheme encodes a greedy
+    coloring and may lose a row, so both verdicts occur."""
+    k = draw(st.integers(8, 24))
+    d = draw(st.integers(1, 3))
+    w = draw(st.integers(1, k - 1))
+
+    def at(p):
+        return range(p % k * d + 1, p % k * d + d + 1)
+
+    users = tuple(
+        IcpUser(want=frozenset(at(s)), known=frozenset(m for t in range(1, w + 1) for m in at(s + t)))
+        for s in range(k)
+    )
+    icp = IcpInstance(n_messages=k * d, users=users)
+    scheme = encode(icp, greedy_coloring(icp), field=FieldSpec(draw(st.sampled_from([8, 16]))))
+    drop = draw(st.none() | st.integers(0, scheme.n_transmissions - 1))
+    if drop is not None:
+        scheme = TransmissionScheme(
+            field=scheme.field,
+            message_order=scheme.message_order,
+            coefficients=np.delete(scheme.coefficients, drop, axis=0),
+        )
+    return icp, scheme
+
+
 class TestBatchedVerifier:
     @given(random_schemes())
     @settings(max_examples=300, deadline=None)
     def test_random_schemes_match_reference(self, case):
+        assert_matches_reference(case[1], case[0])
+
+    @given(cyclic_windows())
+    @settings(max_examples=100, deadline=None)
+    def test_cyclic_windows_match_reference(self, case):
         assert_matches_reference(case[1], case[0])
 
     def test_padding_unequal_known_sets(self):
@@ -512,30 +540,6 @@ class TestBatchedVerifier:
             scheme = TransmissionScheme(FieldSpec(8), tuple(range(1, 11)), coeff)
             seen.update(assert_matches_reference(scheme, icp))
         assert seen == {False, True}
-
-    @given(
-        st.sampled_from([1, 4, 8, 16]),
-        st.integers(0, 6),
-        st.integers(0, 8),
-        st.integers(0, 2**32 - 1),
-        st.sampled_from([0.0, 0.5, 0.8]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_kernel_basis(self, w, n_rows, n_cols, seed, sparsity):
-        spec = FieldSpec(w)
-        rng = np.random.default_rng(seed)
-        coeff = rng.integers(0, spec.size, size=(n_rows, n_cols))
-        coeff[rng.random(coeff.shape) < sparsity] = 0
-        basis = _Rref(coeff, spec).kernel()
-        nullity = n_cols - rank(coeff, spec)
-        assert basis.shape == (n_cols, nullity)
-        assert rank(basis, spec) == nullity
-        for r in range(n_rows):
-            for j in range(nullity):
-                acc = 0
-                for c in range(n_cols):
-                    acc ^= ref_mul(int(coeff[r, c]), int(basis[c, j]), w, spec.poly)
-                assert acc == 0
 
     @pytest.mark.parametrize("w", sorted(_DEFAULT_POLY))
     def test_narrow_tables_match_mul(self, w):
