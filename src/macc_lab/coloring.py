@@ -71,44 +71,48 @@ def interferers(icp: IcpInstance, node: int) -> set[int]:
 
 
 def is_proper(icp: IcpInstance, coloring: Coloring) -> bool:
-    """True iff no node shares its color with one of its interferers.
-
-    Checked color class by color class: within a class, every node's message
-    must be visible (known or identical) to every other member.
-    """
+    """True iff no node shares its color with one of its interferers: every
+    node knows or wants the message of every member of its color class."""
     _check_len(icp, coloring)
-    cols = np.asarray(coloring.colors, dtype=np.int32)
-    for c in range(1, (coloring.n_colors if coloring.colors else 0) + 1):
-        members = np.flatnonzero(cols == c)
-        if len(members) < 2:
-            continue
-        msgs = icp.node_msg[members]
-        vis = icp.known_rows[np.ix_(icp.node_row[members], msgs)]
-        vis |= msgs[None, :] == msgs[:, None]
-        if not vis.all():
-            return False
-    return True
+    cols = np.asarray(coloring.colors, dtype=np.intp)
+    return not any(
+        (~vis & (cols[u][:, None] == cols[v])).any() for u, v, vis in _visibility(icp, cols, own=True)
+    )
 
 
 def local_count(icp: IcpInstance, coloring: Coloring) -> int:
     """Max distinct colors over closed sets {u} + interferers(u)."""
     _check_len(icp, coloring)
-    if not coloring.colors:
-        return 0
-    cols = np.asarray(coloring.colors, dtype=np.int32)
-    counts = np.zeros(icp.n_nodes, dtype=np.int32)
-    own_seen = np.zeros(icp.n_nodes, dtype=bool)
-    for c in range(1, coloring.n_colors + 1):
-        members = np.flatnonzero(cols == c)
-        msgs = icp.node_msg[members]
-        vis = icp.known_rows[:, msgs][icp.node_row]
-        vis |= msgs[None, :] == icp.node_msg[:, None]
-        sees = ~vis.all(axis=1)
-        counts += sees
-        own_seen |= sees & (cols == c)
-    # a node's own color might not appear among its interferers
-    counts += ~own_seen
-    return int(counts.max())
+    cols = np.asarray(coloring.colors, dtype=np.intp)
+    best = 0
+    for u, v, vis in _visibility(icp, cols, own=False):
+        # per node, the colors of the members it cannot see, and its own
+        seen = np.logical_or.reduceat(~vis, np.flatnonzero(np.diff(cols[v], prepend=0)), axis=1)
+        seen[np.arange(len(u)), cols[u] - 1] = True
+        best = max(best, int(seen.sum(axis=1).max()))
+    return best
+
+
+# node x member cells per block of :func:`_visibility`; its boolean
+# temporaries stay near 1 MB whatever the instance size
+_BLOCK_CELLS = 1 << 18
+
+
+def _visibility(icp: IcpInstance, cols: np.ndarray, own: bool):
+    """Per block of nodes ``u``, taken in color order: the members ``v``, in
+    color order, of every color class (of only the classes of ``u`` when
+    ``own``), and ``vis[i, j]``, whether node ``u[i]`` knows or wants the
+    message of node ``v[j]``."""
+    order = np.argsort(cols, kind="stable")
+    ordered = cols[order]
+    step = max(1, _BLOCK_CELLS // max(1, len(cols), icp.n_messages))
+    for lo in range(0, len(cols), step):
+        u = order[lo : lo + step]
+        a = np.searchsorted(ordered, ordered[lo]) if own else 0
+        b = np.searchsorted(ordered, ordered[lo + len(u) - 1], side="right") if own else len(cols)
+        v = order[a:b]
+        msg = icp.node_msg[v]
+        yield u, v, icp.known_rows[icp.node_row[u]][:, msg] | (icp.node_msg[u][:, None] == msg)
 
 
 def divisor_coloring(desc: UnionIcpDesc, n_colors: int) -> Coloring:

@@ -4,7 +4,8 @@
 pair through a coloring strategy fitting the requested mode, precodes each
 component with an MDS generator over one shared field, and returns the plan
 only if every user can decode. That exact rank check runs once, when the
-:class:`DeliveryPlan` is constructed; ``verify_plan`` reads its verdict. Rates
+:class:`DeliveryPlan` is constructed, as one batched check of all components
+(:func:`~.linalg_ff.verify_schemes`); ``verify_plan`` reads its verdict. Rates
 come out of the construction itself (transmission counts over split factors,
 exact fractions), so they can be checked against the closed-form calculators.
 
@@ -62,6 +63,7 @@ from .linalg_ff import (
     rank,
     verify_cells,
     verify_scheme,
+    verify_schemes,
 )
 from .macc import MaccInstance
 from .oracle import exhaustive_chi_l
@@ -130,10 +132,11 @@ class DeliveryPlan:
     component exceeding its closed-form bound. ``users_ok[k-1]``, set by exact
     rank in ``__post_init__`` and never passed in, says if table user ``k``
     decodes every pair, so a plan made by ``dataclasses.replace`` checks itself.
-    The check runs on ``instances``, the pairs' local instances in order as
-    :func:`pair_instance` rebuilds them; ``assemble`` passes the ones it coded
-    for, and any other construction (``replace`` too) rebuilds them. They are
-    not stored.
+    One :func:`~.linalg_ff.verify_schemes` batch checks all pairs, whose
+    schemes must share one field. It runs on ``instances``, the pairs' local
+    instances in order as :func:`pair_instance` rebuilds them; ``assemble``
+    passes the ones it coded for, and any other construction (``replace``
+    too) rebuilds them. They are not stored.
     """
 
     table: IcpTable
@@ -365,16 +368,14 @@ def assemble(
         failing = (f"columns {list(p.columns)} ({p.tag}) table users {bad}"
                    f" ({_first_failure(p, inst, table, bad[0])})"
                    for p, inst in zip(plan.pairs, instances)
-                   if (bad := _failed_users(p, inst, k)))
+                   if (bad := _failed_users(verify_scheme(p.scheme, inst), k)))
         raise VerificationError("users unable to decode: " + "; ".join(failing))
     return plan
 
 
-def _failed_users(pair: PairPlan, inst: IcpInstance, k: int) -> list[int]:
-    """Table users (1-based) who cannot decode ``pair``, coded for ``inst``,
-    by exact rank."""
-    per_user = len(inst.users) // k
-    verdicts = verify_scheme(pair.scheme, inst)
+def _failed_users(verdicts: tuple[bool, ...], k: int) -> list[int]:
+    """Table users (1-based) among whose local users a verdict is False."""
+    per_user = len(verdicts) // k
     return sorted({idx // per_user + 1 for idx, good in enumerate(verdicts) if not good})
 
 
@@ -404,8 +405,9 @@ def _first_failure(pair: PairPlan, inst: IcpInstance, table: IcpTable, user: int
 def _pair_users_ok(
     plan: DeliveryPlan, instances: tuple[IcpInstance, ...]
 ) -> tuple[bool, ...]:
-    """Fold per-component decode checks down to the K table users, after
-    refusing a plan whose checks would exceed :data:`VERIFY_CELL_BUDGET`."""
+    """Fold one batched decode check of all components down to the K table
+    users, after refusing a plan whose checks would exceed
+    :data:`VERIFY_CELL_BUDGET`."""
     pairs = tuple(zip(plan.pairs, instances))
     # the primal side needs at most r * n * min(r, n) cells per known set,
     # so only a plan whose shapes reach the budget runs the per-set model
@@ -419,7 +421,7 @@ def _pair_users_ok(
                 f"elimination, above the budget of {VERIFY_CELL_BUDGET:.0e}"
             )
     k = plan.table.n_rows
-    bad = {u for pair, inst in pairs for u in _failed_users(pair, inst, k)}
+    bad = {u for v in verify_schemes([(p.scheme, i) for p, i in pairs]) for u in _failed_users(v, k)}
     return tuple(u not in bad for u in range(1, k + 1))
 
 

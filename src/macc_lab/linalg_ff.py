@@ -11,11 +11,11 @@ a run of zeros. Addition is XOR throughout (characteristic 2).
 Decodability asks, per distinct known set, whether each wanted unit vector
 lies in the row span of the transmissions on the set's unknown columns.
 Structured known sets are cyclic windows that share most of those columns, so
-:func:`verify_scheme` reduces them as a tree over ranges of consecutive sets:
+:func:`verify_schemes` reduces them as a tree over ranges of consecutive sets:
 each range eliminates once the columns all its sets lack and hands the result
-to its halves, and each depth is one batched Gauss-Jordan over a 3-D stack of
-field elements. Where a cell model says the tree does not pay, as on small
-instances, it is one flat batch with one matrix per set.
+to its halves, or to each of its sets where a cell model says splitting does
+not pay. One tree covers all schemes of a batch (a plan's components), padded
+to one shape, and each depth is one batched Gauss-Jordan over all of them.
 """
 
 from __future__ import annotations
@@ -379,11 +379,23 @@ def can_decode(scheme: TransmissionScheme, icp: IcpInstance, user: int) -> bool:
 
 
 def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
-    """Per-user decodability: one elimination tree over the instance's
-    distinct known sets (structured instances have few), each depth of it one
-    batched Gauss-Jordan (:func:`_tree_spans`)."""
-    known, wanted, cols = _columns(scheme, icp)
-    return _user_verdicts(icp, cols, _tree_spans(scheme, known, wanted))
+    """Per-user decodability of one scheme: :func:`verify_schemes` on it alone."""
+    return verify_schemes([(scheme, icp)])[0]
+
+
+def verify_schemes(pairs: list) -> list[tuple[bool, ...]]:
+    """Per-user decodability of each ``(scheme, icp)`` pair, in order: one
+    elimination tree over all pairs' distinct known sets (:func:`_tree_spans`),
+    or consecutive trees of about :data:`_BATCH_CELLS` each for a larger
+    batch. Schemes over two fields raise :class:`ParameterError`."""
+    if len({scheme.field for scheme, _ in pairs}) > 1:
+        raise ParameterError("a batch of schemes must share one field")
+    # consecutive pairs share a tree while their running cells stay in one multiple
+    ends = np.cumsum([len(icp.known_rows) * scheme.coefficients.size for scheme, icp in pairs])
+    spans = []
+    for run in np.split(np.arange(len(pairs)), np.flatnonzero(np.diff(ends // _BATCH_CELLS)) + 1):
+        spans += _tree_spans([pairs[p] for p in run])
+    return [_user_verdicts(icp, cols, s) for (_, icp), (cols, s) in zip(pairs, spans)]
 
 
 def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[int, int]:
@@ -440,6 +452,11 @@ def _user_verdicts(icp: IcpInstance, cols: np.ndarray, spans: np.ndarray) -> tup
     return tuple((failed == 0).tolist())
 
 
+# cells (known sets x rows x columns, summed over pairs) one elimination tree
+# takes on, so its widest stacks stay near 1 MB; a step's fixed cost is small
+# well before this, and one tree over (100, 2, 12)'s 38 pairs peaked 11 MB higher
+_BATCH_CELLS = 1 << 23
+
 # cells one elimination step updates at once: a table lookup holds 11 to 14
 # bytes per cell while it runs (index, numpy's intp copy of it, result), so
 # this bounds the temporaries near 1 MB whatever the batch size
@@ -487,12 +504,14 @@ def _eliminate(gf: _GF, a: np.ndarray, n_pivot_cols: int, n_pivots: np.ndarray) 
     return pivot_row
 
 
-def _left_justify(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _left_justify(mask: np.ndarray) -> np.ndarray:
     """Per row of ``mask``, the columns it holds in order, padded to the
-    longest row with other columns, and which entries are real."""
-    width = int(mask.sum(axis=1).max(initial=0))
-    cols = np.argsort(~mask, axis=1, kind="stable")[:, :width]
-    return cols, mask[np.arange(len(mask))[:, None], cols]
+    longest row with the last column, which no row holds."""
+    counts = mask.sum(axis=1)
+    e, c = np.nonzero(mask)
+    cols = np.full((len(mask), counts.max(initial=0)), mask.shape[1] - 1, dtype=np.intp)
+    cols[e, np.arange(len(e)) - np.repeat(np.cumsum(counts) - counts, counts)] = c
+    return cols
 
 
 # the fixed cost of one more depth of the elimination tree, in cells of
@@ -508,7 +527,7 @@ def _cells(n_rows, n_pivot_cols, width):
     return n_rows * np.minimum(n_rows, n_pivot_cols) * width
 
 
-def _splits(n_rows: int, unknown: np.ndarray, seen: np.ndarray) -> set[tuple[int, int]]:
+def _splits(n_rows: int, seen: np.ndarray) -> set[tuple[int, int]]:
     """The ranges ``(lo, hi)`` of known sets that :func:`_tree_spans` splits
     into halves; every other range of two or more sets hands each set on.
 
@@ -516,9 +535,10 @@ def _splits(n_rows: int, unknown: np.ndarray, seen: np.ndarray) -> set[tuple[int
     eliminate their unknown columns beyond the range's shared ones, or each
     half eliminates its own shared columns once and goes on as cheaply as it
     can, for :data:`_DEPTH_CELLS` more. Empty when the root does not split.
+    ``seen`` counts lacking sets as in :func:`_tree_spans`, over these sets.
     """
-    n_sets = len(unknown)
-    u = unknown.sum(axis=1)
+    n_sets = len(seen) - 1
+    u = np.diff(seen.sum(axis=1, dtype=np.intp))  # unknown columns per set
     if n_sets < 2 or _cells(n_rows, u, u).sum() <= _DEPTH_CELLS:
         return set()
     ranges, parent = [(0, n_sets)], [0]
@@ -548,79 +568,82 @@ def _splits(n_rows: int, unknown: np.ndarray, seen: np.ndarray) -> set[tuple[int
     return splits if (0, n_sets) in splits else set()
 
 
-def _tree_spans(scheme: TransmissionScheme, known: np.ndarray, wanted: np.ndarray) -> np.ndarray:
-    """``out[s, c]`` for each ``wanted`` column ``c`` of set ``s`` (False
-    elsewhere): whether the unit vector of column ``c`` lies in the row span
-    of the transmissions restricted to the columns ``known[s]`` leaves out.
+def _tree_spans(pairs: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per ``(scheme, icp)`` pair: its nodes' columns (see :func:`_columns`)
+    and ``spans[s, c]``, for each column ``c`` a node of set ``s`` wants,
+    whether its unit vector lies in the row span of the transmissions on the
+    columns set ``s`` does not know.
 
-    A divide and conquer over ranges of consecutive sets, cut where
-    :func:`_splits` says. Each range runs Gauss-Jordan once on the columns
-    unknown to all its sets that its parent left, and hands the reduced rows,
-    on the columns some of its sets still lack, to its halves or to each of
-    its sets. All ranges at one depth are one :func:`_eliminate` stack, each
-    with its columns left-justified: those it eliminates, then those it
-    hands on. An eliminated column never changes again, so each set ends
-    with the reduced form of its unknown columns in tree order, where the
-    unit vector of a column is in the span iff the column has a pivot row
-    that no pivot-free column of the set is nonzero in.
+    A divide and conquer over ranges of consecutive sets, one root per pair,
+    cut where :func:`_splits` says. Each range runs Gauss-Jordan once on the
+    columns all its sets lack that its parent left, and hands the reduced
+    rows, on the columns some of its sets still lack, to its halves or to
+    each of its sets. All ranges at one depth are one :func:`_eliminate`
+    stack, columns left-justified: those it eliminates, those it hands on,
+    then a zero column that padding points to. Pairs are padded with zero rows
+    and with columns every set knows (the last one for all), which take no
+    pivot. An eliminated column never changes again, so a column's unit
+    vector is in a set's span iff it has a pivot row that no pivot-free
+    column on the set's path is nonzero in.
     """
-    gf = scheme.field.tables()
-    n_sets, n_cols = known.shape
-    n_rows = scheme.n_transmissions
-    out = np.zeros(known.shape, dtype=bool)
-    if n_rows == 0 or n_sets == 0:
-        return out
+    if not pairs:
+        return []
+    gf = pairs[0][0].field.tables()
+    n_rows = max(scheme.n_transmissions for scheme, _ in pairs)
+    n_cols = max(len(scheme.message_order) for scheme, _ in pairs) + 1
+    offset = np.cumsum([0] + [len(icp.known_rows) for _, icp in pairs]).tolist()
+    n_sets = offset[-1]
+    # the columns each set lacks; every set is a leaf once, and its row is
+    # then overwritten with its spans
+    out = np.zeros((n_sets, n_cols), dtype=bool)
+    a = np.zeros((len(pairs), n_rows, n_cols), dtype=gf.dtype)
+    node_cols = []
+    for p, (scheme, icp) in enumerate(pairs):
+        known, _, cols = _columns(scheme, icp)
+        out[offset[p] : offset[p + 1], : known.shape[1]] = ~known
+        a[p, : scheme.n_transmissions, : known.shape[1]] = scheme.coefficients
+        node_cols.append(cols)
     # seen[hi] - seen[lo]: how many of the sets lo..hi-1 lack each column
-    seen = np.zeros((n_sets + 1, n_cols), dtype=np.int32)
-    seen[1:] = np.cumsum(~known, axis=0)
-    splits = _splits(n_rows, ~known, seen)
-    if not splits:
-        # each set alone, with all its unknown columns: a column is in the
-        # span iff it has a pivot row with no other nonzero
-        cols, valid = _left_justify(~known)
-        a = np.where(valid[:, None, :], scheme.coefficients[:, cols].transpose(1, 0, 2), 0)
-        a = a.astype(gf.dtype)
-        prow = _eliminate(gf, a, cols.shape[1], np.zeros(n_sets, dtype=np.intp))
-        alone = np.count_nonzero(a, axis=2) == 1
-        np.put_along_axis(out, cols, valid & (prow >= 0) & alone[np.arange(n_sets)[:, None], prow], axis=1)
-        return out & wanted
-    # the root: all sets, the coefficients at every column. Per range, `wide`
-    # holds its reduced rows, transposed, at their global columns; `path` each
-    # column's pivot row, n_rows for a pivot-free column and -1 before
-    # elimination; and `marks` the rows a pivot-free column is nonzero in,
-    # plus row n_rows, so that neither of those two path entries reads spanned
-    ranges = [(0, n_sets)]
-    wide = scheme.coefficients.T.astype(gf.dtype)[None]
-    n_pivots = np.zeros(1, dtype=np.intp)
-    path = np.full((1, n_cols), -1, dtype=np.intp)
-    marks = np.zeros((1, n_rows + 1), dtype=bool)
+    seen = np.zeros((n_sets + 1, n_cols), dtype=np.min_scalar_type(n_sets))
+    np.cumsum(out, axis=0, dtype=seen.dtype, out=seen[1:])
+    splits = set()
+    for (scheme, _), lo, hi in zip(pairs, offset, offset[1:]):
+        splits |= {(lo + x, lo + y) for x, y in _splits(scheme.n_transmissions, seen[lo : hi + 1])}
+    # per range: `a` its reduced rows over the `width` columns it eliminated
+    # and then the columns it hands on, whose global columns are `hand`;
+    # `path` each global column's pivot row, n_rows for a pivot-free column
+    # and -1 before elimination; and `marks` the rows a pivot-free column is
+    # nonzero in, plus row n_rows, so neither of those path entries reads spanned
+    ranges = list(zip(offset, offset[1:]))
+    hand = np.broadcast_to(np.arange(n_cols, dtype=np.min_scalar_type(n_cols)), (len(pairs), n_cols))
+    width = 0
+    n_pivots = np.zeros(len(pairs), dtype=np.intp)
+    path = np.full((len(pairs), n_cols), -1, dtype=np.min_scalar_type(-1 - n_rows))
+    marks = np.zeros((len(pairs), n_rows + 1), dtype=bool)
     marks[:, n_rows] = True
-    while ranges:
+    while ranges and n_sets:
         children = []
         for e, (lo, hi) in enumerate(ranges):
             cuts = (lo, (lo + hi) // 2, hi) if (lo, hi) in splits else range(lo, hi + 1)
             children += [(e, x, y) for x, y in zip(cuts, cuts[1:])]
         parent, lo, hi = np.array(children).T
-        lack = seen[hi] - seen[lo]
+        hand, path, marks, n_pivots = hand[parent], path[parent], marks[parent], n_pivots[parent]
+        lack = seen[hi[:, None], hand] - seen[lo[:, None], hand]
         shared = lack == (hi - lo)[:, None]
-        path, marks, n_pivots = path[parent], marks[parent], n_pivots[parent]
-        pcols, pvalid = _left_justify(shared & (path < 0))
-        ccols, cvalid = _left_justify((lack > 0) & ~shared)
-        cols, valid = np.concatenate([pcols, ccols], axis=1), np.concatenate([pvalid, cvalid], axis=1)
-        a = np.where(valid[:, None, :], wide[parent[:, None], cols].transpose(0, 2, 1), gf.dtype(0))
-        prow = _eliminate(gf, a, pcols.shape[1], n_pivots)
+        pj = _left_justify(shared)
+        cj = _left_justify((lack > 0) & ~shared)
+        last = np.full((len(parent), 1), hand.shape[1] - 1)
+        at = width + np.concatenate([pj, cj, last], axis=1)
+        a = a[parent[:, None, None], np.arange(n_rows)[:, None], at[:, None, :]]
+        width = pj.shape[1]
+        prow = _eliminate(gf, a, width, n_pivots)
         n_pivots = n_pivots + (prow >= 0).sum(axis=1)
-        marks[:, :n_rows] |= ((a[:, :, : pcols.shape[1]] != 0) & (prow < 0)[:, None, :]).any(axis=2)
-        e, j = np.nonzero(pvalid)
-        path[e, pcols[e, j]] = np.where(prow < 0, n_rows, prow)[e, j]
+        marks[:, :n_rows] |= np.bitwise_or.reduce(a[:, :, :width], axis=2, where=(prow < 0)[:, None, :]) != 0
+        np.put_along_axis(path, np.take_along_axis(hand, pj, axis=1), np.where(prow < 0, n_rows, prow), axis=1)
         leaf = hi - lo == 1
-        out[lo[leaf]] = ~marks[np.arange(len(lo))[:, None], path][leaf]
+        out[lo[leaf]] = ~np.take_along_axis(marks[leaf], path[leaf], axis=1)
         go = ~leaf
         ranges = list(zip(lo[go].tolist(), hi[go].tolist()))
-        if ranges:
-            a, cols, valid = a[go], cols[go], valid[go]
-            n_pivots, path, marks = n_pivots[go], path[go], marks[go]
-            e, j = np.nonzero(valid)
-            wide = np.zeros((len(ranges), n_cols, n_rows), dtype=gf.dtype)
-            wide[e, cols[e, j]] = a[e, :, j]
-    return out & wanted
+        hand = np.take_along_axis(hand[go], np.concatenate([cj, last], axis=1)[go], axis=1)
+        a, n_pivots, path, marks = a[go], n_pivots[go], path[go], marks[go]
+    return [(cols, out[lo:hi]) for cols, lo, hi in zip(node_cols, offset, offset[1:])]

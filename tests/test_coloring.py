@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from macc_lab import coloring as coloring_module
 from macc_lab import (
     Coloring,
     IcpInstance,
@@ -133,6 +134,23 @@ class TestLocalCount:
     def test_clique_monochrome_counts_one(self):
         icp = realize_single(StructuredIcpDesc(0, 0, 3))
         assert local_count(icp, Coloring((1, 1, 1, 1))) == 1
+
+
+class TestColorBlocks:
+    # any coloring, proper or not, in one node block or one node per block
+    @given(random_instances(), st.data(), st.sampled_from([coloring_module._BLOCK_CELLS, 1]))
+    @settings(max_examples=60)
+    def test_match_closed_sets(self, icp, data, block_cells):
+        raw = data.draw(st.lists(st.integers(1, 4), min_size=icp.n_nodes, max_size=icp.n_nodes))
+        coloring = Coloring(tuple(sorted(set(raw)).index(c) + 1 for c in raw))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coloring_module, "_BLOCK_CELLS", block_cells)
+            proper, count = is_proper(icp, coloring), local_count(icp, coloring)
+        colors = coloring.colors
+        assert proper == all(
+            colors[v - 1] != colors[u - 1] for u in range(1, icp.n_nodes + 1) for v in interferers(icp, u)
+        )
+        assert count == max(len(s) for s in closed_color_sets(icp, coloring))
 
 
 class TestDivisorColoring:

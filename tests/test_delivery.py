@@ -257,20 +257,23 @@ class TestPlanInternals:
 class TestVerifyOnce:
     def test_each_pair_is_rank_checked_once(self, monkeypatch):
         calls = []
-        real = delivery.verify_scheme
+        real = delivery.verify_schemes
 
-        def counted(scheme, icp):
-            calls.append(scheme)
-            return real(scheme, icp)
+        def counted(pairs):
+            calls.append([scheme for scheme, _ in pairs])
+            return real(pairs)
 
-        # both bindings, so a check reached through either module is counted
-        monkeypatch.setattr(delivery, "verify_scheme", counted)
-        monkeypatch.setattr(linalg_ff, "verify_scheme", counted)
+        # both bindings, so a check reached through either module (verify_scheme
+        # included) is counted
+        monkeypatch.setattr(delivery, "verify_schemes", counted)
+        monkeypatch.setattr(linalg_ff, "verify_schemes", counted)
         plan = plan_for(12, 2, 2, "quadratic")
         check = verify_plan(plan)
         assert check.ok and check.users_ok == plan.users_ok
         assert len(plan.pairs) == 4
-        assert len(calls) == len(plan.pairs)
+        # one batch for the plan, holding every pair's scheme exactly once
+        assert len(calls) == 1
+        assert sorted(map(id, calls[0])) == sorted(id(p.scheme) for p in plan.pairs)
 
     def test_replaced_plan_checks_its_own_pairs(self):
         plan = plan_for(8, 2, 3, "quadratic")
@@ -409,7 +412,9 @@ class TestVerifyBudget:
 
     def test_k100_fits_the_budget(self, monkeypatch):
         # the estimate alone: the exact check after it is stubbed out
-        monkeypatch.setattr(delivery, "verify_scheme", lambda scheme, icp: (True,) * len(icp.users))
+        monkeypatch.setattr(
+            delivery, "verify_schemes", lambda pairs: [(True,) * len(icp.users) for _, icp in pairs]
+        )
         plan = plan_for(100, 2, 12, "quadratic")
         cells = sum(min(linalg_ff.verify_cells(p.scheme, pair_instance(p))) for p in plan.pairs)
         assert delivery.VERIFY_CELL_BUDGET / 100 < cells < delivery.VERIFY_CELL_BUDGET

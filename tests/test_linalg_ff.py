@@ -403,11 +403,12 @@ def assert_matches_reference(scheme: TransmissionScheme, icp: IcpInstance) -> tu
 
 
 @st.composite
-def random_schemes(draw):
+def random_schemes(draw, w=None):
     """A general instance (multi-message wants, known sets of unequal sizes)
     and a scheme over a permuted, partial message order that may also list
-    ids outside the instance, with zero to eight rows."""
-    spec = FieldSpec(draw(st.sampled_from([1, 4, 8, 16])))
+    ids outside the instance, with zero to eight rows; in GF(2^w) when ``w``
+    is given."""
+    spec = FieldSpec(draw(st.sampled_from([1, 4, 8, 16])) if w is None else w)
     n = draw(st.integers(1, 8))
     users = []
     for _ in range(draw(st.integers(1, 6))):
@@ -425,15 +426,10 @@ def random_schemes(draw):
     return icp, TransmissionScheme(field=spec, message_order=order, coefficients=coeff)
 
 
-@st.composite
-def cyclic_windows(draw):
+def windows_instance(k: int, d: int, w: int) -> IcpInstance:
     """``k`` known sets that are cyclic windows, as in a structured
     component: ``d`` messages per position, and user ``s`` knows the ``w``
-    positions after its own and wants its own. The scheme encodes a greedy
-    coloring and may lose a row, so both verdicts occur."""
-    k = draw(st.integers(8, 24))
-    d = draw(st.integers(1, 3))
-    w = draw(st.integers(1, k - 1))
+    positions after its own and wants its own."""
 
     def at(p):
         return range(p % k * d + 1, p % k * d + d + 1)
@@ -442,8 +438,20 @@ def cyclic_windows(draw):
         IcpUser(want=frozenset(at(s)), known=frozenset(m for t in range(1, w + 1) for m in at(s + t)))
         for s in range(k)
     )
-    icp = IcpInstance(n_messages=k * d, users=users)
-    scheme = encode(icp, greedy_coloring(icp), field=FieldSpec(draw(st.sampled_from([8, 16]))))
+    return IcpInstance(n_messages=k * d, users=users)
+
+
+@st.composite
+def cyclic_windows(draw, field_w=None):
+    """A :func:`windows_instance` with 8 to 24 sets. The scheme encodes a
+    greedy coloring, in GF(2^field_w) when that is given, and may lose a
+    row, so both verdicts occur."""
+    k = draw(st.integers(8, 24))
+    d = draw(st.integers(1, 3))
+    w = draw(st.integers(1, k - 1))
+    icp = windows_instance(k, d, w)
+    spec = FieldSpec(draw(st.sampled_from([8, 16])) if field_w is None else field_w)
+    scheme = encode(icp, greedy_coloring(icp), field=spec)
     drop = draw(st.none() | st.integers(0, scheme.n_transmissions - 1))
     if drop is not None:
         scheme = TransmissionScheme(
@@ -452,6 +460,29 @@ def cyclic_windows(draw):
             coefficients=np.delete(scheme.coefficients, drop, axis=0),
         )
     return icp, scheme
+
+
+@st.composite
+def scheme_batches(draw):
+    """One to five components over one field, each a general instance or
+    cyclic windows, so they differ in row, column and set counts; zero-row
+    schemes and lost rows both occur."""
+    w = draw(st.sampled_from([8, 16]))
+    return draw(st.lists(random_schemes(w) | cyclic_windows(w), min_size=1, max_size=5))
+
+
+def count_splits(monkeypatch) -> list:
+    """Record, per component verified, whether its elimination tree splits."""
+    split = []
+    real = linalg_ff._splits
+
+    def recorded(*args):
+        result = real(*args)
+        split.append(bool(result))
+        return result
+
+    monkeypatch.setattr(linalg_ff, "_splits", recorded)
+    return split
 
 
 class TestBatchedVerifier:
@@ -464,6 +495,62 @@ class TestBatchedVerifier:
     @settings(max_examples=100, deadline=None)
     def test_cyclic_windows_match_reference(self, case):
         assert_matches_reference(case[1], case[0])
+
+    # the tree split at every range, never split, and as the model picks,
+    # which at the default mixes components that split with ones that do not;
+    # all components in one tree, or each in its own
+    @given(
+        scheme_batches(),
+        st.sampled_from([-np.inf, np.inf, linalg_ff._DEPTH_CELLS]),
+        st.sampled_from([linalg_ff._BATCH_CELLS, 1]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batches_match_reference(self, batch, depth_cells, batch_cells):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg_ff, "_DEPTH_CELLS", depth_cells)
+            patch.setattr(linalg_ff, "_BATCH_CELLS", batch_cells)
+            got = linalg_ff.verify_schemes([(scheme, icp) for icp, scheme in batch])
+        assert got == [reference_verdicts(scheme, icp) for icp, scheme in batch]
+
+    def test_batch_mixes_split_flat_and_empty_components(self, monkeypatch):
+        windows = windows_instance(24, 3, 4)
+        full = encode(windows, greedy_coloring(windows), field=FieldSpec(8))
+        short = TransmissionScheme(full.field, full.message_order, full.coefficients[1:])
+        union = realize_union_split(UnionIcpDesc(2, 1, 2), 1)
+        small = encode(union, divisor_coloring(UnionIcpDesc(2, 1, 2), 6), field=FieldSpec(8))
+        empty = TransmissionScheme(FieldSpec(8), small.message_order, small.coefficients[:0])
+        narrow = windows_instance(16, 2, 2)
+        other = encode(narrow, greedy_coloring(narrow), field=FieldSpec(8))
+        batch = [(small, union), (other, narrow), (full, windows), (empty, union), (short, windows)]
+        stacks = []
+        real = linalg_ff._eliminate
+
+        def recorded(gf, a, *args):
+            stacks.append(len(a))
+            return real(gf, a, *args)
+
+        monkeypatch.setattr(linalg_ff, "_eliminate", recorded)
+        alone = []
+        for pair in batch:
+            stacks.clear()
+            linalg_ff.verify_schemes([pair])
+            alone.append(list(stacks))
+        stacks.clear()
+        split = count_splits(monkeypatch)
+        got = linalg_ff.verify_schemes(batch)
+        assert split == [False, True, True, False, True]
+        assert got == [reference_verdicts(scheme, icp) for scheme, icp in batch]
+        assert all(got[0] + got[1] + got[2]) and not any(got[3]) and not all(got[4])
+        # one tree: each depth's stack holds every pair's ranges at that depth
+        depths = max(map(len, alone))
+        assert stacks == [sum(s[d] for s in alone if d < len(s)) for d in range(depths)]
+
+    def test_batch_over_two_fields_refused(self):
+        icp = realize_single(StructuredIcpDesc(1, 1, 2))
+        schemes = [encode(icp, greedy_coloring(icp), field=FieldSpec(w)) for w in (8, 16)]
+        with pytest.raises(ParameterError):
+            linalg_ff.verify_schemes([(scheme, icp) for scheme in schemes])
+        assert linalg_ff.verify_schemes([]) == []
 
     def test_padding_unequal_known_sets(self):
         # known sets of sizes 0, 1 and 3 leave 4, 3 and 1 unknown columns
