@@ -32,10 +32,10 @@ the split except in the two plain-column cases it names.
 
 from __future__ import annotations
 
-import json
 from dataclasses import InitVar, dataclass, field as dc_field, replace
 from fractions import Fraction
 
+from . import jsontext
 from .coloring import (
     Coloring,
     divisor_coloring,
@@ -512,4 +512,4 @@ def plan_to_json(plan: DeliveryPlan) -> str:
         "notes": list(plan.notes),
         "pairs": pairs,
     }
-    return json.dumps(payload, indent=2)
+    return jsontext.dumps(payload)

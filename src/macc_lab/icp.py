@@ -23,6 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import jsontext
 from .errors import ParameterError
 from .macc import (
     DemandProfile,
@@ -365,7 +366,7 @@ def icp_to_json(icp: IcpInstance) -> str:
     }
     if icp.labels:
         payload["labels"] = {str(m): icp.labels[m] for m in sorted(icp.labels)}
-    return json.dumps(payload, indent=2)
+    return jsontext.dumps(payload)
 
 
 def icp_from_json(text: str) -> IcpInstance:

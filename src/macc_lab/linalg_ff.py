@@ -10,6 +10,11 @@ a run of zeros. Addition is XOR throughout (characteristic 2).
 
 Decodability asks, per distinct known set, whether each wanted unit vector
 lies in the row span of the transmissions on the set's unknown columns.
+:func:`encode` gives every node of one color the same generator column, so a
+scheme's columns repeat, and the test runs on its distinct columns: for any
+matrix, the unit vector of column ``m`` lies in the row span of the unknown
+columns ``U`` iff ``m`` is the only column in ``U`` equal to it and the unit
+vector of that column lies in the row span of the distinct columns in ``U``.
 Structured known sets are cyclic windows that share most of those columns, so
 :func:`verify_schemes` reduces them as a tree over ranges of consecutive sets:
 each range eliminates once the columns all its sets lack and hands the result
@@ -27,6 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import jsontext
 from .coloring import Coloring, is_proper, local_count
 from .errors import ParameterError
 from .icp import IcpInstance
@@ -299,7 +305,7 @@ class TransmissionScheme:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return jsontext.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "TransmissionScheme":
@@ -351,10 +357,10 @@ def encode(
     if field is None:
         field = field_for(t)
     gen = mds_generator(n_rows, t, field)
-    coeff = np.zeros((n_rows, icp.n_messages), dtype=np.uint32)
-    cols = np.asarray(coloring.colors, dtype=np.int64) - 1
-    for v in range(icp.n_nodes):
-        coeff[:, icp.node_msg[v]] ^= gen[:, cols[v]]
+    # one row per message, XORed into by every node that wants it
+    coeff = np.zeros((icp.n_messages, n_rows), dtype=np.uint32)
+    np.bitwise_xor.at(coeff, icp.node_msg, gen.T[np.asarray(coloring.colors, dtype=np.intp) - 1])
+    coeff = coeff.T
     # read-only, so a verdict checked against these coefficients stays true
     coeff.setflags(write=False)
     return TransmissionScheme(
@@ -395,15 +401,16 @@ def verify_schemes(pairs: list) -> list[tuple[bool, ...]]:
     spans = []
     for run in np.split(np.arange(len(pairs)), np.flatnonzero(np.diff(ends // _BATCH_CELLS)) + 1):
         spans += _tree_spans([pairs[p] for p in run])
-    return [_user_verdicts(icp, cols, s) for (_, icp), (cols, s) in zip(pairs, spans)]
+    return [_user_verdicts(icp, ok) for (_, icp), ok in zip(pairs, spans)]
 
 
 def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[int, int]:
     """Flat estimates of exact verification work on ``icp``, in table cells,
     one elimination per distinct known set on the primal and on the dual side
     of the rank-nullity duality. The plan budget reads their minimum as a
-    size measure; :func:`verify_scheme`'s tree shares elimination between
-    overlapping sets and does less.
+    size measure over every column; :func:`verify_scheme` does less, on
+    distinct columns, in a tree that shares elimination between overlapping
+    sets.
 
     Per distinct known set with ``k`` known, ``u`` unknown and ``h`` wanted
     columns, the primal side eliminates ``r`` rows over the unknown columns,
@@ -413,7 +420,10 @@ def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[int, int
     ``nu * (k + h) * min(nu, k)`` cells, after one ``r x n`` elimination for
     the kernel basis.
     """
-    known, wanted, _ = _columns(scheme, icp)
+    known, cols = _columns(scheme, icp)
+    listed = cols >= 0
+    wanted = np.zeros_like(known)
+    wanted[icp.node_row[listed], cols[listed]] = True
     n_rows, n_cols = scheme.n_transmissions, known.shape[1]
     full = min(n_rows, n_cols)  # the rank of coefficients with full row rank
     nu = n_cols - full
@@ -425,29 +435,20 @@ def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[int, int
 
 
 def _columns(scheme: TransmissionScheme, icp: IcpInstance):
-    """``known[s, c]`` and ``wanted[s, c]``: whether known set ``s`` holds the
-    message at column ``c`` and whether one of its nodes wants it; and each
-    node's column, -1 for a message the scheme does not list. A message listed
-    twice is read at its last column."""
+    """``known[s, c]``, whether known set ``s`` holds the message at column
+    ``c``; and each node's column, -1 for a message the scheme does not list.
+    A message listed twice is read at its last column."""
     order = np.array(scheme.message_order, dtype=np.int64)
     inside = (order >= 1) & (order <= icp.n_messages)
     known = np.zeros((len(icp.known_rows), len(order)), dtype=bool)
     known[:, inside] = icp.known_rows[:, order[inside] - 1]
     col_of = np.full(icp.n_messages, -1, dtype=np.intp)
     np.maximum.at(col_of, order[inside] - 1, np.flatnonzero(inside))
-    cols = col_of[icp.node_msg]
-    listed = cols >= 0
-    wanted = np.zeros_like(known)
-    wanted[icp.node_row[listed], cols[listed]] = True
-    return known, wanted, cols
+    return known, col_of[icp.node_msg]
 
 
-def _user_verdicts(icp: IcpInstance, cols: np.ndarray, spans: np.ndarray) -> tuple[bool, ...]:
-    """Fold ``spans[s, c]`` to users: a user decodes iff every node of it
-    wants a listed message whose column its known set spans."""
-    listed = cols >= 0
-    ok = np.zeros(icp.n_nodes, dtype=bool)
-    ok[listed] = spans[icp.node_row[listed], cols[listed]]
+def _user_verdicts(icp: IcpInstance, ok: np.ndarray) -> tuple[bool, ...]:
+    """Fold node verdicts ``ok`` to users: a user decodes iff all its nodes do."""
     failed = np.bincount(icp.node_user[~ok], minlength=len(icp.users))
     return tuple((failed == 0).tolist())
 
@@ -568,41 +569,76 @@ def _splits(n_rows: int, seen: np.ndarray) -> set[tuple[int, int]]:
     return splits if (0, n_sets) in splits else set()
 
 
-def _tree_spans(pairs: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per ``(scheme, icp)`` pair: its nodes' columns (see :func:`_columns`)
-    and ``spans[s, c]``, for each column ``c`` a node of set ``s`` wants,
-    whether its unit vector lies in the row span of the transmissions on the
-    columns set ``s`` does not know.
+def _tree_spans(pairs: list) -> list[np.ndarray]:
+    """Per ``(scheme, icp)`` pair, whether each node's wanted unit vector lies
+    in the row span of the transmissions on the columns its set does not know.
 
-    A divide and conquer over ranges of consecutive sets, one root per pair,
-    cut where :func:`_splits` says. Each range runs Gauss-Jordan once on the
-    columns all its sets lack that its parent left, and hands the reduced
-    rows, on the columns some of its sets still lack, to its halves or to
-    each of its sets. All ranges at one depth are one :func:`_eliminate`
-    stack, columns left-justified: those it eliminates, those it hands on,
-    then a zero column that padding points to. Pairs are padded with zero rows
-    and with columns every set knows (the last one for all), which take no
-    pivot. An eliminated column never changes again, so a column's unit
-    vector is in a set's span iff it has a pivot row that no pivot-free
-    column on the set's path is nonzero in.
+    The test runs on each scheme's distinct columns. One sort of all pairs'
+    columns, tagged with their pair, groups each pair's columns into classes
+    of identical coefficient vectors, and a set lacks a class iff it lacks a
+    member of it. For any matrix ``A`` and lacked columns ``U``, the unit
+    vector of ``m`` lies in the row span of ``A[:, U]`` iff ``m`` is the only
+    member of its class in ``U`` and the class's unit vector lies in the row
+    span of the distinct columns present in ``U``: identical columns take
+    equal entries in every combination of rows, and the rest is the same
+    span test on fewer columns.
+
+    That span test is a divide and conquer over ranges of consecutive sets,
+    one root per pair, cut where :func:`_splits` says. Each range runs
+    Gauss-Jordan once on the columns all its sets lack that its parent left,
+    and hands the reduced rows, on the columns some of its sets still lack,
+    to its halves or to each of its sets. All ranges at one depth are one
+    :func:`_eliminate` stack, columns left-justified: those it eliminates,
+    those it hands on, then a zero column that padding points to. Pairs are
+    padded with zero rows and with columns every set knows (the last one for
+    all), which take no pivot. An eliminated column never changes again, so a
+    column's unit vector is in a set's span iff it has a pivot row that no
+    pivot-free column on the set's path is nonzero in.
     """
     if not pairs:
         return []
     gf = pairs[0][0].field.tables()
     n_rows = max(scheme.n_transmissions for scheme, _ in pairs)
-    n_cols = max(len(scheme.message_order) for scheme, _ in pairs) + 1
+    col_off = np.cumsum([0] + [len(scheme.message_order) for scheme, _ in pairs])
     offset = np.cumsum([0] + [len(icp.known_rows) for _, icp in pairs]).tolist()
     n_sets = offset[-1]
-    # the columns each set lacks; every set is a leaf once, and its row is
+    # every column of the batch as bytes behind its big-endian pair tag, so
+    # sorting them keeps each pair's columns in its own block, class by class
+    col = np.zeros((col_off[-1], n_rows), dtype=gf.dtype)
+    for (scheme, _), lo, hi in zip(pairs, col_off, col_off[1:]):
+        col[lo:hi, : scheme.n_transmissions] = scheme.coefficients.T
+    pair = np.repeat(np.arange(len(pairs)), np.diff(col_off))
+    keys = np.concatenate([pair.astype(">u4").view(np.uint8).reshape(-1, 4), col.view(np.uint8)], axis=1)
+    by_class = np.argsort(keys.view(np.dtype((np.void, keys.shape[1]))).ravel())
+    keys = keys[by_class]
+    first = np.ones(len(keys), dtype=bool)  # whether a sorted column starts a class
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    before = np.concatenate([[0], np.cumsum(first)])  # classes before each sorted column
+    # a pair's block is the same slice of the sorted and the unsorted columns
+    local = before[1:] - 1 - before[col_off[pair]]
+    class_of = np.empty_like(local)
+    class_of[by_class] = local
+    n_cols = int(local.max(initial=-1)) + 2
+    # the distinct columns, then the one every set knows
+    a = np.zeros((len(pairs), n_rows, n_cols), dtype=gf.dtype)
+    reps = np.flatnonzero(first)
+    a[pair[reps], :, local[reps]] = col[by_class[reps]]
+    # the classes each set lacks; every set is a leaf once, and its row is
     # then overwritten with its spans
     out = np.zeros((n_sets, n_cols), dtype=bool)
-    a = np.zeros((len(pairs), n_rows, n_cols), dtype=gf.dtype)
-    node_cols = []
+    fold = []
     for p, (scheme, icp) in enumerate(pairs):
-        known, _, cols = _columns(scheme, icp)
-        out[offset[p] : offset[p + 1], : known.shape[1]] = ~known
-        a[p, : scheme.n_transmissions, : known.shape[1]] = scheme.coefficients
-        node_cols.append(cols)
+        lo, hi = col_off[p], col_off[p + 1]
+        known, cols = _columns(scheme, icp)
+        lacking = np.add.reduceat(
+            ~known[:, by_class[lo:hi] - lo], np.flatnonzero(first[lo:hi]), axis=1, dtype=np.intp
+        )
+        out[offset[p] : offset[p + 1], : lacking.shape[1]] = lacking > 0
+        listed = cols >= 0
+        at = icp.node_row[listed], class_of[lo + cols[listed]]
+        # a set never knows a message it wants, so a node's column is lacked,
+        # and it must be the only lacked member of its class
+        fold.append((listed, at, lacking[at] == 1))
     # seen[hi] - seen[lo]: how many of the sets lo..hi-1 lack each column
     seen = np.zeros((n_sets + 1, n_cols), dtype=np.min_scalar_type(n_sets))
     np.cumsum(out, axis=0, dtype=seen.dtype, out=seen[1:])
@@ -646,4 +682,9 @@ def _tree_spans(pairs: list) -> list[tuple[np.ndarray, np.ndarray]]:
         ranges = list(zip(lo[go].tolist(), hi[go].tolist()))
         hand = np.take_along_axis(hand[go], np.concatenate([cj, last], axis=1)[go], axis=1)
         a, n_pivots, path, marks = a[go], n_pivots[go], path[go], marks[go]
-    return [(cols, out[lo:hi]) for cols, lo, hi in zip(node_cols, offset, offset[1:])]
+    spans = []
+    for (listed, (row, cls), alone), lo in zip(fold, offset):
+        ok = np.zeros(len(listed), dtype=bool)
+        ok[listed] = alone & out[lo + row, cls]
+        spans.append(ok)
+    return spans

@@ -14,10 +14,12 @@ from macc_lab import (
     FieldSpec,
     IcpInstance,
     IcpUser,
+    MaccInstance,
     ParameterError,
     StructuredIcpDesc,
     TransmissionScheme,
     UnionIcpDesc,
+    assemble,
     can_decode,
     divisor_coloring,
     encode,
@@ -463,12 +465,39 @@ def cyclic_windows(draw, field_w=None):
 
 
 @st.composite
+def coloring_schemes(draw, w=None):
+    """A general instance or cyclic windows, and a scheme shaped as
+    :func:`encode` shapes one: column ``m`` is the generator column of the
+    color of message ``m``, so colors repeat columns. The colors come from a
+    proper greedy coloring (each message takes the color of a node wanting
+    it) or from any map of messages to colors; the generator is random, with
+    zero to ``t + 1`` rows, and some columns may be zeroed. In GF(2^w), any
+    ``w`` from 1 to 16 unless given."""
+    spec = FieldSpec(draw(st.integers(1, 16)) if w is None else w)
+    if draw(st.booleans()):
+        k = draw(st.integers(3, 12))
+        icp = windows_instance(k, draw(st.integers(1, 2)), draw(st.integers(1, k - 1)))
+    else:
+        icp = draw(random_schemes(spec.w))[0]
+    if draw(st.booleans()):
+        color = np.zeros(icp.n_messages, dtype=np.intp)
+        color[icp.node_msg] = np.array(greedy_coloring(icp).colors) - 1
+    else:
+        color = np.array(draw(st.lists(st.integers(0, 4), min_size=icp.n_messages, max_size=icp.n_messages)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gen = rng.integers(0, spec.size, size=(draw(st.integers(0, color.max() + 2)), color.max() + 1))
+    coeff = gen[:, color]
+    coeff[:, rng.random(icp.n_messages) < draw(st.sampled_from([0.0, 0.3]))] = 0
+    return icp, TransmissionScheme(spec, tuple(range(1, icp.n_messages + 1)), coeff)
+
+
+@st.composite
 def scheme_batches(draw):
-    """One to five components over one field, each a general instance or
-    cyclic windows, so they differ in row, column and set counts; zero-row
-    schemes and lost rows both occur."""
+    """One to five components over one field, each a general instance,
+    cyclic windows or a coloring-shaped scheme, so they differ in row, column
+    and set counts; zero-row schemes and lost rows both occur."""
     w = draw(st.sampled_from([8, 16]))
-    return draw(st.lists(random_schemes(w) | cyclic_windows(w), min_size=1, max_size=5))
+    return draw(st.lists(random_schemes(w) | cyclic_windows(w) | coloring_schemes(w), min_size=1, max_size=5))
 
 
 def count_splits(monkeypatch) -> list:
@@ -495,6 +524,66 @@ class TestBatchedVerifier:
     @settings(max_examples=100, deadline=None)
     def test_cyclic_windows_match_reference(self, case):
         assert_matches_reference(case[1], case[0])
+
+    @given(coloring_schemes())
+    @settings(max_examples=200, deadline=None)
+    def test_coloring_schemes_match_reference(self, case):
+        assert_matches_reference(case[1], case[0])
+
+    def test_identical_columns(self):
+        # messages 1 and 2 share a column, message 4's is zero
+        coeff = np.array([[1, 1, 0, 0], [2, 2, 1, 0]], dtype=np.uint32)
+        scheme = TransmissionScheme(FieldSpec(8), (1, 2, 3, 4), coeff)
+        users = (
+            IcpUser(want=frozenset({1}), known=frozenset({3, 4})),  # lacks both copies
+            IcpUser(want=frozenset({1}), known=frozenset({2, 4})),  # knows the other copy
+            IcpUser(want=frozenset({4}), known=frozenset({1, 2, 3})),  # wants the zero column
+            IcpUser(want=frozenset({3}), known=frozenset({1})),  # lacks one copy, wants neither
+        )
+        icp = IcpInstance(n_messages=4, users=users)
+        assert assert_matches_reference(scheme, icp) == (False, True, False, True)
+        # a message listed twice is read at its last column: the first
+        # copy lacked with it fails the user if equal, not if distinct
+        twice = TransmissionScheme(FieldSpec(8), (1, 2, 1), coeff[:, [0, 2, 0]])
+        assert assert_matches_reference(twice, icp) == (False,) * 4
+        distinct = TransmissionScheme(FieldSpec(8), (1, 2, 1), coeff[:, [2, 3, 0]])
+        assert assert_matches_reference(distinct, icp) == (True, True, False, False)
+        # no rows, and no columns, decode nothing
+        for empty in (
+            TransmissionScheme(FieldSpec(8), (1, 2, 3, 4), coeff[:0]),
+            TransmissionScheme(FieldSpec(8), (), np.zeros((2, 0), dtype=np.uint32)),
+        ):
+            assert assert_matches_reference(empty, icp) == (False,) * 4
+
+    def test_elimination_takes_distinct_columns(self, monkeypatch):
+        # at (60, 2, 7) every pair's 120 columns hold 60 distinct ones, so
+        # no matrix the tree eliminates uses more than 60 columns; over the
+        # four plan_large corners the tree takes about 2.5e7 products
+        gf = FieldSpec(8).tables()
+        products = [0]
+        used = []
+        real_mul, real_eliminate = gf.mul, linalg_ff._eliminate
+
+        def counted(a, b):
+            out = real_mul(a, b)
+            products[0] += out.size
+            return out
+
+        def recorded(gf, a, *args):
+            used.append((a != 0).any(axis=1).sum(axis=1).max(initial=0))
+            gf.mul = counted
+            try:
+                return real_eliminate(gf, a, *args)
+            finally:
+                del gf.mul
+
+        monkeypatch.setattr(linalg_ff, "_eliminate", recorded)
+        for corner in [(60, 2, 7), (40, 2, 6), (48, 2, 14), (60, 4, 12)]:
+            plan = assemble(MaccInstance(corner[0], *corner), mode="quadratic")
+            if corner == (60, 2, 7):
+                distinct = max(np.unique(p.scheme.coefficients, axis=1).shape[1] for p in plan.pairs)
+                assert distinct == 60 and used and max(used) <= distinct
+        assert products[0] <= 3 * 10**7
 
     # the tree split at every range, never split, and as the model picks,
     # which at the default mixes components that split with ones that do not;
