@@ -7,18 +7,19 @@ Conventions
 Messages and users are 1-based. A *node* is one (user, wanted message) pair,
 user-major with each user's messages ascending; every user wants exactly one
 message in the instances built here, so node ``v`` and user ``v`` coincide.
-The instance itself carries the 0-based node arrays the colorings, the encoder,
-the rank verifier and the oracles read (``node_user``, ``node_msg``,
-``known_rows``, ``node_row``), each built on first use and kept with it.
-Structured instances lay nodes out row-major over
-``(row k, column p)`` grids, so the node for row ``k``, column ``p`` of a
-``2m``-column grid has index ``(k-1)*2m + p``.
+An instance *is* its 0-based node arrays, read-only: ``node_user``,
+``node_msg``, ``node_row`` and ``known_rows`` (the distinct known sets as
+boolean rows over messages, in order of first use). The structured builders
+compute them directly; ``users`` and ``labels`` are derived on first read.
+Structured instances lay nodes out row-major over ``(row k, column p)``
+grids, so the node for row ``k``, column ``p`` of a ``2m``-column grid has
+index ``(k-1)*2m + p``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -70,12 +71,9 @@ class UnionIcpDesc:
     z: int
 
     def __post_init__(self) -> None:
-        if self.a1 < 0 or self.a2 < 0:
-            raise ParameterError(f"offsets must be >= 0, got ({self.a1}, {self.a2})")
+        self.halves()  # each half checks the offsets and the run
         if self.a2 > self.a1:
             raise ParameterError(f"expected a2 <= a1, got ({self.a1}, {self.a2})")
-        if self.z < 1:
-            raise ParameterError(f"side-information run must be >= 1, got {self.z}")
 
     @property
     def k(self) -> int:
@@ -102,55 +100,50 @@ class IcpUser:
             raise ParameterError("want and known sets must be disjoint")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class IcpInstance:
-    """A (single-)unicast index coding instance.
+    """A (single-)unicast index coding instance, held as its node arrays.
 
-    ``labels`` optionally maps message ids to human-readable names; it is
-    excluded from equality and hashing.
+    Built from ``users`` and optional ``labels`` (message id -> name); equal
+    iff ``n_messages`` and the users are, whatever the labels.
     """
 
     n_messages: int
-    users: tuple[IcpUser, ...]
-    labels: dict | None = field(default=None, compare=False, hash=False)
+    node_user: np.ndarray
+    node_msg: np.ndarray
+    known_rows: np.ndarray
+    node_row: np.ndarray
 
-    def __post_init__(self) -> None:
-        # structured builders share known sets between users, so validating
-        # each distinct set once covers everything
-        for s in dict.fromkeys(s for u in self.users for s in (u.want, u.known)):
-            if s and not (1 <= min(s) and max(s) <= self.n_messages):
-                m = min(s) if min(s) < 1 else max(s)
-                raise ParameterError(f"message {m} outside [1, {self.n_messages}]")
+    def __init__(self, n_messages: int, users=(), labels: dict | None = None) -> None:
+        users = tuple(users)
+        _store(self, n_messages, _user_arrays(n_messages, users), users=users, labels=labels)
 
     @cached_property
-    def node_user(self) -> np.ndarray:
-        """Each node's 0-based user."""
-        wants = [len(u.want) for u in self.users]
-        return np.repeat(np.arange(len(self.users), dtype=np.int32), wants)
+    def users(self) -> tuple[IcpUser, ...]:
+        """One :class:`IcpUser` per user; the users of a row share its known set."""
+        known = [frozenset((np.flatnonzero(row) + 1).tolist()) for row in self.known_rows]
+        starts = np.flatnonzero(np.diff(self.node_user, prepend=-1)).tolist()
+        msgs, rows = (self.node_msg + 1).tolist(), self.node_row[starts].tolist()
+        return tuple(IcpUser(frozenset(msgs[a:b]), known[r])
+                     for a, b, r in zip(starts, starts[1:] + [len(msgs)], rows))
 
     @cached_property
-    def node_msg(self) -> np.ndarray:
-        """Each node's 0-based wanted message."""
-        return np.array([m - 1 for u in self.users for m in sorted(u.want)], dtype=np.int32)
+    def labels(self) -> dict | None:
+        return self._labels()
 
-    @cached_property
-    def _row_of(self) -> dict[frozenset[int], int]:
-        return {s: r for r, s in enumerate(dict.fromkeys(u.known for u in self.users))}
+    def _key(self) -> tuple:
+        arrays = (self.node_user, self.node_msg, self.known_rows, self.node_row)
+        return (self.n_messages, *(a.tobytes() for a in arrays))
 
-    @cached_property
-    def known_rows(self) -> np.ndarray:
-        """The distinct known sets as boolean rows over messages, in order of
-        first use; structured instances have K of them even for K*2m nodes."""
-        known = np.zeros((len(self._row_of), self.n_messages), dtype=bool)
-        for s, r in self._row_of.items():
-            known[r, np.fromiter(s, np.intp, len(s)) - 1] = True
-        return known
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, IcpInstance) else NotImplemented
 
-    @cached_property
-    def node_row(self) -> np.ndarray:
-        """Each node's row of :attr:`known_rows`."""
-        user_row = np.array([self._row_of[u.known] for u in self.users], dtype=np.int32)
-        return user_row[self.node_user]
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @property
+    def n_users(self) -> int:
+        return int(self.node_user[-1]) + 1 if self.n_nodes else 0
 
     @property
     def n_nodes(self) -> int:
@@ -168,6 +161,41 @@ class IcpInstance:
         return f"x{message}"
 
 
+def _store(icp: IcpInstance, n_messages: int, arrays, **views) -> IcpInstance:
+    """Give ``icp`` its node arrays (user, msg, known rows, row), read-only,
+    after checking that no node's user knows the message it wants."""
+    node_user, node_msg, known_rows, node_row = (
+        np.asarray(a, t) for a, t in zip(arrays, (np.int32, np.int32, bool, np.int32)))
+    if known_rows[node_row, node_msg].any():
+        raise ParameterError("want and known sets must be disjoint")
+    for a in (node_user, node_msg, known_rows, node_row):
+        a.setflags(write=False)
+    vars(icp).update(n_messages=n_messages, node_user=node_user, node_msg=node_msg,
+                     known_rows=known_rows, node_row=node_row, **views)
+    return icp
+
+
+def _user_arrays(n_messages: int, users: tuple[IcpUser, ...]) -> tuple:
+    """The node arrays of ``users``, after checking that every message id is
+    an integer in ``[1, n_messages]``; each distinct set is read once."""
+    ids = [m for s in dict.fromkeys(s for u in users for s in (u.want, u.known)) for m in s]
+    bad = [m for m in ids if not isinstance(m, (int, np.integer)) or isinstance(m, bool)]
+    if bad:
+        raise ParameterError(f"message id {bad[0]!r} is not an integer")
+    ids = np.array(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 1 or ids.max() > n_messages):
+        m = ids.min() if ids.min() < 1 else ids.max()
+        raise ParameterError(f"message {m} outside [1, {n_messages}]")
+    row_of = {s: r for r, s in enumerate(dict.fromkeys(u.known for u in users))}
+    known_rows = np.zeros((len(row_of), n_messages), dtype=bool)
+    for s, r in row_of.items():
+        known_rows[r, np.fromiter(s, np.intp, len(s)) - 1] = True
+    node_user = np.repeat(np.arange(len(users)), [len(u.want) for u in users])
+    node_msg = np.array([m - 1 for u in users for m in sorted(u.want)], dtype=np.int64)
+    user_row = np.array([row_of[u.known] for u in users], dtype=np.intp)
+    return node_user, node_msg, known_rows, user_row[node_user]
+
+
 @lru_cache(maxsize=16)
 def node_data(icp: IcpInstance) -> IcpInstance:
     """The instance itself, which carries the node arrays; kept with its cache
@@ -176,14 +204,18 @@ def node_data(icp: IcpInstance) -> IcpInstance:
     return icp
 
 
+def _window(k: int, shift: int, z: int) -> np.ndarray:
+    """``[u, c]``: is 0-based ``c`` one of the ``z`` after ``u + shift`` on a
+    cycle of ``k``?"""
+    u = np.arange(k)
+    return (u - u[:, None] - shift - 1) % k < z
+
+
 def realize_single(desc: StructuredIcpDesc) -> IcpInstance:
     """Materialize ``(a1, a2)_z``: K messages, user k wants x_k."""
-    k = desc.k
-    users = []
-    for u in range(1, k + 1):
-        known = frozenset(mod1(u + desc.a1 + r, k) for r in range(1, desc.z + 1))
-        users.append(IcpUser(want=frozenset({u}), known=known))
-    return IcpInstance(n_messages=k, users=tuple(users))
+    nodes = np.arange(desc.k)
+    known = _window(desc.k, desc.a1, desc.z)
+    return _store(object.__new__(IcpInstance), desc.k, (nodes, nodes, known, nodes), labels=None)
 
 
 def realize_union_split(desc: UnionIcpDesc, split: int) -> IcpInstance:
@@ -198,27 +230,17 @@ def realize_union_split(desc: UnionIcpDesc, split: int) -> IcpInstance:
     if split < 1:
         raise ParameterError(f"split factor must be >= 1, got {split}")
     k = desc.k
-    # 0-based user u knows parts 1..split of copy t of 0-based row
-    # b = (u + shift_t + r) mod k for r = 1..z; axes (user, copy, r, part)
-    u = np.arange(k)[:, None, None, None]
-    t = np.arange(2)[None, :, None, None]
-    r = np.arange(1, desc.z + 1)[None, None, :, None]
-    b = (u + np.array([desc.a1, desc.a2])[t] + r) % k
-    ids = (b * 2 + t) * split + np.arange(1, split + 1)
-    known_sets = [frozenset(row) for row in ids.reshape(k, -1).tolist()]
-    users = []
-    labels = {}
-    for u in range(1, k + 1):
-        for p in range(1, 2 * split + 1):
-            t = 1 if p % 2 == 1 else 2
-            j = (p + 1) // 2
-            msg = ((u - 1) * 2 + (t - 1)) * split + j
-            if split == 1:
-                labels[msg] = f"x[{u},{t}]"
-            else:
-                labels[msg] = f"x[{u},{t}]#{j}"
-            users.append(IcpUser(want=frozenset({msg}), known=known_sets[u - 1]))
-    return IcpInstance(n_messages=2 * k * split, users=tuple(users), labels=labels)
+    # row u knows every part of copy t of the z rows after u + (a1, a2)[t]
+    rows = np.stack([_window(k, desc.a1, desc.z), _window(k, desc.a2, desc.z)], axis=2)
+    known = np.repeat(rows.reshape(k, 2 * k), split, axis=1)
+    p = np.arange(2 * split)  # 0-based column p wants part p // 2 of copy p % 2
+    node_msg = ((np.arange(k)[:, None] * 2 + p % 2) * split + p // 2).ravel()
+    nodes = np.arange(len(node_msg))
+    arrays = (nodes, node_msg, known, nodes // (2 * split))
+    return _store(object.__new__(IcpInstance), 2 * k * split, arrays, _labels=lambda: {
+        ((u - 1) * 2 + t - 1) * split + j: f"x[{u},{t}]" + (f"#{j}" if split > 1 else "")
+        for u in range(1, k + 1) for j in range(1, split + 1) for t in (1, 2)
+    })
 
 
 @dataclass(frozen=True)
@@ -282,29 +304,15 @@ def reduce_macc(instance: MaccInstance, demands=None) -> IcpTable:
         raise ParameterError("delivery table needs memory index >= 1")
     cov = i * l
     n_cols = max(k - cov, 0)
+    # a (file, interval start) pair keeps the id of its first cell
     ids: dict[tuple[int, int], int] = {}
-    messages: list[tuple[int, int]] = []
-    cells = []
-    for p in range(1, k + 1):
-        row = []
-        for q in range(1, n_cols + 1):
-            key = (profile.demands[p - 1], mod1(p + q, k))
-            m = ids.get(key)
-            if m is None:
-                messages.append(key)
-                m = len(messages)
-                ids[key] = m
-            row.append(m)
-        cells.append(tuple(row))
-    return IcpTable(
-        instance=instance,
-        demands=profile,
-        n_rows=k,
-        n_cols=n_cols,
-        coverage=cov,
-        cells=tuple(cells),
-        messages=tuple(messages),
+    cells = tuple(
+        tuple(ids.setdefault((profile.demands[p - 1], mod1(p + q, k)), len(ids) + 1)
+              for q in range(1, n_cols + 1))
+        for p in range(1, k + 1)
     )
+    return IcpTable(instance=instance, demands=profile, n_rows=k, n_cols=n_cols,
+                    coverage=cov, cells=cells, messages=tuple(ids))
 
 
 def as_icp(table: IcpTable) -> IcpInstance:
@@ -315,18 +323,15 @@ def as_icp(table: IcpTable) -> IcpInstance:
     """
     if table.n_cols == 0:
         return IcpInstance(n_messages=0, users=())
-    known_by_row = [table.row_known(p) for p in range(1, table.n_rows + 1)]
-    users = []
-    for p in range(1, table.n_rows + 1):
-        for q in range(1, table.n_cols + 1):
-            users.append(
-                IcpUser(
-                    want=frozenset({table.entry(p, q)}),
-                    known=known_by_row[p - 1],
-                )
-            )
-    labels = {m: table.message_label(m) for m in range(1, table.n_messages + 1)}
-    return IcpInstance(n_messages=table.n_messages, users=tuple(users), labels=labels)
+    k, n = table.n_rows, table.n_cols
+    starts = np.array([start for _, start in table.messages])
+    # row_known of every row; each start has a message and iL < K, so the
+    # rows differ and each is its own known row
+    covers = (np.arange(1, k + 1)[:, None] - starts) % k < table.coverage
+    nodes = np.arange(k * n)
+    arrays = (nodes, np.array(table.cells).ravel() - 1, covers, nodes // n)
+    return _store(object.__new__(IcpInstance), table.n_messages, arrays, _labels=lambda: {
+        m: table.message_label(m) for m in range(1, table.n_messages + 1)})
 
 
 def pair_columns(
@@ -371,11 +376,6 @@ def icp_to_json(icp: IcpInstance) -> str:
 
 def icp_from_json(text: str) -> IcpInstance:
     data = json.loads(text)
-    users = tuple(
-        IcpUser(want=frozenset(u["want"]), known=frozenset(u["known"]))
-        for u in data["users"]
-    )
-    labels = None
-    if "labels" in data:
-        labels = {int(m): v for m, v in data["labels"].items()}
-    return IcpInstance(n_messages=data["n_messages"], users=users, labels=labels)
+    users = (IcpUser(frozenset(u["want"]), frozenset(u["known"])) for u in data["users"])
+    labels = {int(m): v for m, v in data["labels"].items()} if "labels" in data else None
+    return IcpInstance(data["n_messages"], users, labels)

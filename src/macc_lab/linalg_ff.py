@@ -378,8 +378,8 @@ def can_decode(scheme: TransmissionScheme, icp: IcpInstance, user: int) -> bool:
     on the unknown coordinates only, which is the same span test, as
     :func:`verify_scheme` on the user alone.
     """
-    if not (1 <= user <= len(icp.users)):
-        raise ParameterError(f"user must lie in [1, {len(icp.users)}], got {user}")
+    if not (1 <= user <= icp.n_users):
+        raise ParameterError(f"user must lie in [1, {icp.n_users}], got {user}")
     alone = IcpInstance(n_messages=icp.n_messages, users=(icp.users[user - 1],))
     return verify_scheme(scheme, alone)[0]
 
@@ -449,7 +449,7 @@ def _columns(scheme: TransmissionScheme, icp: IcpInstance):
 
 def _user_verdicts(icp: IcpInstance, ok: np.ndarray) -> tuple[bool, ...]:
     """Fold node verdicts ``ok`` to users: a user decodes iff all its nodes do."""
-    failed = np.bincount(icp.node_user[~ok], minlength=len(icp.users))
+    failed = np.bincount(icp.node_user[~ok], minlength=icp.n_users)
     return tuple((failed == 0).tolist())
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -418,6 +419,29 @@ class TestVerifyBudget:
         plan = plan_for(100, 2, 12, "quadratic")
         cells = sum(min(linalg_ff.verify_cells(p.scheme, pair_instance(p))) for p in plan.pairs)
         assert delivery.VERIFY_CELL_BUDGET / 100 < cells < delivery.VERIFY_CELL_BUDGET
+
+    def test_oversized_corner_refused_in_bounded_memory(self):
+        # its components are node arrays: no per-user sets before the refusal
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError):
+                assemble(MaccInstance(300, 300, 100, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
+
+
+class TestArrayOnly:
+    @pytest.mark.parametrize("corner", [(40, 2, 6, "quadratic"), (12, 2, 2, "divisor")])
+    def test_plan_path_builds_no_users(self, monkeypatch, corner):
+        built = []
+        check = IcpUser.__post_init__
+        monkeypatch.setattr(IcpUser, "__post_init__", lambda u: (built.append(u), check(u)))
+        plan = plan_for(*corner)
+        assert verify_plan(plan).ok
+        plan_to_json(plan)
+        assert built == []
 
 
 class TestRealizeOnce:

@@ -1,4 +1,5 @@
-"""Golden bytes: SHA-256 digests of plan JSON and sweep CSV on a fixed corpus.
+"""Golden bytes: SHA-256 digests of plan JSON, sweep CSV and instance JSON on a
+fixed corpus.
 
 A change that keeps outputs byte-identical leaves every digest here as it is.
 A change that means to alter an output updates the digests it touches and
@@ -17,7 +18,18 @@ from unittest import mock
 
 import pytest
 
-from macc_lab import FieldSpec, MaccInstance, assemble, cli, plan_to_json
+from macc_lab import (
+    FieldSpec,
+    MaccInstance,
+    UnionIcpDesc,
+    as_icp,
+    assemble,
+    cli,
+    icp_to_json,
+    plan_to_json,
+    realize_union_split,
+    reduce_macc,
+)
 
 # (K, L, i, mode, field degree or None for the default field) -> digest of
 # plan_to_json at the default demands
@@ -37,6 +49,19 @@ SWEEPS = {
     "quadratic": "10114da35cdcab6bffcb60af59be14887f2d9f8a89a72eba8de7d90ba4043a48",
     "linear": "879f086b45ff22973b025f620a2fc90ef165b355c2323d170eea65c4469f9248",
     "divisor": "08c2287b300f284161a2a9d18d8ed287fd01bea01043e8e9ec8008c0df006f35",
+}
+
+# name -> (builder, digest of icp_to_json of what it builds): one split union
+# component and one reduction table with repeated demands
+INSTANCES = {
+    "union-5-2-6-split3": (
+        lambda: realize_union_split(UnionIcpDesc(5, 2, 6), 3),
+        "133e454cf7144487fa60c529d768e5a3b1173824b011b2ef31e9ba73d43e7d1c",
+    ),
+    "table-9-2-3-repeated": (
+        lambda: as_icp(reduce_macc(MaccInstance(9, 9, 2, 3), (1, 2, 1, 3, 3, 1, 2, 9, 9))),
+        "34712179d127e6fb8e5df05acbc2b0e138957f0b88e9b08de2b07d4d2065b833",
+    ),
 }
 
 
@@ -68,8 +93,16 @@ def test_sweep_bytes(mode):
     assert sweep_digest(mode) == SWEEPS[mode]
 
 
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_instance_bytes(name):
+    build, digest = INSTANCES[name]
+    assert _sha256(icp_to_json(build())) == digest
+
+
 if __name__ == "__main__":
     for corner in PLANS:
         print(f"    {corner!r}: {plan_digest(*corner)!r},")
     for mode in SWEEPS:
         print(f"    {mode!r}: {sweep_digest(mode)!r},")
+    for name, (build, _) in INSTANCES.items():
+        print(f"    {name!r}: {_sha256(icp_to_json(build()))!r},")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,60 @@ from macc_lab import (
     reduce_macc,
     verify_scheme,
 )
+
+
+# Reference builders: users and labels as frozensets and dicts, one IcpUser
+# per node, turned into arrays by the generic IcpInstance path.
+
+
+def reference_single(desc: StructuredIcpDesc) -> IcpInstance:
+    k = desc.k
+    users = []
+    for u in range(1, k + 1):
+        known = frozenset(mod1(u + desc.a1 + r, k) for r in range(1, desc.z + 1))
+        users.append(IcpUser(want=frozenset({u}), known=known))
+    return IcpInstance(n_messages=k, users=tuple(users))
+
+
+def reference_union_split(desc: UnionIcpDesc, split: int) -> IcpInstance:
+    k = desc.k
+    known_sets = []
+    for u in range(1, k + 1):
+        known_sets.append(frozenset(
+            ((b - 1) * 2 + t - 1) * split + j
+            for t, shift in ((1, desc.a1), (2, desc.a2))
+            for b in (mod1(u + shift + r, k) for r in range(1, desc.z + 1))
+            for j in range(1, split + 1)
+        ))
+    users = []
+    labels = {}
+    for u in range(1, k + 1):
+        for p in range(1, 2 * split + 1):
+            t = 1 if p % 2 == 1 else 2
+            j = (p + 1) // 2
+            msg = ((u - 1) * 2 + (t - 1)) * split + j
+            labels[msg] = f"x[{u},{t}]" if split == 1 else f"x[{u},{t}]#{j}"
+            users.append(IcpUser(want=frozenset({msg}), known=known_sets[u - 1]))
+    return IcpInstance(n_messages=2 * k * split, users=tuple(users), labels=labels)
+
+
+def reference_as_icp(table) -> IcpInstance:
+    if table.n_cols == 0:
+        return IcpInstance(n_messages=0, users=())
+    known_by_row = [
+        frozenset(
+            m for m, (_, start) in enumerate(table.messages, start=1)
+            if interval_contains(start, table.coverage, p, table.n_rows)
+        )
+        for p in range(1, table.n_rows + 1)
+    ]
+    users = [
+        IcpUser(want=frozenset({table.entry(p, q)}), known=known_by_row[p - 1])
+        for p in range(1, table.n_rows + 1)
+        for q in range(1, table.n_cols + 1)
+    ]
+    labels = {m: table.message_label(m) for m in range(1, table.n_messages + 1)}
+    return IcpInstance(n_messages=table.n_messages, users=tuple(users), labels=labels)
 
 
 def single_descs():
@@ -82,6 +137,29 @@ def corners(draw):
     l = draw(st.integers(1, k))
     i = draw(st.integers(1, -(-k // l)))
     return MaccInstance(n_files=k, n_caches=k, access_degree=l, memory_index=i)
+
+
+@st.composite
+def tables(draw):
+    """Reduction tables at random corners and demands, often repeated."""
+    inst = draw(corners())
+    k = inst.n_caches
+    demands = draw(st.lists(st.integers(1, draw(st.integers(1, k))), min_size=k, max_size=k))
+    return reduce_macc(inst, demands)
+
+
+@st.composite
+def built_and_reference(draw):
+    """One instance from an array builder and the same from its reference."""
+    kind = draw(st.sampled_from(["single", "union", "table"]))
+    if kind == "single":
+        desc = draw(single_descs())
+        return realize_single(desc), reference_single(desc)
+    if kind == "union":
+        desc, split = draw(union_descs()), draw(st.integers(1, 4))
+        return realize_union_split(desc, split), reference_union_split(desc, split)
+    table = draw(tables())
+    return as_icp(table), reference_as_icp(table)
 
 
 class TestDescriptors:
@@ -219,6 +297,39 @@ class TestNodeArrays:
         assert icp.known_rows is rows
 
 
+class TestArrayBuilders:
+    @given(built_and_reference())
+    @settings(max_examples=150)
+    def test_match_the_generic_path(self, pair):
+        built, ref = pair
+        generic = IcpInstance(ref.n_messages, users=ref.users, labels=ref.labels)
+        assert built == generic and hash(built) == hash(generic)
+        for name in ("node_user", "node_msg", "known_rows", "node_row"):
+            a, b = getattr(built, name), getattr(generic, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert built.users == generic.users
+        assert built.n_users == len(generic.users)
+        # the users of one known row share one set object
+        rows = built.node_row[np.flatnonzero(np.diff(built.node_user, prepend=-1))]
+        assert len({(r, id(u.known)) for r, u in zip(rows.tolist(), built.users)}) == len(
+            built.known_rows
+        )
+        assert built.labels == generic.labels
+        assert icp_to_json(built) == icp_to_json(generic)
+
+    def test_arrays_are_read_only(self):
+        icp = realize_union_split(UnionIcpDesc(2, 1, 2), 2)
+        with pytest.raises(ValueError):
+            icp.known_rows[0, 0] = True
+
+    def test_equality_ignores_labels(self):
+        icp = realize_union_split(UnionIcpDesc(1, 0, 2), 1)
+        bare = IcpInstance(icp.n_messages, users=icp.users)
+        assert bare == icp and hash(bare) == hash(icp)
+        assert bare.labels is None and icp.labels
+        assert icp != realize_union_split(UnionIcpDesc(1, 0, 2), 2)
+
+
 class TestInstanceValidation:
     def test_want_must_be_nonempty(self):
         with pytest.raises(ParameterError):
@@ -232,6 +343,18 @@ class TestInstanceValidation:
         user = IcpUser(want=frozenset({3}), known=frozenset())
         with pytest.raises(ParameterError):
             IcpInstance(n_messages=2, users=(user,))
+
+    @pytest.mark.parametrize("bad", ["1.5", "true", '"a"'])
+    def test_message_ids_must_be_integers(self, bad):
+        text = f'{{"n_messages": 3, "users": [{{"want": [{bad}], "known": [2]}}]}}'
+        with pytest.raises(ParameterError):
+            icp_from_json(text)
+
+    def test_numpy_integer_ids_are_accepted(self):
+        user = IcpUser(want=frozenset({np.int64(1)}), known=frozenset({np.int32(2)}))
+        icp = IcpInstance(n_messages=2, users=(user,))
+        assert icp.node_msg.tolist() == [0]
+        assert icp.known_rows.tolist() == [[False, True]]
 
     def test_label_fallback(self):
         icp = IcpInstance(
