@@ -88,12 +88,11 @@ __all__ = [
 
 _MODES = ("linear", "quadratic", "divisor")
 
-# the most exact-rank work a plan may need, in table cells of the flat
-# per-set estimate (the cheaper of ``verify_cells``' two), not the work of the
-# elimination tree, which shares work between sets and does less; a plan
-# above it is refused before its first elimination. At 2 to 4 ns a cell this
-# is under a minute, and about ten times what (K, L, i) = (100, 2, 12) needs.
-VERIFY_CELL_BUDGET = 10**10
+# the most exact-rank work a plan may need, in cells of the shape bound that
+# ``verify_cells`` sums over its components; a plan above it is refused before
+# its first elimination. At the limit a plan verifies in about 6 to 12 s on a
+# 2-vCPU VM: (250, 250, 2, 6) and (300, 300, 100, 2) both sit at 9.3e11.
+VERIFY_CELL_BUDGET = 10**12
 
 
 @dataclass(frozen=True)
@@ -254,8 +253,8 @@ def assemble(
     """Build a delivery plan for one demand round; the plan checks itself.
 
     Raises :class:`ParameterError` on invalid parameters;
-    :class:`~.errors.SizeCapError`, before any elimination, if checking the
-    plan would take more than :data:`VERIFY_CELL_BUDGET` cells; and
+    :class:`~.errors.SizeCapError`, before any elimination, if the shape bound
+    on checking the plan exceeds :data:`VERIFY_CELL_BUDGET` cells; and
     :class:`~.errors.VerificationError` if the plan fails its own decode check
     (a construction bug), naming the failing components and users, and per
     component the first message a user cannot decode and its rank deficit.
@@ -406,20 +405,15 @@ def _pair_users_ok(
     plan: DeliveryPlan, instances: tuple[IcpInstance, ...]
 ) -> tuple[bool, ...]:
     """Fold one batched decode check of all components down to the K table
-    users, after refusing a plan whose checks would exceed
-    :data:`VERIFY_CELL_BUDGET`."""
+    users, after refusing a plan whose :func:`~.linalg_ff.verify_cells` bound
+    exceeds :data:`VERIFY_CELL_BUDGET`."""
     pairs = tuple(zip(plan.pairs, instances))
-    # the primal side needs at most r * n * min(r, n) cells per known set,
-    # so only a plan whose shapes reach the budget runs the per-set model
-    shapes = sum(len(i.known_rows) * p.scheme.coefficients.size * min(p.scheme.coefficients.shape)
-                 for p, i in pairs)
-    if shapes > VERIFY_CELL_BUDGET:
-        cells = sum(min(verify_cells(p.scheme, i)) for p, i in pairs)
-        if cells > VERIFY_CELL_BUDGET:
-            raise SizeCapError(
-                f"verifying this plan takes about {cells:.2e} cells of exact "
-                f"elimination, above the budget of {VERIFY_CELL_BUDGET:.0e}"
-            )
+    cells = sum(verify_cells(p.scheme, i) for p, i in pairs)
+    if cells > VERIFY_CELL_BUDGET:
+        raise SizeCapError(
+            f"verifying this plan takes about {cells:.2e} cells of exact "
+            f"elimination, above the budget of {VERIFY_CELL_BUDGET:.0e}"
+        )
     k = plan.table.n_rows
     bad = {u for v in verify_schemes([(p.scheme, i) for p, i in pairs]) for u in _failed_users(v, k)}
     return tuple(u not in bad for u in range(1, k + 1))

@@ -18,9 +18,9 @@ vector of that column lies in the row span of the distinct columns in ``U``.
 Structured known sets are cyclic windows that share most of those columns, so
 :func:`verify_schemes` reduces them as a tree over ranges of consecutive sets:
 each range eliminates once the columns all its sets lack and hands the result
-to its halves, or to each of its sets where a cell model says splitting does
-not pay. One tree covers all schemes of a batch (a plan's components), padded
-to one shape, and each depth is one batched Gauss-Jordan over all of them.
+to its halves, or to each of its sets where they would take few cells apiece.
+One tree covers all schemes of a batch (a plan's components), padded to one
+shape, and each depth is one batched Gauss-Jordan over all of them.
 """
 
 from __future__ import annotations
@@ -204,9 +204,14 @@ def mds_generator(rows: int, cols: int, field: FieldSpec) -> np.ndarray:
 
 
 def rank(matrix: np.ndarray, field: FieldSpec) -> int:
-    """Rank of an integer matrix over GF(2^w); an entry outside the field
-    raises :class:`ParameterError`."""
-    return _Rref(matrix, field).rank
+    """Rank of an integer matrix over GF(2^w); an entry outside the field, or
+    an array that is not 2-D, raises :class:`ParameterError`."""
+    m = np.asarray(matrix)
+    if m.ndim != 2:
+        raise ParameterError(f"rank needs a matrix, got shape {m.shape}")
+    _check_entries(m, field, "matrix entries")
+    gf = field.tables()
+    return int((_eliminate(gf, m.astype(gf.dtype)[None], m.shape[1], np.zeros(1, np.intp)) >= 0).sum())
 
 
 def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
@@ -218,49 +223,6 @@ def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
             f"{what} must lie in [0, {field.size}) for GF(2^{field.w}), "
             f"got [{values.min()}, {values.max()}]"
         )
-
-
-class _Rref:
-    """Reduced row echelon form over GF(2^w) with span-membership queries."""
-
-    def __init__(self, matrix: np.ndarray, field: FieldSpec):
-        gf = field.tables()
-        m = np.asarray(matrix)
-        _check_entries(m, field, "matrix entries")
-        m = m.astype(gf.dtype)
-        n_rows, n_cols = m.shape if m.ndim == 2 else (0, 0)
-        pivots: list[int] = []
-        r = 0
-        for c in range(n_cols):
-            if r >= n_rows:
-                break
-            nz = np.flatnonzero(m[r:, c])
-            if len(nz) == 0:
-                continue
-            p = int(nz[0]) + r
-            if p != r:
-                m[[r, p]] = m[[p, r]]
-            m[r] = gf.mul(m[r], gf.inv(m[r, c]))
-            others = np.flatnonzero(m[:, c])
-            others = others[others != r]
-            if len(others):
-                m[others] ^= gf.mul(m[others, c][:, None], m[r][None, :])
-            pivots.append(c)
-            r += 1
-        self.gf = gf
-        self.rows = m[:r]
-        self.pivots = pivots
-        self.rank = r
-
-    def residual(self, v: np.ndarray) -> np.ndarray:
-        v = np.array(v, dtype=self.gf.dtype)
-        for r, c in enumerate(self.pivots):
-            if v[c]:
-                v ^= self.gf.mul(v[c], self.rows[r])
-        return v
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not self.residual(v).any()
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,34 +366,14 @@ def verify_schemes(pairs: list) -> list[tuple[bool, ...]]:
     return [_user_verdicts(icp, ok) for (_, icp), ok in zip(pairs, spans)]
 
 
-def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[int, int]:
-    """Flat estimates of exact verification work on ``icp``, in table cells,
-    one elimination per distinct known set on the primal and on the dual side
-    of the rank-nullity duality. The plan budget reads their minimum as a
-    size measure over every column; :func:`verify_scheme` does less, on
-    distinct columns, in a tree that shares elimination between overlapping
-    sets.
-
-    Per distinct known set with ``k`` known, ``u`` unknown and ``h`` wanted
-    columns, the primal side eliminates ``r`` rows over the unknown columns,
-    ``r * u * min(r, u)`` cells. The dual side eliminates ``nu = n - r`` kernel
-    rows (the kernel's dimension when the ``r x n`` coefficients have full row
-    rank, as MDS-precoded rows do) over the known and wanted columns,
-    ``nu * (k + h) * min(nu, k)`` cells, after one ``r x n`` elimination for
-    the kernel basis.
-    """
-    known, cols = _columns(scheme, icp)
-    listed = cols >= 0
-    wanted = np.zeros_like(known)
-    wanted[icp.node_row[listed], cols[listed]] = True
-    n_rows, n_cols = scheme.n_transmissions, known.shape[1]
-    full = min(n_rows, n_cols)  # the rank of coefficients with full row rank
-    nu = n_cols - full
-    ks = known.sum(axis=1).tolist()
-    hs = wanted.sum(axis=1).tolist()
-    primal = sum(n_rows * (n_cols - k) * min(n_rows, n_cols - k) for k in ks)
-    dual = sum(nu * (k + h) * min(nu, k) for k, h in zip(ks, hs)) + n_rows * n_cols * full
-    return primal, dual
+def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> int:
+    """An upper bound, in table cells, on the exact verification work of
+    ``scheme`` on ``icp``: ``r * n * min(r, n)`` per distinct known set, for
+    ``r`` transmissions over ``n`` columns, as if each set eliminated every
+    column on its own. :func:`verify_scheme` does less, on distinct columns,
+    in a tree that shares elimination between overlapping sets."""
+    r, n = scheme.coefficients.shape
+    return len(icp.known_rows) * r * n * min(r, n)
 
 
 def _columns(scheme: TransmissionScheme, icp: IcpInstance):
@@ -517,56 +459,22 @@ def _left_justify(mask: np.ndarray) -> np.ndarray:
 
 # the fixed cost of one more depth of the elimination tree, in cells of
 # table arithmetic: its gather, and a dozen numpy calls per elimination step.
-# Timed on the components of `sweep --K-range 3:14` in all three modes, none
-# splits from 2^15 up; every component of the plan_large corners splits up to
-# 2^18, and fewer, more slowly, from 2^19. This sits between.
+# A component's tree halves every range iff eliminating each known set on its
+# own would take more cells than this. Over the 1731 components of
+# `sweep --K-range 3:14` in all three modes none does, and every component of
+# the plan_large corners does.
 _DEPTH_CELLS = 1 << 17
 
 
-def _cells(n_rows, n_pivot_cols, width):
-    """Modelled cells of eliminating ``n_pivot_cols`` columns of a matrix."""
-    return n_rows * np.minimum(n_rows, n_pivot_cols) * width
-
-
-def _splits(n_rows: int, seen: np.ndarray) -> set[tuple[int, int]]:
-    """The ranges ``(lo, hi)`` of known sets that :func:`_tree_spans` splits
-    into halves; every other range of two or more sets hands each set on.
-
-    Bottom-up over the halving of all sets: a range's sets either each
-    eliminate their unknown columns beyond the range's shared ones, or each
-    half eliminates its own shared columns once and goes on as cheaply as it
-    can, for :data:`_DEPTH_CELLS` more. Empty when the root does not split.
+def _splits(n_rows: int, seen: np.ndarray) -> bool:
+    """Whether :func:`_tree_spans` halves these known sets, and every range
+    below, rather than hand each set on at once: iff there are two or more
+    and eliminating each set's ``u`` lacked columns on its own, ``n_rows *
+    min(n_rows, u) * u`` cells, would take more than :data:`_DEPTH_CELLS`.
     ``seen`` counts lacking sets as in :func:`_tree_spans`, over these sets.
     """
-    n_sets = len(seen) - 1
-    u = np.diff(seen.sum(axis=1, dtype=np.intp))  # unknown columns per set
-    if n_sets < 2 or _cells(n_rows, u, u).sum() <= _DEPTH_CELLS:
-        return set()
-    ranges, parent = [(0, n_sets)], [0]
-    for v, (lo, hi) in enumerate(ranges):  # grows while it is read: breadth first
-        if hi - lo > 1:
-            ranges += [(lo, (lo + hi) // 2), ((lo + hi) // 2, hi)]
-            parent += [v, v]
-    lo, hi = np.array(ranges).T
-    lack = seen[hi] - seen[lo]
-    shared = (lack == (hi - lo)[:, None]).sum(axis=1)
-    shared[0] = 0  # the root's halves eliminate its shared columns
-    base = shared[parent]
-    own = _cells(n_rows, shared - base, (lack > 0).sum(axis=1) - base).tolist()
-    rest = u - shared[:, None]
-    sets = np.arange(n_sets)
-    inside = (sets >= lo[:, None]) & (sets < hi[:, None])
-    flat = (_cells(n_rows, rest, rest) * inside).sum(axis=1).tolist()
-    split = [_DEPTH_CELLS] * len(ranges)
-    splits = set()
-    for v in reversed(range(len(ranges))):  # every half before its range
-        best = 0
-        if hi[v] - lo[v] > 1:
-            best = min(flat[v], split[v])
-            if split[v] < flat[v]:
-                splits.add(ranges[v])
-        split[parent[v]] += own[v] + best
-    return splits if (0, n_sets) in splits else set()
+    u = np.diff(seen.sum(axis=1, dtype=np.intp))  # lacked columns per set
+    return len(u) >= 2 and int((n_rows * np.minimum(n_rows, u) * u).sum()) > _DEPTH_CELLS
 
 
 def _tree_spans(pairs: list) -> list[np.ndarray]:
@@ -584,10 +492,10 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     span test on fewer columns.
 
     That span test is a divide and conquer over ranges of consecutive sets,
-    one root per pair, cut where :func:`_splits` says. Each range runs
-    Gauss-Jordan once on the columns all its sets lack that its parent left,
-    and hands the reduced rows, on the columns some of its sets still lack,
-    to its halves or to each of its sets. All ranges at one depth are one
+    one root per pair. Each range runs Gauss-Jordan once on the columns all
+    its sets lack that its parent left, and hands the reduced rows, on the
+    columns some of its sets still lack, to its halves where :func:`_splits`
+    halves the root, else to each of its sets. All ranges at one depth are one
     :func:`_eliminate` stack, columns left-justified: those it eliminates,
     those it hands on, then a zero column that padding points to. Pairs are
     padded with zero rows and with columns every set knows (the last one for
@@ -642,9 +550,8 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     # seen[hi] - seen[lo]: how many of the sets lo..hi-1 lack each column
     seen = np.zeros((n_sets + 1, n_cols), dtype=np.min_scalar_type(n_sets))
     np.cumsum(out, axis=0, dtype=seen.dtype, out=seen[1:])
-    splits = set()
-    for (scheme, _), lo, hi in zip(pairs, offset, offset[1:]):
-        splits |= {(lo + x, lo + y) for x, y in _splits(scheme.n_transmissions, seen[lo : hi + 1])}
+    halve = [_splits(scheme.n_transmissions, seen[lo : hi + 1])
+             for (scheme, _), lo, hi in zip(pairs, offset, offset[1:])]
     # per range: `a` its reduced rows over the `width` columns it eliminated
     # and then the columns it hands on, whose global columns are `hand`;
     # `path` each global column's pivot row, n_rows for a pivot-free column
@@ -659,8 +566,8 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     marks[:, n_rows] = True
     while ranges and n_sets:
         children = []
-        for e, (lo, hi) in enumerate(ranges):
-            cuts = (lo, (lo + hi) // 2, hi) if (lo, hi) in splits else range(lo, hi + 1)
+        for e, ((lo, hi), h) in enumerate(zip(ranges, halve)):
+            cuts = (lo, (lo + hi) // 2, hi) if h else range(lo, hi + 1)
             children += [(e, x, y) for x, y in zip(cuts, cuts[1:])]
         parent, lo, hi = np.array(children).T
         hand, path, marks, n_pivots = hand[parent], path[parent], marks[parent], n_pivots[parent]
@@ -680,6 +587,7 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
         out[lo[leaf]] = ~np.take_along_axis(marks[leaf], path[leaf], axis=1)
         go = ~leaf
         ranges = list(zip(lo[go].tolist(), hi[go].tolist()))
+        halve = [True] * len(ranges)  # every range left lies below a halved root
         hand = np.take_along_axis(hand[go], np.concatenate([cj, last], axis=1)[go], axis=1)
         a, n_pivots, path, marks = a[go], n_pivots[go], path[go], marks[go]
     spans = []

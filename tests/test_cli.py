@@ -342,7 +342,7 @@ class TestExitCodes:
     def test_oversized_plan_refused_with_four(self, capsys):
         # the verification budget, not a stub: refused before any elimination
         code, out, err = run_cli(
-            capsys, "plan", "--K", "300", "--L", "100", "--i", "2", "--mode", "quadratic"
+            capsys, "plan", "--K", "320", "--L", "100", "--i", "2", "--mode", "quadratic"
         )
         assert code == 4
         assert out == ""

@@ -400,9 +400,8 @@ class TestVerifyBudget:
             raise AssertionError("eliminated before the budget check")
 
         monkeypatch.setattr(linalg_ff, "_eliminate", no_elimination)
-        monkeypatch.setattr(linalg_ff, "_Rref", no_elimination)
         with pytest.raises(SizeCapError) as info:
-            assemble(MaccInstance(300, 300, 100, 2))
+            assemble(MaccInstance(320, 320, 100, 2))
         found = re.fullmatch(
             r"verifying this plan takes about (\S+) cells of exact elimination, "
             r"above the budget of (\S+)",
@@ -412,24 +411,64 @@ class TestVerifyBudget:
         assert float(found[1]) > float(found[2]) == delivery.VERIFY_CELL_BUDGET
 
     def test_k100_fits_the_budget(self, monkeypatch):
-        # the estimate alone: the exact check after it is stubbed out
+        # the bound alone: the exact check after it is stubbed out
         monkeypatch.setattr(
-            delivery, "verify_schemes", lambda pairs: [(True,) * len(icp.users) for _, icp in pairs]
+            delivery, "verify_schemes", lambda pairs: [(True,) * icp.n_users for _, icp in pairs]
         )
-        plan = plan_for(100, 2, 12, "quadratic")
-        cells = sum(min(linalg_ff.verify_cells(p.scheme, pair_instance(p))) for p in plan.pairs)
-        assert delivery.VERIFY_CELL_BUDGET / 100 < cells < delivery.VERIFY_CELL_BUDGET
+
+        def cells(*corner):
+            plan = plan_for(*corner, "quadratic")
+            return sum(linalg_ff.verify_cells(p.scheme, pair_instance(p)) for p in plan.pairs)
+
+        budget = delivery.VERIFY_CELL_BUDGET
+        assert cells(100, 2, 12) < budget
+        # within 2x of a corner that verifies in under 10 s
+        assert budget / 2 < cells(250, 2, 6) < budget
 
     def test_oversized_corner_refused_in_bounded_memory(self):
         # its components are node arrays: no per-user sets before the refusal
         tracemalloc.start()
         try:
             with pytest.raises(SizeCapError):
-                assemble(MaccInstance(300, 300, 100, 2))
+                assemble(MaccInstance(320, 320, 100, 2))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 200 * 2**20
+
+    def test_corner_past_the_old_budget_verifies(self):
+        plan = plan_for(160, 8, 10, "quadratic")
+        assert all(plan.users_ok) and verify_plan(plan).ok
+
+    @pytest.mark.parametrize(
+        "corner",
+        [(k, l, i, "quadratic") for k, l, i in [(40, 2, 6), (48, 2, 14), (60, 4, 12), (60, 2, 7)]]
+        + [(k, 2, i, mode) for k, i in [(12, 2), (9, 3)] for mode in ("quadratic", "linear", "divisor")],
+    )
+    def test_bound_covers_the_cells_eliminated(self, monkeypatch, corner):
+        # every product `_eliminate` takes, its row normalizations included,
+        # against the bound the budget reads
+        products = [0]
+        real_eliminate = linalg_ff._eliminate
+
+        def counted(gf, *args):
+            real_mul = gf.mul
+
+            def mul(a, b):
+                out = real_mul(a, b)
+                products[0] += out.size
+                return out
+
+            gf.mul = mul
+            try:
+                return real_eliminate(gf, *args)
+            finally:
+                del gf.mul
+
+        monkeypatch.setattr(linalg_ff, "_eliminate", counted)
+        plan = plan_for(*corner)
+        bound = sum(linalg_ff.verify_cells(p.scheme, pair_instance(p)) for p in plan.pairs)
+        assert 0 < products[0] <= bound
 
 
 class TestArrayOnly:

@@ -32,7 +32,7 @@ from macc_lab import (
     verify_scheme,
 )
 from macc_lab import linalg_ff
-from macc_lab.linalg_ff import _DEFAULT_POLY, _Rref
+from macc_lab.linalg_ff import _DEFAULT_POLY
 
 
 def ref_mul(a: int, b: int, w: int, poly: int) -> int:
@@ -61,6 +61,49 @@ def gf2_rank(rows: list[int]) -> int:
                 rows[i] ^= rows[r]
         r += 1
     return r
+
+
+class _Rref:
+    """Reduced row echelon form over GF(2^w), one pivot at a time, with
+    span-membership queries: the reference the batched elimination is
+    checked against."""
+
+    def __init__(self, matrix: np.ndarray, field: FieldSpec):
+        gf = field.tables()
+        m = np.asarray(matrix).astype(gf.dtype)
+        n_rows, n_cols = m.shape
+        pivots: list[int] = []
+        r = 0
+        for c in range(n_cols):
+            if r >= n_rows:
+                break
+            nz = np.flatnonzero(m[r:, c])
+            if len(nz) == 0:
+                continue
+            p = int(nz[0]) + r
+            if p != r:
+                m[[r, p]] = m[[p, r]]
+            m[r] = gf.mul(m[r], gf.inv(m[r, c]))
+            others = np.flatnonzero(m[:, c])
+            others = others[others != r]
+            if len(others):
+                m[others] ^= gf.mul(m[others, c][:, None], m[r][None, :])
+            pivots.append(c)
+            r += 1
+        self.gf = gf
+        self.rows = m[:r]
+        self.pivots = pivots
+        self.rank = r
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        v = np.array(v, dtype=self.gf.dtype)
+        for r, c in enumerate(self.pivots):
+            if v[c]:
+                v ^= self.gf.mul(v[c], self.rows[r])
+        return v
+
+    def contains(self, v: np.ndarray) -> bool:
+        return not self.residual(v).any()
 
 
 small_fields = st.sampled_from([FieldSpec(1), FieldSpec(2), FieldSpec(4), FieldSpec(8)])
@@ -189,6 +232,19 @@ class TestRank:
         with pytest.raises(ParameterError):
             rank([[0, 65536]], FieldSpec(16))
         assert rank([[255, 1]], FieldSpec(8)) == 1
+
+    def test_non_matrix_refused(self):
+        for bad in (np.array([1, 2, 3]), np.ones((2, 2, 2), dtype=np.uint32)):
+            with pytest.raises(ParameterError):
+                rank(bad, FieldSpec(8))
+
+    @given(st.sampled_from([2, 4, 8, 16]), st.integers(0, 6), st.integers(0, 6), st.data())
+    @settings(max_examples=60)
+    def test_matches_reference_elimination(self, w, m, n, data):
+        spec = FieldSpec(w)
+        cells = data.draw(st.lists(st.integers(0, spec.size - 1), min_size=m * n, max_size=m * n))
+        mat = np.array(cells, dtype=np.int64).reshape(m, n)
+        assert rank(mat, spec) == _Rref(mat, spec).rank
 
 
 class TestTransmissionScheme:

@@ -368,7 +368,7 @@ class TestMais:
 
 class TestMinRank:
     @given(small_instances(max_nodes=5))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_matches_matrix_enumeration(self, icp):
         assert min_rank_gf2(icp) == naive_min_rank(icp)
 
