@@ -376,6 +376,7 @@ def icp_to_json(icp: IcpInstance) -> str:
 
 def icp_from_json(text: str) -> IcpInstance:
     data = json.loads(text)
-    users = (IcpUser(frozenset(u["want"]), frozenset(u["known"])) for u in data["users"])
+    n_messages, users = jsontext.fields(data, "an instance", "n_messages", "users")
+    users = (IcpUser(*map(frozenset, jsontext.fields(u, "a user", "want", "known"))) for u in users)
     labels = {int(m): v for m, v in data["labels"].items()} if "labels" in data else None
-    return IcpInstance(data["n_messages"], users, labels)
+    return IcpInstance(n_messages, users, labels)

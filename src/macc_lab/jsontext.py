@@ -5,13 +5,17 @@ pure-Python encoder. :func:`dumps` writes the same text: lists, tuples and
 dicts with string keys by ``join``, strings through the C string encoder,
 ints by ``int.__repr__``, ``true``, ``false`` and ``null`` as literals, and
 any other value, subclasses of those types included, by :func:`json.dumps`
-itself, indented to its depth.
+itself, indented to its depth. :func:`fields` reads the keys a loader needs
+from a parsed JSON object, or raises :class:`ParameterError` naming the one
+that is missing.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+
+from .errors import ParameterError
 
 # the scalars written without json.dumps, by their exact type
 _SCALARS = {
@@ -53,3 +57,14 @@ def _text(value, newline: str, sort_keys: bool) -> str:
         return "{" + inner + body + newline + "}"
     # a nested value is the top-level text with every line moved in to its depth
     return json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", newline)
+
+
+def fields(data, what: str, *keys: str) -> list:
+    """``data[key]`` for each of ``keys``; :class:`ParameterError` if ``data``,
+    which ``what`` names, is not a JSON object or lacks one of them."""
+    if not isinstance(data, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ParameterError(f"{what} has no {key!r} key")
+    return [data[key] for key in keys]

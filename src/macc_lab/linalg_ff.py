@@ -19,8 +19,12 @@ Structured known sets are cyclic windows that share most of those columns, so
 :func:`verify_schemes` reduces them as a tree over ranges of consecutive sets:
 each range eliminates once the columns all its sets lack and hands the result
 to its halves, or to each of its sets where they would take few cells apiece.
-One tree covers all schemes of a batch (a plan's components), padded to one
-shape, and each depth is one batched Gauss-Jordan over all of them.
+One tree covers all schemes of a batch (a plan's components), and each depth
+is one batched Gauss-Jordan over all its ranges: a stack of column-major
+matrices, each holding the columns it eliminates, then those it hands on, then
+a shared zero column, and each taking pivots only in its own first columns.
+Pivot rows stay where they are found and are never normalised, since the span
+test reads only which row is each column's pivot and which entries are zero.
 """
 
 from __future__ import annotations
@@ -211,7 +215,9 @@ def rank(matrix: np.ndarray, field: FieldSpec) -> int:
         raise ParameterError(f"rank needs a matrix, got shape {m.shape}")
     _check_entries(m, field, "matrix entries")
     gf = field.tables()
-    return int((_eliminate(gf, m.astype(gf.dtype)[None], m.shape[1], np.zeros(1, np.intp)) >= 0).sum())
+    free = np.ones((1, m.shape[0]), dtype=bool)
+    _eliminate(gf, np.ascontiguousarray(m.T, dtype=gf.dtype)[None], np.array([m.shape[1]]), free)
+    return int((~free).sum())
 
 
 def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
@@ -233,8 +239,10 @@ class TransmissionScheme:
     transmission ``r``. ``split_factor`` records how many equal parts each
     message was cut into before coding (the scheme's symbols are that
     fraction of a message). Coefficients outside ``[0, field.size)``, a
-    non-integer or non-2-D array, or a column count other than
-    ``len(message_order)`` raise :class:`ParameterError`.
+    non-integer or non-2-D array, a column count other than
+    ``len(message_order)``, or a ``split_factor`` that is not a positive
+    ``int`` raise :class:`ParameterError`, as does :meth:`from_json` for a
+    document that lacks a key.
     """
 
     field: FieldSpec
@@ -250,6 +258,9 @@ class TransmissionScheme:
                 f"({len(self.message_order)}), got shape {coeff.shape}"
             )
         _check_entries(coeff, self.field, "coefficients")
+        split = self.split_factor
+        if not isinstance(split, int) or isinstance(split, bool) or split < 1:
+            raise ParameterError(f"split_factor must be a positive int, got {split!r}")
 
     @property
     def n_transmissions(self) -> int:
@@ -271,11 +282,11 @@ class TransmissionScheme:
 
     @classmethod
     def from_json(cls, text: str) -> "TransmissionScheme":
-        data = json.loads(text)
-        spec = FieldSpec(w=data["field"]["w"], poly=data["field"]["poly"])
+        keys = "field", "message_order", "split_factor", "rows"
+        spec, order, split, rows = jsontext.fields(json.loads(text), "a scheme", *keys)
+        spec = FieldSpec(*jsontext.fields(spec, "a scheme's field", "w", "poly"))
         width = 2 if spec.w <= 8 else 4
-        order = tuple(data["message_order"])
-        rows = data["rows"]
+        order = tuple(order)
         for row in rows:
             if not (isinstance(row, str) and re.fullmatch(f"[0-9a-fA-F]{{{width * len(order)}}}", row)):
                 raise ParameterError(
@@ -286,7 +297,7 @@ class TransmissionScheme:
             field=spec,
             message_order=order,
             coefficients=coeff.astype(np.int64).reshape(len(rows), len(order)),
-            split_factor=data["split_factor"],
+            split_factor=split,
         )
 
 
@@ -397,59 +408,57 @@ def _user_verdicts(icp: IcpInstance, ok: np.ndarray) -> tuple[bool, ...]:
 
 # cells (known sets x rows x columns, summed over pairs) one elimination tree
 # takes on, so its widest stacks stay near 1 MB; a step's fixed cost is small
-# well before this, and one tree over (100, 2, 12)'s 38 pairs peaked 11 MB higher
+# well before this, and one tree over (100, 2, 12)'s 38 pairs peaked 6 MB
+# higher under tracemalloc (7.5 against 1.6 MiB)
 _BATCH_CELLS = 1 << 23
 
-# cells one elimination step updates at once: a table lookup holds 11 to 14
+# cells one elimination step updates at once, each a trailing block of a
+# matrix's columns from the pivot column on: a table lookup holds 11 to 14
 # bytes per cell while it runs (index, numpy's intp copy of it, result), so
 # this bounds the temporaries near 1 MB whatever the batch size
 _UPDATE_CELLS = 1 << 16
 
 
-def _eliminate(gf: _GF, a: np.ndarray, n_pivot_cols: int, n_pivots: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan in place on every ``(rows, width)`` matrix of the stack
-    ``a`` at once, taking pivots only in the first ``n_pivot_cols`` columns
-    and below each matrix's first ``n_pivots`` rows, which already hold
-    pivots of columns outside ``a``; returns each matrix's pivot row per such
-    column, -1 where none.
+def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Gauss-Jordan in place on every ``(columns, rows)`` matrix of the stack
+    ``a`` at once, each taking pivots only in its first ``counts`` columns
+    and only in the rows ``free`` marks, which it then clears from ``free``;
+    returns each matrix's pivot row per column below ``counts.max()``, -1
+    where none, as at or past its own count.
 
-    A pivot row is zero left of its column, so each step touches only the
-    columns from there on. Zero padding columns never take a pivot.
+    A pivot row stays where it is found and is not normalised: column ``c``
+    is cleared by ``a[:, c]`` times the inverse of the pivot entry. A free
+    row is zero on every column already eliminated, so each step touches only
+    the columns from ``c`` on. Zero padding columns never take a pivot.
     """
-    n_sets, n_rows, width = a.shape
-    n_pivots = n_pivots.copy()
-    pivot_row = np.full((n_sets, n_pivot_cols), -1, dtype=np.intp)
-    row_ids = np.arange(n_rows)
-    for c in range(n_pivot_cols):
-        if n_pivots.min() == n_rows:
+    n_sets, width, n_rows = a.shape
+    pivot_row = np.full((n_sets, counts.max(initial=0)), -1, dtype=np.intp)
+    for c in range(pivot_row.shape[1]):
+        if not free.any():
             break
-        cand = (a[:, :, c] != 0) & (row_ids >= n_pivots[:, None])
+        cand = (a[:, c] != 0) & free & (counts > c)[:, None]
         hit = np.flatnonzero(cand.any(axis=1))
         if len(hit) == 0:
             continue
         p = cand[hit].argmax(axis=1)
-        r = n_pivots[hit]
-        piv = a[hit, p, c:]
-        piv = gf.mul(piv, gf.vinv[piv[:, :1]])
-        a[hit, p, c:] = a[hit, r, c:]
-        a[hit, r, c:] = piv
-        factor = a[hit, :, c]
-        factor[np.arange(len(hit)), r] = 0
+        piv = a[hit, c:, p]
+        factor = gf.mul(a[hit, c], gf.vinv[piv[:, :1]])
+        factor[np.arange(len(hit)), p] = 0
         # a few sets at a time, so the temporaries stay small
         step = max(1, _UPDATE_CELLS // (n_rows * (width - c)))
         every = len(hit) == n_sets
         for lo in range(0, len(hit), step):
             part = slice(lo, lo + step)
-            rows = part if every else hit[part]
-            a[rows, :, c:] ^= gf.mul(factor[part, :, None], piv[part, None, :])
-        pivot_row[hit, c] = r
-        n_pivots[hit] += 1
+            sets = part if every else hit[part]
+            a[sets, c:] ^= gf.mul(piv[part, :, None], factor[part, None, :])
+        pivot_row[hit, c] = p
+        free[hit, p] = False
     return pivot_row
 
 
 def _left_justify(mask: np.ndarray) -> np.ndarray:
     """Per row of ``mask``, the columns it holds in order, padded to the
-    longest row with the last column, which no row holds."""
+    longest row with the last column."""
     counts = mask.sum(axis=1)
     e, c = np.nonzero(mask)
     cols = np.full((len(mask), counts.max(initial=0)), mask.shape[1] - 1, dtype=np.intp)
@@ -496,12 +505,16 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     its sets lack that its parent left, and hands the reduced rows, on the
     columns some of its sets still lack, to its halves where :func:`_splits`
     halves the root, else to each of its sets. All ranges at one depth are one
-    :func:`_eliminate` stack, columns left-justified: those it eliminates,
-    those it hands on, then a zero column that padding points to. Pairs are
-    padded with zero rows and with columns every set knows (the last one for
-    all), which take no pivot. An eliminated column never changes again, so a
-    column's unit vector is in a set's span iff it has a pivot row that no
-    pivot-free column on the set's path is nonzero in.
+    :func:`_eliminate` stack of ``(columns, rows)`` matrices, each gathered
+    from its parent's by whole columns and left-justified: the columns it
+    eliminates, those it hands on, then the zero column, which also pads it to
+    the widest range plus one. Each range takes pivots only in its own
+    eliminated columns, so where its handed-on columns sit another range may
+    take pivots. Pairs are padded with zero rows and with columns every set
+    knows (the last one for all), which take no pivot. An eliminated column
+    never changes again, and rows never move, so a column's unit vector is in
+    a set's span iff it has a pivot row that no pivot-free column on the
+    set's path is nonzero in.
     """
     if not pairs:
         return []
@@ -528,9 +541,9 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     class_of[by_class] = local
     n_cols = int(local.max(initial=-1)) + 2
     # the distinct columns, then the one every set knows
-    a = np.zeros((len(pairs), n_rows, n_cols), dtype=gf.dtype)
+    a = np.zeros((len(pairs), n_cols, n_rows), dtype=gf.dtype)
     reps = np.flatnonzero(first)
-    a[pair[reps], :, local[reps]] = col[by_class[reps]]
+    a[pair[reps], local[reps]] = col[by_class[reps]]
     # the classes each set lacks; every set is a leaf once, and its row is
     # then overwritten with its spans
     out = np.zeros((n_sets, n_cols), dtype=bool)
@@ -552,44 +565,47 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     np.cumsum(out, axis=0, dtype=seen.dtype, out=seen[1:])
     halve = [_splits(scheme.n_transmissions, seen[lo : hi + 1])
              for (scheme, _), lo, hi in zip(pairs, offset, offset[1:])]
-    # per range: `a` its reduced rows over the `width` columns it eliminated
-    # and then the columns it hands on, whose global columns are `hand`;
-    # `path` each global column's pivot row, n_rows for a pivot-free column
-    # and -1 before elimination; and `marks` the rows a pivot-free column is
-    # nonzero in, plus row n_rows, so neither of those path entries reads spanned
+    # per range of the last depth: `a` its reduced rows, column by column: the
+    # columns it eliminated, those it hands on, then the zero column; `hand`
+    # their global columns and `done` which it eliminated; `free` the rows
+    # holding no pivot; `path` each global column's pivot row, n_rows or -1
+    # where it has none (yet); and `marks` the rows a pivot-free column is
+    # nonzero in, plus row n_rows, so neither of those path entries reads
+    # spanned. `keep` the entries of `ranges`, the ranges left to split
     ranges = list(zip(offset, offset[1:]))
     hand = np.broadcast_to(np.arange(n_cols, dtype=np.min_scalar_type(n_cols)), (len(pairs), n_cols))
-    width = 0
-    n_pivots = np.zeros(len(pairs), dtype=np.intp)
+    done = np.zeros((len(pairs), n_cols), dtype=bool)
+    free = np.ones((len(pairs), n_rows), dtype=bool)
     path = np.full((len(pairs), n_cols), -1, dtype=np.min_scalar_type(-1 - n_rows))
     marks = np.zeros((len(pairs), n_rows + 1), dtype=bool)
     marks[:, n_rows] = True
+    keep = np.arange(len(pairs))
     while ranges and n_sets:
         children = []
         for e, ((lo, hi), h) in enumerate(zip(ranges, halve)):
             cuts = (lo, (lo + hi) // 2, hi) if h else range(lo, hi + 1)
             children += [(e, x, y) for x, y in zip(cuts, cuts[1:])]
         parent, lo, hi = np.array(children).T
-        hand, path, marks, n_pivots = hand[parent], path[parent], marks[parent], n_pivots[parent]
-        lack = seen[hi[:, None], hand] - seen[lo[:, None], hand]
+        parent = keep[parent]
+        hand, free, path, marks = hand[parent], free[parent], path[parent], marks[parent]
+        lack = np.where(done[parent], 0, seen[hi[:, None], hand] - seen[lo[:, None], hand])
         shared = lack == (hi - lo)[:, None]
-        pj = _left_justify(shared)
-        cj = _left_justify((lack > 0) & ~shared)
-        last = np.full((len(parent), 1), hand.shape[1] - 1)
-        at = width + np.concatenate([pj, cj, last], axis=1)
-        a = a[parent[:, None, None], np.arange(n_rows)[:, None], at[:, None, :]]
-        width = pj.shape[1]
-        prow = _eliminate(gf, a, width, n_pivots)
-        n_pivots = n_pivots + (prow >= 0).sum(axis=1)
-        marks[:, :n_rows] |= np.bitwise_or.reduce(a[:, :, :width], axis=2, where=(prow < 0)[:, None, :]) != 0
-        np.put_along_axis(path, np.take_along_axis(hand, pj, axis=1), np.where(prow < 0, n_rows, prow), axis=1)
+        rest = (lack > 0) & ~shared
+        rest[:, -1] = True  # the zero column, which also pads every range
+        at = _left_justify(np.concatenate([shared, rest], axis=1)) % hand.shape[1]
+        a, hand = a[parent[:, None], at], np.take_along_axis(hand, at, axis=1)
+        counts = shared.sum(axis=1)
+        prow = _eliminate(gf, a, counts, free)
+        done = np.arange(a.shape[1]) < counts[:, None]
+        width = prow.shape[1]
+        pivot_free = (done[:, :width] & (prow < 0))[:, :, None]
+        marks[:, :n_rows] |= np.bitwise_or.reduce(a[:, :width], axis=1, where=pivot_free) != 0
+        np.put_along_axis(path, hand[:, :width], np.where(prow < 0, n_rows, prow), axis=1)
         leaf = hi - lo == 1
         out[lo[leaf]] = ~np.take_along_axis(marks[leaf], path[leaf], axis=1)
-        go = ~leaf
-        ranges = list(zip(lo[go].tolist(), hi[go].tolist()))
+        keep = np.flatnonzero(~leaf)
+        ranges = list(zip(lo[keep].tolist(), hi[keep].tolist()))
         halve = [True] * len(ranges)  # every range left lies below a halved root
-        hand = np.take_along_axis(hand[go], np.concatenate([cj, last], axis=1)[go], axis=1)
-        a, n_pivots, path, marks = a[go], n_pivots[go], path[go], marks[go]
     spans = []
     for (listed, (row, cls), alone), lo in zip(fold, offset):
         ok = np.zeros(len(listed), dtype=bool)

@@ -446,7 +446,7 @@ class TestVerifyBudget:
         + [(k, 2, i, mode) for k, i in [(12, 2), (9, 3)] for mode in ("quadratic", "linear", "divisor")],
     )
     def test_bound_covers_the_cells_eliminated(self, monkeypatch, corner):
-        # every product `_eliminate` takes, its row normalizations included,
+        # every product `_eliminate` takes, its pivot factors included,
         # against the bound the budget reads
         products = [0]
         real_eliminate = linalg_ff._eliminate

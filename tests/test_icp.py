@@ -350,6 +350,21 @@ class TestInstanceValidation:
         with pytest.raises(ParameterError):
             icp_from_json(text)
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"n_messages": 2}, "users"),
+            ({"users": []}, "n_messages"),
+            ({"n_messages": 2, "users": [{"want": [1]}]}, "known"),
+            ({"n_messages": 2, "users": [{"known": [2]}]}, "want"),
+            ({"n_messages": 2, "users": [[1, 2]]}, "JSON object"),
+            ([{"n_messages": 2, "users": []}], "JSON object"),
+        ],
+    )
+    def test_bad_document_is_a_parameter_error(self, doc, named):
+        with pytest.raises(ParameterError, match=named):
+            icp_from_json(json.dumps(doc))
+
     def test_numpy_integer_ids_are_accepted(self):
         user = IcpUser(want=frozenset({np.int64(1)}), known=frozenset({np.int32(2)}))
         icp = IcpInstance(n_messages=2, users=(user,))

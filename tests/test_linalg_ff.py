@@ -25,6 +25,7 @@ from macc_lab import (
     encode,
     field_for,
     greedy_coloring,
+    local_count,
     mds_generator,
     rank,
     realize_single,
@@ -331,6 +332,27 @@ class TestTransmissionScheme:
         with pytest.raises(ParameterError):
             TransmissionScheme.from_json(text)
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (lambda d: {}, "field"),
+            (lambda d: {k: v for k, v in d.items() if k != "rows"}, "rows"),
+            (lambda d: {**d, "field": {"w": 8}}, "poly"),
+            (lambda d: [d], "JSON object"),
+            (lambda d: {**d, "field": 8}, "JSON object"),
+            (lambda d: {**d, "split_factor": "x"}, "split_factor"),
+            (lambda d: {**d, "split_factor": 0}, "split_factor"),
+            (lambda d: {**d, "split_factor": True}, "split_factor"),
+            (lambda d: {**d, "split_factor": 1.0}, "split_factor"),
+        ],
+    )
+    def test_bad_document_is_a_parameter_error(self, change, named):
+        good = {"field": {"w": 8, "poly": 0x11D}, "message_order": [1, 2],
+                "split_factor": 2, "rows": ["0102"]}
+        assert TransmissionScheme.from_json(json.dumps(good)).split_factor == 2
+        with pytest.raises(ParameterError, match=named):
+            TransmissionScheme.from_json(json.dumps(change(good)))
+
 
 @st.composite
 def union_descs(draw):
@@ -617,7 +639,7 @@ class TestBatchedVerifier:
         # four plan_large corners the tree takes about 2.5e7 products
         gf = FieldSpec(8).tables()
         products = [0]
-        used = []
+        used, stacks = [], []
         real_mul, real_eliminate = gf.mul, linalg_ff._eliminate
 
         def counted(a, b):
@@ -626,7 +648,10 @@ class TestBatchedVerifier:
             return out
 
         def recorded(gf, a, *args):
-            used.append((a != 0).any(axis=1).sum(axis=1).max(initial=0))
+            # a stack holds (columns, rows) matrices; row operations keep a
+            # nonzero column nonzero, so this counts the columns each uses
+            used.append((a != 0).any(axis=2).sum(axis=1).max(initial=0))
+            stacks.append(a.shape)
             gf.mul = counted
             try:
                 return real_eliminate(gf, a, *args)
@@ -635,10 +660,16 @@ class TestBatchedVerifier:
 
         monkeypatch.setattr(linalg_ff, "_eliminate", recorded)
         for corner in [(60, 2, 7), (40, 2, 6), (48, 2, 14), (60, 4, 12)]:
+            used.clear()
+            stacks.clear()
             plan = assemble(MaccInstance(corner[0], *corner), mode="quadratic")
+            # each range's columns are left-justified together, so a stack
+            # is at most the zero column wider than its widest matrix
+            assert stacks and all(shape[1] <= u + 1 for shape, u in zip(stacks, used))
             if corner == (60, 2, 7):
                 distinct = max(np.unique(p.scheme.coefficients, axis=1).shape[1] for p in plan.pairs)
-                assert distinct == 60 and used and max(used) <= distinct
+                assert distinct == 60 and max(used) <= distinct
+                assert stacks[0][1] == 61
         assert products[0] <= 3 * 10**7
 
     # the tree split at every range, never split, and as the model picks,
@@ -772,6 +803,43 @@ class TestBatchedVerifier:
             scheme = TransmissionScheme(FieldSpec(8), tuple(range(1, 11)), coeff)
             seen.update(assert_matches_reference(scheme, icp))
         assert seen == {False, True}
+
+    @pytest.mark.parametrize("w", [1, 8, 16])
+    def test_unequal_pivot_counts_in_one_stack(self, w, monkeypatch):
+        # the components' ranges share different numbers of columns, so in one
+        # stack a matrix hands on columns at positions where another takes
+        # pivots; the last scheme lacks a row, so some users fail
+        rng = np.random.default_rng(w)
+        batch = []
+        for icp, short in [
+            (windows_instance(24, 3, 4), 0),
+            (realize_union_split(UnionIcpDesc(4, 2, 3), 1), 0),
+            (windows_instance(16, 2, 9), 1),
+        ]:
+            coloring = greedy_coloring(icp)
+            color = np.zeros(icp.n_messages, dtype=np.intp)
+            color[icp.node_msg] = np.array(coloring.colors) - 1
+            gen = rng.integers(0, 1 << w, size=(local_count(icp, coloring) - short, coloring.n_colors))
+            order = tuple(range(1, icp.n_messages + 1))
+            batch.append((TransmissionScheme(FieldSpec(w), order, gen[:, color]), icp))
+        crossed = []
+        real = linalg_ff._eliminate
+
+        def recorded(gf, a, counts, free):
+            nonzero = (a != 0).any(axis=2)
+            prow = real(gf, a, counts, free)
+            for e, f in combinations(range(len(a)), 2):
+                lo, hi = sorted((counts[e], counts[f]))
+                fewer = e if counts[e] == lo else f
+                pivots = prow[e + f - fewer, lo:hi] >= 0
+                crossed.append(bool((nonzero[fewer, lo:hi] & pivots).any()))
+            return prow
+
+        monkeypatch.setattr(linalg_ff, "_eliminate", recorded)
+        got = linalg_ff.verify_schemes(batch)
+        assert any(crossed)
+        assert got == [reference_verdicts(scheme, icp) for scheme, icp in batch]
+        assert True in sum(got, ()) and False in sum(got, ())
 
     @pytest.mark.parametrize("w", sorted(_DEFAULT_POLY))
     def test_narrow_tables_match_mul(self, w):
