@@ -32,7 +32,7 @@ the split except in the two plain-column cases it names.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from . import jsontext
@@ -43,7 +43,7 @@ from .coloring import (
     greedy_coloring,
     local_count,
 )
-from .errors import ParameterError, SizeCapError, VerificationError
+from .errors import ParameterError, VerificationError
 from .icp import (
     IcpInstance,
     IcpTable,
@@ -56,12 +56,12 @@ from .icp import (
     reduce_macc,
 )
 from .linalg_ff import (
+    VERIFY_CELL_BUDGET,
     FieldSpec,
     TransmissionScheme,
     encode,
     field_for,
     rank,
-    verify_cells,
     verify_scheme,
     verify_schemes,
 )
@@ -88,12 +88,6 @@ __all__ = [
 
 _MODES = ("linear", "quadratic", "divisor")
 
-# the most exact-rank work a plan may need, in cells of the shape bound that
-# ``verify_cells`` sums over its components; a plan above it is refused before
-# its first elimination. At the limit a plan verifies in about 6 to 12 s on a
-# 2-vCPU VM: (250, 250, 2, 6) and (300, 300, 100, 2) both sit at 9.3e11.
-VERIFY_CELL_BUDGET = 10**12
-
 
 @dataclass(frozen=True)
 class PairPlan:
@@ -105,6 +99,8 @@ class PairPlan:
     ``column`` covers one column whole-cell. ``part_map[m-1]`` gives the
     table message and part index carried by local message ``m``;
     ``cell_split`` is the number of parts each table cell is cut into here.
+    ``icp`` is the local instance ``scheme`` was coded for, as ``_component``
+    realized it; the plan's decode check runs on it.
     """
 
     columns: tuple[int, ...]
@@ -115,6 +111,7 @@ class PairPlan:
     coloring: Coloring
     scheme: TransmissionScheme
     part_map: tuple[tuple[int, int], ...]
+    icp: IcpInstance = dc_field(compare=False, repr=False)
 
     @property
     def n_transmissions(self) -> int:
@@ -131,11 +128,9 @@ class DeliveryPlan:
     component exceeding its closed-form bound. ``users_ok[k-1]``, set by exact
     rank in ``__post_init__`` and never passed in, says if table user ``k``
     decodes every pair, so a plan made by ``dataclasses.replace`` checks itself.
-    One :func:`~.linalg_ff.verify_schemes` batch checks all pairs, whose
-    schemes must share one field. It runs on ``instances``, the pairs' local
-    instances in order as :func:`pair_instance` rebuilds them; ``assemble``
-    passes the ones it coded for, and any other construction (``replace``
-    too) rebuilds them. They are not stored.
+    One :func:`~.linalg_ff.verify_schemes` batch checks every pair's scheme on
+    the pair's own ``icp``; the schemes must share one field, and the batch
+    refuses a plan past :data:`VERIFY_CELL_BUDGET` before any elimination.
     """
 
     table: IcpTable
@@ -148,14 +143,12 @@ class DeliveryPlan:
     subpacketization: int
     notes: tuple[str, ...] = ()
     users_ok: tuple[bool, ...] = dc_field(init=False, repr=False, compare=False)
-    instances: InitVar[tuple[IcpInstance, ...] | None] = None
 
-    def __post_init__(self, instances: tuple[IcpInstance, ...] | None) -> None:
-        if instances is None:
-            instances = tuple(pair_instance(p) for p in self.pairs)
-        elif len(instances) != len(self.pairs):
-            raise ParameterError(f"{len(instances)} instances for {len(self.pairs)} pairs")
-        object.__setattr__(self, "users_ok", _pair_users_ok(self, instances))
+    def __post_init__(self) -> None:
+        k = self.table.n_rows
+        verdicts = verify_schemes([(p.scheme, p.icp) for p in self.pairs])
+        bad = {u for v in verdicts for u in _failed_users(v, k)}
+        object.__setattr__(self, "users_ok", tuple(u not in bad for u in range(1, k + 1)))
 
     @property
     def instance(self) -> MaccInstance:
@@ -181,11 +174,8 @@ class PlanCheck:
 
 
 def pair_instance(pair: PairPlan) -> IcpInstance:
-    """Rebuild the local index coding instance a pair's scheme was coded for."""
-    if pair.kind == "column":
-        return realize_single(pair.desc)
-    halves = 2 if pair.kind == "middle" else 1
-    return realize_union_split(pair.desc, pair.cell_split // halves)
+    """The local index coding instance a pair's scheme was coded for."""
+    return pair.icp
 
 
 def _maybe_oracle(
@@ -330,6 +320,7 @@ def assemble(
                     for c in cols
                     for j in range(1, cell_split + 1)
                 ),
+                icp=inst,
             )
         )
 
@@ -349,8 +340,6 @@ def assemble(
                 f"linear value {bound.rate}",
             )
 
-    # the instances just coded for; the plan checks them and keeps none
-    instances = tuple(inst for _, inst, *_ in built)
     plan = DeliveryPlan(
         table=table,
         mode=mode,
@@ -361,13 +350,12 @@ def assemble(
         rate=rate,
         subpacketization=subpack,
         notes=notes,
-        instances=instances,
     )
     if not all(plan.users_ok):  # failure path only: name the components that broke
         failing = (f"columns {list(p.columns)} ({p.tag}) table users {bad}"
-                   f" ({_first_failure(p, inst, table, bad[0])})"
-                   for p, inst in zip(plan.pairs, instances)
-                   if (bad := _failed_users(verify_scheme(p.scheme, inst), k)))
+                   f" ({_first_failure(p, table, bad[0])})"
+                   for p in plan.pairs
+                   if (bad := _failed_users(verify_scheme(p.scheme, p.icp), k)))
         raise VerificationError("users unable to decode: " + "; ".join(failing))
     return plan
 
@@ -378,12 +366,12 @@ def _failed_users(verdicts: tuple[bool, ...], k: int) -> list[int]:
     return sorted({idx // per_user + 1 for idx, good in enumerate(verdicts) if not good})
 
 
-def _first_failure(pair: PairPlan, inst: IcpInstance, table: IcpTable, user: int) -> str:
+def _first_failure(pair: PairPlan, table: IcpTable, user: int) -> str:
     """The first message table user ``user`` cannot decode from ``pair`` and
     the user's rank deficit: how many of the dimensions it wants there the
     transmissions on its unknown messages leave out."""
-    per_user = len(inst.users) // table.n_rows
-    local = inst.users[(user - 1) * per_user : user * per_user]
+    per_user = len(pair.icp.users) // table.n_rows
+    local = pair.icp.users[(user - 1) * per_user : user * per_user]
     order = pair.scheme.message_order
     coeff = pair.scheme.coefficients
     known = local[0].known
@@ -399,24 +387,6 @@ def _first_failure(pair: PairPlan, inst: IcpInstance, table: IcpTable, user: int
     label = _part_label(table, g, part, pair.cell_split)
     deficit = len(wants) - full + rank_without(set(wants))
     return f"table user {user} cannot decode {label}, rank deficit {deficit}"
-
-
-def _pair_users_ok(
-    plan: DeliveryPlan, instances: tuple[IcpInstance, ...]
-) -> tuple[bool, ...]:
-    """Fold one batched decode check of all components down to the K table
-    users, after refusing a plan whose :func:`~.linalg_ff.verify_cells` bound
-    exceeds :data:`VERIFY_CELL_BUDGET`."""
-    pairs = tuple(zip(plan.pairs, instances))
-    cells = sum(verify_cells(p.scheme, i) for p, i in pairs)
-    if cells > VERIFY_CELL_BUDGET:
-        raise SizeCapError(
-            f"verifying this plan takes about {cells:.2e} cells of exact "
-            f"elimination, above the budget of {VERIFY_CELL_BUDGET:.0e}"
-        )
-    k = plan.table.n_rows
-    bad = {u for v in verify_schemes([(p.scheme, i) for p, i in pairs]) for u in _failed_users(v, k)}
-    return tuple(u not in bad for u in range(1, k + 1))
 
 
 def verify_plan(plan: DeliveryPlan) -> PlanCheck:

@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import jsontext
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 from .macc import (
     DemandProfile,
     MaccInstance,
@@ -178,11 +178,8 @@ def _store(icp: IcpInstance, n_messages: int, arrays, **views) -> IcpInstance:
 def _user_arrays(n_messages: int, users: tuple[IcpUser, ...]) -> tuple:
     """The node arrays of ``users``, after checking that every message id is
     an integer in ``[1, n_messages]``; each distinct set is read once."""
-    ids = [m for s in dict.fromkeys(s for u in users for s in (u.want, u.known)) for m in s]
-    bad = [m for m in ids if not isinstance(m, (int, np.integer)) or isinstance(m, bool)]
-    if bad:
-        raise ParameterError(f"message id {bad[0]!r} is not an integer")
-    ids = np.array(ids, dtype=np.int64)
+    sets = dict.fromkeys(s for u in users for s in (u.want, u.known))
+    ids = np.array([as_int(m, "a message id") for s in sets for m in s], dtype=np.int64)
     if ids.size and (ids.min() < 1 or ids.max() > n_messages):
         m = ids.min() if ids.min() < 1 else ids.max()
         raise ParameterError(f"message {m} outside [1, {n_messages}]")
@@ -376,7 +373,13 @@ def icp_to_json(icp: IcpInstance) -> str:
 
 def icp_from_json(text: str) -> IcpInstance:
     data = json.loads(text)
-    n_messages, users = jsontext.fields(data, "an instance", "n_messages", "users")
-    users = (IcpUser(*map(frozenset, jsontext.fields(u, "a user", "want", "known"))) for u in users)
-    labels = {int(m): v for m, v in data["labels"].items()} if "labels" in data else None
-    return IcpInstance(n_messages, users, labels)
+    n_messages, users = jsontext.fields(data, "an instance", n_messages=int, users=list)
+    users = (
+        IcpUser(*(frozenset(as_int(m, "a message id") for m in ids)
+                  for ids in jsontext.fields(u, "a user", want=list, known=list)))
+        for u in users
+    )
+    labels = jsontext.fields(data, "an instance", labels=dict)[0] if "labels" in data else {}
+    if not all(m.isdecimal() for m in labels):
+        raise ParameterError(f"an instance's 'labels' must be keyed by message ids, got {list(labels)}")
+    return IcpInstance(n_messages, users, {int(m): v for m, v in labels.items()} or None)

@@ -7,7 +7,7 @@ ints by ``int.__repr__``, ``true``, ``false`` and ``null`` as literals, and
 any other value, subclasses of those types included, by :func:`json.dumps`
 itself, indented to its depth. :func:`fields` reads the keys a loader needs
 from a parsed JSON object, or raises :class:`ParameterError` naming the one
-that is missing.
+that is missing or of the wrong type.
 """
 
 from __future__ import annotations
@@ -59,12 +59,19 @@ def _text(value, newline: str, sort_keys: bool) -> str:
     return json.dumps(value, indent=2, sort_keys=sort_keys).replace("\n", newline)
 
 
-def fields(data, what: str, *keys: str) -> list:
-    """``data[key]`` for each of ``keys``; :class:`ParameterError` if ``data``,
-    which ``what`` names, is not a JSON object or lacks one of them."""
+_KINDS = {dict: "a JSON object", list: "a list", int: "an integer"}
+
+
+def fields(data, what: str, **kinds: type) -> list:
+    """``data[key]`` for each ``key=kind``, in order; :class:`ParameterError`
+    if ``data``, which ``what`` names, is not a JSON object, lacks one of the
+    keys, or holds a value not of its kind: ``dict``, ``list`` or ``int``
+    (``bool`` is not an ``int`` here)."""
     if not isinstance(data, dict):
         raise ParameterError(f"{what} must be a JSON object, got {type(data).__name__}")
-    for key in keys:
+    for key, kind in kinds.items():
         if key not in data:
             raise ParameterError(f"{what} has no {key!r} key")
-    return [data[key] for key in keys]
+        if not isinstance(data[key], kind) or isinstance(data[key], bool):
+            raise ParameterError(f"{what}'s {key!r} must be {_KINDS[kind]}, got {data[key]!r}")
+    return [data[key] for key in kinds]

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import jsontext
 from .coloring import Coloring, is_proper, local_count
-from .errors import ParameterError
+from .errors import ParameterError, SizeCapError, as_int
 from .icp import IcpInstance
 
 # x^w + ... + 1, one commonly used irreducible polynomial per degree
@@ -70,6 +70,8 @@ class FieldSpec:
     poly: int = dc_field(default=0)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "w", as_int(self.w, "field degree w"))
+        object.__setattr__(self, "poly", as_int(self.poly, "reduction polynomial poly"))
         if not (1 <= self.w <= 16):
             raise ParameterError(f"field degree must lie in [1, 16], got {self.w}")
         if self.poly == 0:
@@ -242,7 +244,7 @@ class TransmissionScheme:
     non-integer or non-2-D array, a column count other than
     ``len(message_order)``, or a ``split_factor`` that is not a positive
     ``int`` raise :class:`ParameterError`, as does :meth:`from_json` for a
-    document that lacks a key.
+    document that lacks a key or holds a value of the wrong type.
     """
 
     field: FieldSpec
@@ -282,11 +284,12 @@ class TransmissionScheme:
 
     @classmethod
     def from_json(cls, text: str) -> "TransmissionScheme":
-        keys = "field", "message_order", "split_factor", "rows"
-        spec, order, split, rows = jsontext.fields(json.loads(text), "a scheme", *keys)
-        spec = FieldSpec(*jsontext.fields(spec, "a scheme's field", "w", "poly"))
+        spec, order, split, rows = jsontext.fields(
+            json.loads(text), "a scheme", field=dict, message_order=list, split_factor=int, rows=list
+        )
+        spec = FieldSpec(*jsontext.fields(spec, "a scheme's field", w=int, poly=int))
         width = 2 if spec.w <= 8 else 4
-        order = tuple(order)
+        order = tuple(as_int(m, "a scheme's message_order entry") for m in order)
         for row in rows:
             if not (isinstance(row, str) and re.fullmatch(f"[0-9a-fA-F]{{{width * len(order)}}}", row)):
                 raise ParameterError(
@@ -362,13 +365,28 @@ def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, .
     return verify_schemes([(scheme, icp)])[0]
 
 
+# the most exact-rank work one batch may need, in cells of the shape bound
+# that ``verify_cells`` sums over its pairs; a batch above it is refused before
+# its first elimination. At the limit a plan verifies in about 6 to 12 s on a
+# 2-vCPU VM: (250, 250, 2, 6) and (300, 300, 100, 2) both sit at 9.3e11.
+VERIFY_CELL_BUDGET = 10**12
+
+
 def verify_schemes(pairs: list) -> list[tuple[bool, ...]]:
     """Per-user decodability of each ``(scheme, icp)`` pair, in order: one
     elimination tree over all pairs' distinct known sets (:func:`_tree_spans`),
     or consecutive trees of about :data:`_BATCH_CELLS` each for a larger
-    batch. Schemes over two fields raise :class:`ParameterError`."""
+    batch. Schemes over two fields raise :class:`ParameterError`, and a batch
+    whose summed :func:`verify_cells` exceed :data:`VERIFY_CELL_BUDGET`
+    raises :class:`~.errors.SizeCapError` before any elimination."""
     if len({scheme.field for scheme, _ in pairs}) > 1:
         raise ParameterError("a batch of schemes must share one field")
+    cells = sum(verify_cells(scheme, icp) for scheme, icp in pairs)
+    if cells > VERIFY_CELL_BUDGET:
+        raise SizeCapError(
+            f"verifying this plan takes about {cells:.2e} cells of exact "
+            f"elimination, above the budget of {VERIFY_CELL_BUDGET:.0e}"
+        )
     # consecutive pairs share a tree while their running cells stay in one multiple
     ends = np.cumsum([len(icp.known_rows) * scheme.coefficients.size for scheme, icp in pairs])
     spans = []

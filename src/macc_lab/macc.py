@@ -14,10 +14,10 @@ helpers ``mod1`` and ``circ_interval``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 
 
 def mod1(n: int, m: int) -> int:
@@ -58,6 +58,8 @@ class MaccInstance:
     ``memory_index`` is the corner index ``i``; cache memory is ``i*N/K`` file
     units. ``i = 0`` and ``i = ceil(K/L)`` are the trivial corners (rate K and
     rate 0); placement itself is defined for ``1 <= i <= floor(K/L)``.
+    Parameters are stored as Python ints; anything but an integer (numpy ones
+    included, ``bool`` not) raises :class:`ParameterError`.
     """
 
     n_files: int
@@ -66,6 +68,8 @@ class MaccInstance:
     memory_index: int
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, as_int(getattr(self, f.name), f.name))
         if self.n_files < 1:
             raise ParameterError(f"need at least one file, got {self.n_files}")
         if self.n_caches < 1:
@@ -97,12 +101,13 @@ class MaccInstance:
 
 @dataclass(frozen=True)
 class DemandProfile:
-    """The file requested by each user; entry j is user j's file index."""
+    """The file requested by each user; entry j is user j's file index, an
+    integer stored as a Python int (anything else raises :class:`ParameterError`)."""
 
     demands: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "demands", tuple(self.demands))
+        object.__setattr__(self, "demands", tuple(as_int(d, "a demand") for d in self.demands))
 
     @classmethod
     def worst_case(cls, instance: MaccInstance) -> "DemandProfile":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import ParameterError
+from .errors import ParameterError, as_int
 from .icp import StructuredIcpDesc, UnionIcpDesc
 from .macc import mod1
 
@@ -107,8 +107,10 @@ def union_bounds(desc: UnionIcpDesc) -> UnionBounds:
     )
 
 
-def _check_corner(k: int, l: int, i: int) -> int:
-    """Validate a (K, L, i) corner and return the coverage i*L."""
+def _check_corner(k: int, l: int, i: int) -> tuple[int, int, int, int]:
+    """Validate a (K, L, i) corner of integers; return it as Python ints and
+    the coverage i*L."""
+    k, l, i = as_int(k, "K"), as_int(l, "L"), as_int(i, "i")
     if k < 1:
         raise ParameterError(f"need at least one cache, got K={k}")
     if not (1 <= l <= k):
@@ -116,7 +118,7 @@ def _check_corner(k: int, l: int, i: int) -> int:
     ceil_kl = -(-k // l)
     if not (0 <= i <= ceil_kl):
         raise ParameterError(f"memory index must lie in [0, {ceil_kl}], got {i}")
-    return i * l
+    return k, l, i, i * l
 
 
 _ZERO_MEMORY_NOTE = "zero-memory corner: plain broadcast costs K file units"
@@ -125,7 +127,7 @@ _FULL_COVERAGE_NOTE = "every user already sees every subfile"
 
 def rate_prior_restricted(k: int, l: int, i: int) -> RateReport:
     """Earlier scheme that needs both ``i`` and ``K-iL+i`` to divide ``K``."""
-    cov = _check_corner(k, l, i)
+    k, l, i, cov = _check_corner(k, l, i)
     name = "prior_restricted"
     if i == 0:
         return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
@@ -142,7 +144,7 @@ def rate_prior_restricted(k: int, l: int, i: int) -> RateReport:
 
 def rate_prior_general(k: int, l: int, i: int) -> RateReport:
     """Earlier unrestricted scheme; subpacketization can grow past linear."""
-    cov = _check_corner(k, l, i)
+    k, l, i, cov = _check_corner(k, l, i)
     name = "prior_general"
     if i == 0:
         return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
@@ -164,7 +166,7 @@ def rate_divisor(k: int, l: int, i: int, divisor: int | None = None) -> RateRepo
     Defaults to the smallest usable divisor. Linear subpacketization:
     ``K`` parts when ``K-iL`` is even, ``K+1`` (one subfile halved) when odd.
     """
-    cov = _check_corner(k, l, i)
+    k, l, i, cov = _check_corner(k, l, i)
     name = "divisor"
     if i == 0:
         return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
@@ -179,7 +181,7 @@ def rate_divisor(k: int, l: int, i: int, divisor: int | None = None) -> RateRepo
 
 def rate_linear(k: int, l: int, i: int) -> RateReport:
     """Scalar per-column-pair scheme; always linear subpacketization."""
-    cov = _check_corner(k, l, i)
+    k, l, i, cov = _check_corner(k, l, i)
     name = "linear"
     if i == 0:
         return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
@@ -209,7 +211,7 @@ def rate_quadratic(k: int, l: int, i: int) -> RateReport:
     Even deficit: sum of per-pair fractional counts. Odd deficit: the
     leftover middle column rides at twice the split of everything else.
     """
-    cov = _check_corner(k, l, i)
+    k, l, i, cov = _check_corner(k, l, i)
     name = "quadratic"
     if i == 0:
         return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
@@ -257,7 +259,7 @@ def corner_points(
     The trivial anchors (0, K) and (1, 0) are always included; corners the
     calculator cannot price are dropped.
     """
-    _check_corner(k, l, 0)
+    k, l, _, _ = _check_corner(k, l, 0)
     ceil_kl = -(-k // l)
     pts: dict[Fraction, Fraction] = {Fraction(0): Fraction(k), Fraction(1): Fraction(0)}
     for idx in range(1, ceil_kl + 1):

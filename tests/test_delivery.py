@@ -503,20 +503,16 @@ class TestRealizeOnce:
         plan = plan_for(9, 2, 3, mode, oracle_node_cap=0)
         assert plan.users_ok == (True,) * 9
         assert len(plan.pairs) == 2
-        got = list(realized)
-        assert got == [pair_instance(p) for p in plan.pairs]
+        # each pair holds the very instance its scheme was coded for
+        assert len(realized) == len(plan.pairs)
+        assert all(pair_instance(p) is inst for p, inst in zip(plan.pairs, realized))
 
     def test_replaced_plan_realizes_its_own_pairs(self, monkeypatch):
+        # a replaced plan checks the instances its pairs hold, realizing none
         plan = plan_for(9, 2, 3, "quadratic")
         realized = self.count_realizations(monkeypatch)
         assert replace(plan).users_ok == plan.users_ok
-        got = list(realized)
-        assert got == [pair_instance(p) for p in plan.pairs]
-
-    def test_instances_must_match_pairs(self):
-        plan = plan_for(9, 2, 3, "quadratic")
-        with pytest.raises(ParameterError):
-            replace(plan, instances=(pair_instance(plan.pairs[0]),))
+        assert realized == []
 
 
 class TestPlanJson:

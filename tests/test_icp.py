@@ -359,6 +359,12 @@ class TestInstanceValidation:
             ({"n_messages": 2, "users": [{"known": [2]}]}, "want"),
             ({"n_messages": 2, "users": [[1, 2]]}, "JSON object"),
             ([{"n_messages": 2, "users": []}], "JSON object"),
+            ({"n_messages": 2, "users": 5}, "'users' must be a list"),
+            ({"n_messages": 2, "users": [{"want": 1, "known": [2]}]}, "'want' must be a list"),
+            ({"n_messages": 2, "users": [{"want": [[1]], "known": [2]}]}, "message id"),
+            ({"n_messages": "2", "users": []}, "'n_messages' must be an integer"),
+            ({"n_messages": 2, "users": [], "labels": []}, "'labels' must be a JSON object"),
+            ({"n_messages": 2, "users": [], "labels": {"a": "x"}}, "keyed by message ids"),
         ],
     )
     def test_bad_document_is_a_parameter_error(self, doc, named):

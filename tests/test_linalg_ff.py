@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ from macc_lab import (
     IcpUser,
     MaccInstance,
     ParameterError,
+    SizeCapError,
     StructuredIcpDesc,
     TransmissionScheme,
     UnionIcpDesc,
@@ -123,6 +125,10 @@ class TestFieldSpec:
             FieldSpec(0)
         with pytest.raises(ParameterError):
             FieldSpec(17)
+        for args in [("x",), (8.0,), (True,), (8, "x"), (8, 285.0)]:
+            with pytest.raises(ParameterError, match="must be an integer"):
+                FieldSpec(*args)
+        assert FieldSpec(np.int64(8)) == FieldSpec(8) and type(FieldSpec(np.int64(8)).w) is int
 
     def test_default_polynomials_all_define_fields(self):
         for w in range(1, 17):
@@ -344,6 +350,11 @@ class TestTransmissionScheme:
             (lambda d: {**d, "split_factor": 0}, "split_factor"),
             (lambda d: {**d, "split_factor": True}, "split_factor"),
             (lambda d: {**d, "split_factor": 1.0}, "split_factor"),
+            (lambda d: {**d, "field": {"w": "x", "poly": 0x11D}}, "'w' must be an integer"),
+            (lambda d: {**d, "field": {"w": 8, "poly": True}}, "'poly' must be an integer"),
+            (lambda d: {**d, "message_order": 5}, "'message_order' must be a list"),
+            (lambda d: {**d, "message_order": [1, "2"]}, "message_order entry"),
+            (lambda d: {**d, "rows": "0102"}, "'rows' must be a list"),
         ],
     )
     def test_bad_document_is_a_parameter_error(self, change, named):
@@ -449,6 +460,23 @@ class TestEncode:
         scheme = encode(icp, greedy_coloring(icp))
         with pytest.raises(ParameterError):
             can_decode(scheme, icp, 0)
+
+    def test_every_entry_point_refuses_past_the_budget(self, monkeypatch):
+        def no_elimination(*args, **kwargs):
+            raise AssertionError("eliminated before the budget check")
+
+        icp = realize_union_split(UnionIcpDesc(2, 1, 2), 1)
+        scheme = encode(icp, greedy_coloring(icp))
+        monkeypatch.setattr(linalg_ff, "VERIFY_CELL_BUDGET", 0)
+        monkeypatch.setattr(linalg_ff, "_eliminate", no_elimination)
+        text = (r"verifying this plan takes about \S+ cells of exact elimination, "
+                r"above the budget of 0e\+00")
+        for check in (lambda: linalg_ff.verify_schemes([(scheme, icp)]),
+                      lambda: verify_scheme(scheme, icp),
+                      lambda: can_decode(scheme, icp, 1)):
+            with pytest.raises(SizeCapError) as info:
+                check()
+            assert re.fullmatch(text, str(info.value))
 
 
 def reference_verdicts(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:

@@ -1,5 +1,8 @@
 """Cyclic index arithmetic, problem parameters, and placement."""
 
+from dataclasses import astuple
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from macc_lab import (
     ParameterError,
     accessible_subfiles,
     as_demand_profile,
+    assemble,
     circ_interval,
     interval_contains,
     mod1,
@@ -66,6 +70,20 @@ class TestMaccInstance:
         with pytest.raises(ParameterError):
             MaccInstance(n_files=4, n_caches=4, access_degree=0, memory_index=1)
 
+    @pytest.mark.parametrize("bad", [1.5, 3.0, True, "3", None, np.float64(3), np.bool_(True)])
+    def test_parameters_must_be_integers(self, bad):
+        for at in range(4):
+            args = [8, 8, 2, 3]
+            args[at] = bad
+            with pytest.raises(ParameterError, match="must be an integer"):
+                MaccInstance(*args)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        inst = MaccInstance(np.int64(8), np.int32(8), np.uint8(2), np.int64(3))
+        assert inst == MaccInstance(8, 8, 2, 3)
+        assert all(type(v) is int for v in astuple(inst))
+        assert all(assemble(inst).users_ok)
+
     def test_memory_and_coverage(self):
         inst = MaccInstance(n_files=8, n_caches=8, access_degree=2, memory_index=3)
         assert inst.coverage == 6
@@ -91,6 +109,16 @@ class TestDemands:
             as_demand_profile(inst, (1, 2, 3))
         with pytest.raises(ParameterError):
             as_demand_profile(inst, (1, 2, 3, 5))
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None, np.float64(2)])
+    def test_demands_must_be_integers(self, bad):
+        inst = MaccInstance(n_files=4, n_caches=4, access_degree=1, memory_index=1)
+        with pytest.raises(ParameterError, match="must be an integer"):
+            as_demand_profile(inst, (1, bad, 3, 4))
+        with pytest.raises(ParameterError, match="must be an integer"):
+            assemble(inst, [1, bad, 3, 4])
+        demands = DemandProfile(np.array([1, 2, 2, 4])).demands
+        assert demands == (1, 2, 2, 4) and all(type(d) is int for d in demands)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +190,21 @@ class TestCalculatorsGeneric:
             rate_quadratic(4, 1, 5)
         with pytest.raises(ParameterError):
             rate_quadratic(4, 1, -1)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None, np.float64(2)])
+    def test_corner_must_be_integers(self, bad):
+        for at in range(3):
+            corner = [8, 2, 1]
+            corner[at] = bad
+            with pytest.raises(ParameterError, match="must be an integer"):
+                compare(*corner)
+            if at < 2:
+                with pytest.raises(ParameterError, match="must be an integer"):
+                    corner_points(*corner[:2])
+        # numpy integers price exactly as Python ints
+        corner = np.int64(8), np.int32(2), np.uint8(1)
+        assert compare(*corner) == compare(8, 2, 1)
+        assert corner_points(*corner[:2]) == corner_points(8, 2)
 
     def test_explicit_divisor_validation(self):
         with pytest.raises(ParameterError):
