@@ -29,7 +29,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import jsontext
 from .delivery import assemble, plan_to_json, verify_plan
 from .errors import ParameterError, SizeCapError, VerificationError
 from .linalg_ff import FieldSpec
@@ -204,7 +203,7 @@ def cmd_rates(args: argparse.Namespace) -> int:
                 for name, m, rate, f, applicable, note in rows
             ],
         }
-        sys.stdout.write(jsontext.dumps(payload, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
 
     buf = io.StringIO()

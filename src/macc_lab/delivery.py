@@ -32,10 +32,10 @@ the split except in the two plain-column cases it names.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
-from . import jsontext
 from .coloring import (
     Coloring,
     divisor_coloring,
@@ -260,7 +260,7 @@ def assemble(
     k = table.n_rows
     d = table.n_cols
     if mode == "divisor":
-        _require_divisor(k, d + 1, divisor)
+        divisor = _require_divisor(k, d + 1, divisor)
     elif divisor is not None:
         raise ParameterError("an explicit divisor only applies to divisor mode")
 
@@ -430,50 +430,78 @@ def _part_label(table: IcpTable, msg: int, part: int, split: int) -> str:
     return table.message_label(msg) + ("" if split == 1 else f"#{part}")
 
 
+# What json.dumps(payload, indent=2) writes for one pair of the plan's "pairs"
+# list, from the "[" or "," before it up to its scheme. It must keep that
+# layout: TestPlanJson in tests/test_delivery.py checks it against the stdlib
+# writer on a reference payload. No list in it is ever empty.
+_PAIR = """%s
+    {
+      "columns": [
+        %s
+      ],
+      "kind": "%s",
+      "tag": "%s",
+      "cell_split": %d,
+      "n_transmissions": %d,
+      "colors": [
+        %s
+      ],
+      "messages": [
+        %s
+      ],
+      "scheme": """
+# one message of a pair; labels are ASCII that JSON writes as they are
+_MESSAGE = """{
+          "table_message": %d,
+          "part": %d,
+          "label": "%s"
+        }"""
+
+
 def plan_to_json(plan: DeliveryPlan) -> str:
-    """Stable JSON rendering of a plan (schedule, colorings, coefficients)."""
+    """Stable JSON rendering of a plan (schedule, colorings, coefficients):
+    ``json.dumps(payload, indent=2)`` text, with the header written by
+    :func:`json.dumps` and each pair by the ``_PAIR`` template."""
     inst = plan.table.instance
-    pairs = []
-    for pair in plan.pairs:
-        pairs.append(
-            {
-                "columns": list(pair.columns),
-                "kind": pair.kind,
-                "tag": pair.tag,
-                "cell_split": pair.cell_split,
-                "n_transmissions": pair.n_transmissions,
-                "colors": list(pair.coloring.colors),
-                "messages": [
-                    {
-                        "table_message": g,
-                        "part": part,
-                        "label": _part_label(plan.table, g, part, pair.cell_split),
-                    }
-                    for g, part in pair.part_map
-                ],
-                "scheme": pair.scheme.to_dict(),
-            }
+    head = json.dumps(
+        {
+            "params": {
+                "n_files": inst.n_files,
+                "n_caches": inst.n_caches,
+                "access_degree": inst.access_degree,
+                "memory_index": inst.memory_index,
+            },
+            "demands": list(plan.table.demands.demands),
+            "mode": plan.mode,
+            "divisor": plan.divisor,
+            "field": {"w": plan.field.w, "poly": plan.field.poly},
+            "rate": {
+                "num": plan.rate.numerator,
+                "den": plan.rate.denominator,
+                "decimal": f"{float(plan.rate):.6f}",
+            },
+            "subpacketization": plan.subpacketization,
+            "base_split": plan.base_split,
+            "n_transmissions": plan.n_transmissions,
+            "notes": list(plan.notes),
+            "pairs": [],
+        },
+        indent=2,
+    )
+    if not plan.pairs:
+        return head
+    items = ",\n        ".join
+    parts = [head[: -len("[]\n}")]]
+    for n, pair in enumerate(plan.pairs):
+        messages = (_MESSAGE % (g, part, _part_label(plan.table, g, part, pair.cell_split))
+                    for g, part in pair.part_map)
+        parts += (
+            _PAIR % ("," if n else "[", items(map(str, pair.columns)), pair.kind, pair.tag,
+                     pair.cell_split, pair.n_transmissions,
+                     items(map(str, pair.coloring.colors)), items(messages)),
+            # the bulk of the text; split, it is freed before its indented copy is
+            # made (.replace fragments the heap: 45 MB more at (300,300,100,2))
+            "\n      ".join(pair.scheme.to_json().split("\n")),
+            "\n    }",
         )
-    payload = {
-        "params": {
-            "n_files": inst.n_files,
-            "n_caches": inst.n_caches,
-            "access_degree": inst.access_degree,
-            "memory_index": inst.memory_index,
-        },
-        "demands": list(plan.table.demands.demands),
-        "mode": plan.mode,
-        "divisor": plan.divisor,
-        "field": {"w": plan.field.w, "poly": plan.field.poly},
-        "rate": {
-            "num": plan.rate.numerator,
-            "den": plan.rate.denominator,
-            "decimal": f"{float(plan.rate):.6f}",
-        },
-        "subpacketization": plan.subpacketization,
-        "base_split": plan.base_split,
-        "n_transmissions": plan.n_transmissions,
-        "notes": list(plan.notes),
-        "pairs": pairs,
-    }
-    return jsontext.dumps(payload)
+    return "".join(parts + ["\n  ]\n}"])

@@ -368,7 +368,7 @@ def icp_to_json(icp: IcpInstance) -> str:
     }
     if icp.labels:
         payload["labels"] = {str(m): icp.labels[m] for m in sorted(icp.labels)}
-    return jsontext.dumps(payload)
+    return json.dumps(payload, indent=2)
 
 
 def icp_from_json(text: str) -> IcpInstance:

@@ -240,11 +240,12 @@ class TransmissionScheme:
     ``coefficients[r, c]`` multiplies the message at ``message_order[c]`` in
     transmission ``r``. ``split_factor`` records how many equal parts each
     message was cut into before coding (the scheme's symbols are that
-    fraction of a message). Coefficients outside ``[0, field.size)``, a
-    non-integer or non-2-D array, a column count other than
-    ``len(message_order)``, or a ``split_factor`` that is not a positive
-    ``int`` raise :class:`ParameterError`, as does :meth:`from_json` for a
-    document that lacks a key or holds a value of the wrong type.
+    fraction of a message); it is stored as a Python ``int``. Coefficients
+    outside ``[0, field.size)``, a non-integer or non-2-D array, a column
+    count other than ``len(message_order)``, or a ``split_factor`` that is
+    not a positive integer (numpy integers count, ``bool`` does not) raise
+    :class:`ParameterError`, as does :meth:`from_json` for a document that
+    lacks a key or holds a value of the wrong type.
     """
 
     field: FieldSpec
@@ -260,27 +261,26 @@ class TransmissionScheme:
                 f"({len(self.message_order)}), got shape {coeff.shape}"
             )
         _check_entries(coeff, self.field, "coefficients")
-        split = self.split_factor
-        if not isinstance(split, int) or isinstance(split, bool) or split < 1:
-            raise ParameterError(f"split_factor must be a positive int, got {split!r}")
+        split = as_int(self.split_factor, "split_factor")
+        if split < 1:
+            raise ParameterError(f"split_factor must be a positive integer, got {split!r}")
+        object.__setattr__(self, "split_factor", split)
 
     @property
     def n_transmissions(self) -> int:
         return int(self.coefficients.shape[0])
 
-    def to_dict(self) -> dict:
-        """The JSON object :meth:`to_json` writes, for embedding elsewhere."""
+    def to_json(self) -> str:
+        """The scheme as ``json.dumps(..., indent=2)`` text: its field, message
+        order, split factor, and one hex string per transmission."""
         # big-endian bytes: two hex digits per coefficient up to w = 8, four above
         coeff = self.coefficients.astype(">u1" if self.field.w <= 8 else ">u2")
-        return {
+        return json.dumps({
             "field": {"w": self.field.w, "poly": self.field.poly},
             "message_order": list(self.message_order),
             "split_factor": self.split_factor,
             "rows": [row.tobytes().hex() for row in coeff],
-        }
-
-    def to_json(self) -> str:
-        return jsontext.dumps(self.to_dict())
+        }, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "TransmissionScheme":

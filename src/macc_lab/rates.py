@@ -81,10 +81,15 @@ def smallest_valid_divisor(k: int, minimum: int) -> int:
     raise AssertionError("unreachable: k divides k")
 
 
-def _require_divisor(k: int, s: int, x: int | None) -> None:
-    """Reject an explicit divisor ``x`` unless ``x | k`` and ``x >= s = K-iL+1``."""
-    if x is not None and (x < s or x > k or k % x):
+def _require_divisor(k: int, s: int, x: int | None) -> int | None:
+    """``x`` as a Python int, or ``None``; :class:`ParameterError` unless an
+    explicit divisor ``x`` is an integer with ``x | k`` and ``x >= s = K-iL+1``."""
+    if x is None:
+        return None
+    x = as_int(x, "divisor")
+    if x < s or x > k or k % x:
         raise ParameterError(f"divisor must divide K={k} and be at least K-iL+1={s}, got {x}")
+    return x
 
 
 def union_bounds(desc: UnionIcpDesc) -> UnionBounds:
@@ -170,7 +175,7 @@ def rate_divisor(k: int, l: int, i: int, divisor: int | None = None) -> RateRepo
     name = "divisor"
     if i == 0:
         return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
-    _require_divisor(k, max(k - cov, 0) + 1, divisor)
+    divisor = _require_divisor(k, max(k - cov, 0) + 1, divisor)
     if cov > k:
         return RateReport(name, True, Fraction(0), k, _FULL_COVERAGE_NOTE)
     d = k - cov

@@ -59,6 +59,8 @@ class TestRates:
         assert (quad["rate_num"], quad["rate_den"]) == (3, 8)
         assert quad["rate_decimal"] == "0.375000"
         assert by_scheme["prior_restricted"]["rate_num"] is None
+        # the stdlib's indent=2 layout with sorted keys, one newline after it
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
     def test_explicit_divisor(self, capsys):
         code, out, _ = run_cli(

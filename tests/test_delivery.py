@@ -179,6 +179,13 @@ class TestAssembleValidation:
             plan_for(8, 2, 3, "divisor", divisor=2)
         with pytest.raises(ParameterError):  # K-iL = 0: checked before the empty plan
             plan_for(6, 2, 3, "divisor", divisor=5)
+        for bad in (8.0, True):
+            with pytest.raises(ParameterError, match="divisor must be an integer"):
+                plan_for(8, 2, 2, "divisor", divisor=bad)
+        # a numpy integer divisor is stored as a Python int and serializes alike
+        plan = plan_for(8, 2, 2, "divisor", divisor=np.int64(8))
+        assert type(plan.divisor) is int
+        assert plan_to_json(plan) == plan_to_json(plan_for(8, 2, 2, "divisor", divisor=8))
 
     def test_zero_memory_rejected(self):
         with pytest.raises(ParameterError):
@@ -515,7 +522,98 @@ class TestRealizeOnce:
         assert realized == []
 
 
+def reference_payload(plan):
+    """The plan JSON as one dict, field by field: ``plan_to_json`` must write
+    exactly ``json.dumps(reference_payload(plan), indent=2)``."""
+    inst = plan.table.instance
+
+    def scheme(s):
+        coeff = s.coefficients.astype(">u1" if s.field.w <= 8 else ">u2")
+        return {
+            "field": {"w": s.field.w, "poly": s.field.poly},
+            "message_order": list(s.message_order),
+            "split_factor": s.split_factor,
+            "rows": [row.tobytes().hex() for row in coeff],
+        }
+
+    def label(g, part, split):
+        return plan.table.message_label(g) + ("" if split == 1 else f"#{part}")
+
+    return {
+        "params": {
+            "n_files": inst.n_files,
+            "n_caches": inst.n_caches,
+            "access_degree": inst.access_degree,
+            "memory_index": inst.memory_index,
+        },
+        "demands": list(plan.table.demands.demands),
+        "mode": plan.mode,
+        "divisor": plan.divisor,
+        "field": {"w": plan.field.w, "poly": plan.field.poly},
+        "rate": {
+            "num": plan.rate.numerator,
+            "den": plan.rate.denominator,
+            "decimal": f"{float(plan.rate):.6f}",
+        },
+        "subpacketization": plan.subpacketization,
+        "base_split": plan.base_split,
+        "n_transmissions": plan.n_transmissions,
+        "notes": list(plan.notes),
+        "pairs": [
+            {
+                "columns": list(pair.columns),
+                "kind": pair.kind,
+                "tag": pair.tag,
+                "cell_split": pair.cell_split,
+                "n_transmissions": pair.n_transmissions,
+                "colors": list(pair.coloring.colors),
+                "messages": [
+                    {"table_message": g, "part": part, "label": label(g, part, pair.cell_split)}
+                    for g, part in pair.part_map
+                ],
+                "scheme": scheme(pair.scheme),
+            }
+            for pair in plan.pairs
+        ],
+    }
+
+
+@st.composite
+def rendered_plans(draw):
+    """A K <= 14 plan in any mode, with iL >= K allowed (no pairs), repeated
+    demands, and GF(2^8) or GF(2^16)."""
+    k = draw(st.integers(2, 14))
+    l = draw(st.integers(1, k))
+    i = draw(st.integers(1, -(-k // l)))
+    demands = draw(st.none() | st.lists(st.integers(1, k), min_size=k, max_size=k))
+    field = draw(st.sampled_from([None, FieldSpec(16)]))
+    mode = draw(st.sampled_from(["linear", "quadratic", "divisor"]))
+    return assemble(MaccInstance(k, k, l, i), demands, mode=mode, field=field, oracle_node_cap=0)
+
+
 class TestPlanJson:
+    @given(rendered_plans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stdlib_rendering(self, plan):
+        assert plan_to_json(plan) == json.dumps(reference_payload(plan), indent=2)
+
+    @pytest.mark.parametrize(
+        "make, edge",
+        [
+            (lambda: plan_for(6, 2, 3, "quadratic"), lambda p: p.pairs == ()),  # iL = K
+            (lambda: replace(plan_for(9, 2, 3, "linear"), notes=("first", 'a "quoted" \u00e9 note')),
+             lambda p: len(p.notes) == 2),
+            (lambda: plan_for(8, 2, 2, "divisor", divisor=8), lambda p: p.divisor == 8),
+            (lambda: plan_for(9, 2, 3, "quadratic", field=FieldSpec(16)),  # "#j" labels
+             lambda p: p.pairs and all(q.cell_split > 1 for q in p.pairs)),
+        ],
+        ids=["no-pairs", "notes", "explicit-divisor", "split-labels"],
+    )
+    def test_matches_stdlib_rendering_at_edges(self, make, edge):
+        plan = make()
+        assert edge(plan)
+        assert plan_to_json(plan) == json.dumps(reference_payload(plan), indent=2)
+
     def test_structure_and_stability(self):
         plan = plan_for(9, 2, 3, "quadratic")
         text = plan_to_json(plan)

@@ -278,8 +278,11 @@ class TestTransmissionScheme:
             field=FieldSpec(8),
             message_order=(1,),
             coefficients=np.ones((3, 1), dtype=np.uint32),
+            split_factor=np.int64(2),
         )
         assert scheme.n_transmissions == 3
+        # a numpy integer split factor is kept as a Python int
+        assert type(scheme.split_factor) is int and scheme.split_factor == 2
 
     def test_coefficient_outside_field(self):
         with pytest.raises(ParameterError):

@@ -201,6 +201,11 @@ class TestCalculatorsGeneric:
             if at < 2:
                 with pytest.raises(ParameterError, match="must be an integer"):
                     corner_points(*corner[:2])
+        if bad is not None:  # None asks for the smallest valid divisor
+            with pytest.raises(ParameterError, match="divisor must be an integer"):
+                rate_divisor(8, 2, 1, divisor=bad)
+            with pytest.raises(ParameterError, match="divisor must be an integer"):
+                compare(8, 2, 1, divisor=bad)
         # numpy integers price exactly as Python ints
         corner = np.int64(8), np.int32(2), np.uint8(1)
         assert compare(*corner) == compare(8, 2, 1)
