@@ -28,8 +28,9 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
-from .delivery import assemble, plan_to_json, verify_plan
+from .delivery import _plan_chunks, assemble, verify_plan
 from .errors import ParameterError, SizeCapError, VerificationError
 from .linalg_ff import FieldSpec
 from .macc import MaccInstance
@@ -41,26 +42,9 @@ _SCHEMES = ("prior_restricted", "prior_general", "divisor", "linear", "quadratic
 _MODES = ("quadratic", "linear", "divisor")
 _RATES_HEADER = ("K", "L", "i", "M", "scheme", "rate_num", "rate_den", "F", "applicable")
 _SWEEP_HEADER = (
-    "K",
-    "L",
-    "i",
-    "M",
-    "mode",
-    "prior_restricted",
-    "prior_restricted_dec",
-    "prior_general",
-    "prior_general_dec",
-    "divisor",
-    "divisor_dec",
-    "linear",
-    "linear_dec",
-    "quadratic",
-    "quadratic_dec",
-    "constructed",
-    "constructed_dec",
-    "F",
-    "transmissions",
-    "decode_verified",
+    "K", "L", "i", "M", "mode",
+    *(c for name in _SCHEMES + ("constructed",) for c in (name, name + "_dec")),
+    "F", "transmissions", "decode_verified",
 )
 
 # guards on total sweep work; assembly verifies every tuple end to end
@@ -257,7 +241,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             f" constructed={_frac_cell(plan.rate)} calculator={_frac_cell(check.calculator_rate)}"
         )
 
-    payload = plan_to_json(plan)
+    text = chain(_plan_chunks(plan), "\n")  # written a pair at a time
     summary = (
         f"rate {_frac_cell(plan.rate)} ({_dec_cell(plan.rate)})\n"
         f"F {plan.subpacketization}\n"
@@ -266,12 +250,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
+                fh.writelines(text)
         except OSError as exc:
             raise ParameterError(f"cannot write output: {exc}") from exc
         sys.stdout.write(summary)
     else:
-        sys.stdout.write(payload + "\n")
+        sys.stdout.writelines(text)
         sys.stderr.write(summary)
     return 0
 

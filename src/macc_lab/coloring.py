@@ -7,13 +7,13 @@ is the largest number of distinct colors seen by any closed set
 ``{u} + interferers(u)``. The local count, not the palette size, is what a
 properly colored instance pays in transmissions.
 
-Two structured constructions cover the union descriptors:
+The union descriptors have one structured rule, a shifted window on the
+``K x 2m`` grid: node ``(k, p)``, with 0-based column ``p``, gets
+``mod1(k + (p // 2) * s + (p % 2) * (a1 + 1), t)`` for ``s = a1 + a2 + 2``.
 
-* :func:`divisor_coloring` - palette size ``t`` with ``t | K``; column one of
-  row ``k`` gets ``mod1(k, t)``, column two ``mod1(k + a1 + 1, t)``.
-* :func:`fractional_coloring` - split every message into ``m = K // (a1+a2+2)``
-  parts and color the ``2m``-column grid with all ``K`` colors so the palette
-  advances by ``a1+a2+2`` every column pair.
+* :func:`divisor_coloring` - ``m = 1`` and a palette ``t`` with ``t | K``.
+* :func:`fractional_coloring` - every message split into ``m = K // s`` parts
+  and all ``t = K`` colors, so the palette advances by ``s`` every column pair.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .icp import IcpInstance, UnionIcpDesc
-from .macc import mod1
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,7 @@ def divisor_coloring(desc: UnionIcpDesc, n_colors: int) -> Coloring:
         )
     if k % n_colors != 0:
         raise ParameterError(f"{n_colors} does not divide K = {k}")
-    colors = []
-    for row in range(1, k + 1):
-        colors.append(mod1(row, n_colors))
-        colors.append(mod1(row + desc.a1 + 1, n_colors))
-    return Coloring(tuple(colors))
+    return _window_coloring(desc, 1, n_colors)
 
 
 def fractional_split(desc: UnionIcpDesc) -> int:
@@ -156,19 +151,18 @@ def fractional_coloring(desc: UnionIcpDesc) -> tuple[Coloring, int]:
     Returns the coloring over :func:`realize_union_split`'s node order and
     the split factor ``m``.
     """
-    k = desc.k
-    s = desc.a1 + desc.a2 + 2
     m = fractional_split(desc)
-    colors = []
-    for row in range(1, k + 1):
-        for p in range(1, 2 * m + 1):
-            j = (p + 1) // 2
-            base = (j - 1) * s
-            if p % 2 == 1:
-                colors.append(mod1(row + base, k))
-            else:
-                colors.append(mod1(row + base + desc.a1 + 1, k))
-    return Coloring(tuple(colors)), m
+    return _window_coloring(desc, m, desc.k), m
+
+
+def _window_coloring(desc: UnionIcpDesc, m: int, t: int) -> Coloring:
+    """The shifted-window coloring of the ``K x 2m`` grid with ``t`` colors,
+    row-major as :func:`realize_union_split` lays out its nodes."""
+    s = desc.a1 + desc.a2 + 2
+    # per column; a list, as numpy's fixed cost would dominate on small grids
+    shift = [p // 2 * s + p % 2 * (desc.a1 + 1) for p in range(2 * m)]
+    colors = (np.arange(desc.k)[:, None] + shift) % t + 1
+    return Coloring(tuple(colors.ravel().tolist()))
 
 
 def greedy_coloring(icp: IcpInstance) -> Coloring:

@@ -98,7 +98,8 @@ class PairPlan:
     covers one column with each cell halved into a two-sided instance, and
     ``column`` covers one column whole-cell. ``part_map[m-1]`` gives the
     table message and part index carried by local message ``m``;
-    ``cell_split`` is the number of parts each table cell is cut into here.
+    ``cell_split``, the scheme's ``split_factor``, is the number of parts each
+    table cell is cut into here.
     ``icp`` is the local instance ``scheme`` was coded for, as ``_component``
     realized it; the plan's decode check runs on it.
     """
@@ -107,11 +108,14 @@ class PairPlan:
     desc: UnionIcpDesc | StructuredIcpDesc
     kind: str
     tag: str
-    cell_split: int
     coloring: Coloring
     scheme: TransmissionScheme
     part_map: tuple[tuple[int, int], ...]
     icp: IcpInstance = dc_field(compare=False, repr=False)
+
+    @property
+    def cell_split(self) -> int:
+        return self.scheme.split_factor
 
     @property
     def n_transmissions(self) -> int:
@@ -259,30 +263,13 @@ def assemble(
     table = reduce_macc(instance, demands)
     k = table.n_rows
     d = table.n_cols
+    s = d + 1
     if mode == "divisor":
-        divisor = _require_divisor(k, d + 1, divisor)
+        divisor = _require_divisor(k, s, divisor)
     elif divisor is not None:
         raise ParameterError("an explicit divisor only applies to divisor mode")
-
-    if d == 0:
-        return DeliveryPlan(
-            table=table,
-            mode=mode,
-            divisor=None,
-            field=field if field is not None else field_for(1),
-            base_split=1,
-            pairs=(),
-            rate=Fraction(0),
-            subpacketization=k,
-        )
-
-    s = d + 1
-    x = smallest_valid_divisor(k, s) if mode == "divisor" and divisor is None else divisor
-
-    if mode == "quadratic" and d > 1 and k % s != 0:
-        base_split = k // s
-    else:
-        base_split = 1
+    # a fully covered corner (d = 0) has no components, so no divisor either
+    x = (divisor or smallest_valid_divisor(k, s)) if mode == "divisor" and d else None
 
     unions, middle = pair_columns(table)
     # (columns, union descriptor, middle column or None) per component
@@ -297,23 +284,21 @@ def assemble(
         for _, desc, single in specs
     ]
     if field is None:
-        field = field_for(max(coloring.n_colors for coloring, *_ in built))
+        field = field_for(max((coloring.n_colors for coloring, *_ in built), default=1))
 
     pairs = []
     for (cols, desc, single), (coloring, inst, cell_split, n_rows, tag) in zip(specs, built):
         # a lone column with halved cells rides on its union, whole cells on itself
         kind = "union" if single is None else "middle" if cell_split > 1 else "column"
         scheme = encode(inst, coloring, field=field, n_rows=n_rows)
-        scheme = replace(scheme, split_factor=cell_split)
         pairs.append(
             PairPlan(
                 columns=cols,
                 desc=single if kind == "column" else desc,
                 kind=kind,
                 tag=tag,
-                cell_split=cell_split,
                 coloring=coloring,
-                scheme=scheme,
+                scheme=replace(scheme, split_factor=cell_split),
                 part_map=tuple(
                     (table.entry(r, c), j)
                     for r in range(1, k + 1)
@@ -324,6 +309,7 @@ def assemble(
             )
         )
 
+    base_split = next((p.cell_split for p in pairs if p.kind == "union"), 1)
     rate = sum(
         (Fraction(p.n_transmissions, p.cell_split * k) for p in pairs), Fraction(0)
     )
@@ -431,9 +417,9 @@ def _part_label(table: IcpTable, msg: int, part: int, split: int) -> str:
 
 
 # What json.dumps(payload, indent=2) writes for one pair of the plan's "pairs"
-# list, from the "[" or "," before it up to its scheme. It must keep that
-# layout: TestPlanJson in tests/test_delivery.py checks it against the stdlib
-# writer on a reference payload. No list in it is ever empty.
+# list, from the "," before it (none before the first) up to its scheme. It
+# must keep that layout: TestPlanJson in tests/test_delivery.py checks it
+# against the stdlib writer on a reference payload. No list in it is ever empty.
 _PAIR = """%s
     {
       "columns": [
@@ -462,6 +448,12 @@ def plan_to_json(plan: DeliveryPlan) -> str:
     """Stable JSON rendering of a plan (schedule, colorings, coefficients):
     ``json.dumps(payload, indent=2)`` text, with the header written by
     :func:`json.dumps` and each pair by the ``_PAIR`` template."""
+    return "".join(_plan_chunks(plan))
+
+
+def _plan_chunks(plan: DeliveryPlan):
+    """The text of :func:`plan_to_json` in pieces, each made when asked for:
+    the header, then per pair its ``_PAIR`` text, scheme and closing brace."""
     inst = plan.table.instance
     head = json.dumps(
         {
@@ -488,20 +480,17 @@ def plan_to_json(plan: DeliveryPlan) -> str:
         },
         indent=2,
     )
-    if not plan.pairs:
-        return head
     items = ",\n        ".join
-    parts = [head[: -len("[]\n}")]]
+    yield head[: -len("]\n}")]
     for n, pair in enumerate(plan.pairs):
-        messages = (_MESSAGE % (g, part, _part_label(plan.table, g, part, pair.cell_split))
+        split = pair.cell_split
+        messages = (_MESSAGE % (g, part, _part_label(plan.table, g, part, split))
                     for g, part in pair.part_map)
-        parts += (
-            _PAIR % ("," if n else "[", items(map(str, pair.columns)), pair.kind, pair.tag,
-                     pair.cell_split, pair.n_transmissions,
-                     items(map(str, pair.coloring.colors)), items(messages)),
-            # the bulk of the text; split, it is freed before its indented copy is
-            # made (.replace fragments the heap: 45 MB more at (300,300,100,2))
-            "\n      ".join(pair.scheme.to_json().split("\n")),
-            "\n    }",
-        )
-    return "".join(parts + ["\n  ]\n}"])
+        yield _PAIR % ("," if n else "", items(map(str, pair.columns)), pair.kind, pair.tag,
+                       split, pair.n_transmissions,
+                       items(map(str, pair.coloring.colors)), items(messages))
+        # the bulk of the text; split, it is freed before its indented copy is
+        # made (.replace fragments the heap: 45 MB more at (300,300,100,2))
+        yield "\n      ".join(pair.scheme.to_json().split("\n"))
+        yield "\n    }"
+    yield "\n  ]\n}" if plan.pairs else "]\n}"

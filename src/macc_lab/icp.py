@@ -334,22 +334,18 @@ def as_icp(table: IcpTable) -> IcpInstance:
 def pair_columns(
     table: IcpTable,
 ) -> tuple[tuple[UnionIcpDesc, ...], StructuredIcpDesc | None]:
-    """Pair column ``q`` with column ``K-iL-q+1`` into union descriptors.
+    """Pair column ``q`` with column ``K-iL-q+1`` into union descriptors: the
+    first half of :attr:`IcpTable.column_descs`, each read as a union.
 
     Even ``K-iL``: ``(K-iL)/2`` unions, no leftover. Odd: the middle column
     remains as a symmetric single descriptor ``(c, c)_{iL}`` with
     ``c = (K-iL-1)/2`` (for ``K-iL = 1`` that is the everyone-knows-everyone
     column ``(0, 0)_{iL}``).
     """
-    n = table.n_cols
-    unions = tuple(
-        UnionIcpDesc(n - q, q - 1, table.coverage) for q in range(1, n // 2 + 1)
-    )
-    middle = None
-    if n % 2 == 1:
-        c = (n - 1) // 2
-        middle = StructuredIcpDesc(c, c, table.coverage)
-    return unions, middle
+    descs = table.column_descs
+    half = len(descs) // 2
+    unions = tuple(UnionIcpDesc(d.a1, d.a2, d.z) for d in descs[:half])
+    return unions, descs[half] if len(descs) % 2 else None
 
 
 def paired_column_indices(table: IcpTable) -> tuple[tuple[int, int], ...]:

@@ -174,6 +174,8 @@ def rate_divisor(k: int, l: int, i: int, divisor: int | None = None) -> RateRepo
     k, l, i, cov = _check_corner(k, l, i)
     name = "divisor"
     if i == 0:
+        if divisor is not None:
+            as_int(divisor, "divisor")
         return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
     divisor = _require_divisor(k, max(k - cov, 0) + 1, divisor)
     if cov > k:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import macc_lab
-from macc_lab import SizeCapError, cli
+from macc_lab import MaccInstance, SizeCapError, assemble, cli, plan_to_json
 
 
 def run_cli(capsys, *argv):
@@ -129,14 +129,32 @@ class TestPlan:
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "plan.json"
-        code, out, _ = run_cli(
-            capsys, "plan", "--K", "8", "--L", "2", "--i", "3",
-            "--mode", "linear", "--out", str(target),
-        )
+        corner = ("plan", "--K", "8", "--L", "2", "--i", "3", "--mode", "linear")
+        code, out, _ = run_cli(capsys, *corner, "--out", str(target))
         assert code == 0
         assert out == "rate 3/8 (0.375000)\nF 8\ntransmissions 3\n"
         data = json.loads(target.read_text())
         assert data["mode"] == "linear"
+        code, out, _ = run_cli(capsys, *corner)
+        assert code == 0
+        assert target.read_bytes() == out.encode()
+
+    def test_plan_written_in_pieces(self, monkeypatch):
+        # the text goes out a pair at a time, never as one document-sized string
+        writes = []
+
+        class Recorder(io.TextIOBase):
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        assert cli.main(["plan", "--K", "40", "--L", "2", "--i", "6", "--mode", "quadratic"]) == 0
+        plan = assemble(MaccInstance(40, 40, 2, 6), mode="quadratic")
+        text = "".join(writes)
+        assert text == plan_to_json(plan) + "\n"
+        assert max(map(len, writes)) <= len(text) / 2
 
     def test_demands_flag(self, capsys):
         code, out, _ = run_cli(

@@ -25,6 +25,7 @@ from macc_lab import (
     realize_single,
     realize_union_split,
 )
+from macc_lab.macc import mod1
 
 
 @st.composite
@@ -213,6 +214,51 @@ class TestFractionalColoring:
         # a1+a2+2 <= K holds for every descriptor since z >= 1
         assert fractional_split(UnionIcpDesc(3, 3, 1)) == 1
         assert fractional_split(UnionIcpDesc(1, 0, 5)) == 2
+
+
+def reference_divisor_colors(desc, n_colors):
+    """The residue coloring as a loop over the 2-column grid's rows."""
+    colors = []
+    for row in range(1, desc.k + 1):
+        colors.append(mod1(row, n_colors))
+        colors.append(mod1(row + desc.a1 + 1, n_colors))
+    return tuple(colors)
+
+
+def reference_fractional_colors(desc):
+    """The split coloring as a double loop over the ``2m``-column grid, and
+    its split ``m``."""
+    k = desc.k
+    s = desc.a1 + desc.a2 + 2
+    m = k // s
+    colors = []
+    for row in range(1, k + 1):
+        for p in range(1, 2 * m + 1):
+            j = (p + 1) // 2
+            base = (j - 1) * s
+            if p % 2 == 1:
+                colors.append(mod1(row + base, k))
+            else:
+                colors.append(mod1(row + base + desc.a1 + 1, k))
+    return tuple(colors), m
+
+
+class TestWindowRule:
+    """Both structured colorings are one shifted-window array expression; the
+    loops above are the rule cell by cell."""
+
+    @given(union_descs())
+    @settings(max_examples=80)
+    def test_divisor_coloring_matches_loop(self, desc):
+        for t in range(desc.a1 + desc.a2 + 2, desc.k + 1):
+            if desc.k % t == 0:
+                assert divisor_coloring(desc, t).colors == reference_divisor_colors(desc, t)
+
+    @given(union_descs())
+    @settings(max_examples=80)
+    def test_fractional_coloring_matches_loop(self, desc):
+        coloring, m = fractional_coloring(desc)
+        assert (coloring.colors, m) == reference_fractional_colors(desc)
 
 
 class TestGreedyColoring:

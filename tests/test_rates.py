@@ -138,7 +138,8 @@ class TestCalculatorsFrozen:
             assert rep.subpacketization == 6
 
     def test_zero_memory_not_priced(self):
-        for rep in compare(8, 2, 0).values():
+        # an integer divisor is not held to a range at a corner with no table
+        for rep in (*compare(8, 2, 0).values(), rate_divisor(8, 2, 0, divisor=3)):
             assert not rep.applicable
             assert rep.rate is None
 
@@ -202,10 +203,11 @@ class TestCalculatorsGeneric:
                 with pytest.raises(ParameterError, match="must be an integer"):
                     corner_points(*corner[:2])
         if bad is not None:  # None asks for the smallest valid divisor
-            with pytest.raises(ParameterError, match="divisor must be an integer"):
-                rate_divisor(8, 2, 1, divisor=bad)
-            with pytest.raises(ParameterError, match="divisor must be an integer"):
-                compare(8, 2, 1, divisor=bad)
+            for i in (0, 1):  # the zero-memory corner checks it too
+                with pytest.raises(ParameterError, match="divisor must be an integer"):
+                    rate_divisor(8, 2, i, divisor=bad)
+                with pytest.raises(ParameterError, match="divisor must be an integer"):
+                    compare(8, 2, i, divisor=bad)
         # numpy integers price exactly as Python ints
         corner = np.int64(8), np.int32(2), np.uint8(1)
         assert compare(*corner) == compare(8, 2, 1)
