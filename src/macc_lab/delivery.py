@@ -481,10 +481,11 @@ def _plan_chunks(plan: DeliveryPlan):
         indent=2,
     )
     items = ",\n        ".join
+    labels = [plan.table.message_label(g) for g in range(1, plan.table.n_messages + 1)]
     yield head[: -len("]\n}")]
     for n, pair in enumerate(plan.pairs):
         split = pair.cell_split
-        messages = (_MESSAGE % (g, part, _part_label(plan.table, g, part, split))
+        messages = (_MESSAGE % (g, part, labels[g - 1] if split == 1 else f"{labels[g - 1]}#{part}")
                     for g, part in pair.part_map)
         yield _PAIR % ("," if n else "", items(map(str, pair.columns)), pair.kind, pair.tag,
                        split, pair.n_transmissions,

@@ -2,11 +2,12 @@
 
 Fields are described by a :class:`FieldSpec` (extension degree ``w`` and the
 reduction polynomial); building its tables rejects a reducible polynomial, so
-it fails fast instead of corrupting results. Every multiply and inverse reads
-one table family per width, after Plank, Greenan & Miller (FAST 2013): a full
-``2^w x 2^w`` ``uint8`` product table for ``w <= 8``, and above that
-``uint16`` antilogs at sums of ``int32`` logs, where the log of 0 points into
-a run of zeros. Addition is XOR throughout (characteristic 2).
+it fails fast instead of corrupting results. Every multiply reads one table
+family per width, after Plank, Greenan & Miller (FAST 2013): a full ``2^w x
+2^w`` ``uint8`` product table for ``w <= 8``, and above that ``uint16``
+antilogs at sums of ``int32`` logs, where the log of 0 points into a run of
+zeros. Every width has the logs, so a Vandermonde generator is one antilog
+gather. Addition is XOR throughout (characteristic 2).
 
 Decodability asks, per distinct known set, whether each wanted unit vector
 lies in the row span of the transmissions on the set's unknown columns.
@@ -15,16 +16,20 @@ scheme's columns repeat, and the test runs on its distinct columns: for any
 matrix, the unit vector of column ``m`` lies in the row span of the unknown
 columns ``U`` iff ``m`` is the only column in ``U`` equal to it and the unit
 vector of that column lies in the row span of the distinct columns in ``U``.
-Structured known sets are cyclic windows that share most of those columns, so
-:func:`verify_schemes` reduces them as a tree over ranges of consecutive sets:
-each range eliminates once the columns all its sets lack and hands the result
-to its halves, or to each of its sets where they would take few cells apiece.
-One tree covers all schemes of a batch (a plan's components), and each depth
-is one batched Gauss-Jordan over all its ranges: a stack of column-major
-matrices, each holding the columns it eliminates, then those it hands on, then
-a shared zero column, and each taking pivots only in its own first columns.
-Pivot rows stay where they are found and are never normalised, since the span
-test reads only which row is each column's pivot and which entries are zero.
+On distinct columns it is a column-rank test first: if they are linearly
+independent, as the MDS precoder makes them in a correct plan, every unit
+vector on them lies in the row span. Structured known sets are cyclic windows
+that share most of those columns, so :func:`verify_schemes` takes the ranks
+as a tree over ranges of consecutive sets: each range eliminates once the
+columns all its sets lack, on the rows its parent left free, and hands its
+free rows to its halves, or to each of its sets where they would take few
+cells apiece. One tree covers all schemes of a batch (a plan's components),
+and each depth is one batched forward elimination over all its ranges: a
+stack of column-major matrices, each holding the columns it eliminates, then
+those it hands on, then a shared zero column, and each taking pivots only in
+its own first columns. Only below a column that took no pivot is the span
+test exact: a wanted column is spanned iff the rank of the set's unknown
+columns drops without it, and a second tree takes both ranks.
 """
 
 from __future__ import annotations
@@ -103,10 +108,11 @@ class _GF:
     them; elements are ``dtype`` integers and ``vinv`` holds every inverse,
     with 0 at 0.
 
-    For ``w <= 8`` every product sits in a ``2^w x 2^w`` table. Above that a
-    product is the antilog of a sum of two logs, and the log of 0 points into
-    a run of zeros past every sum of two nonzero logs, so a product with 0
-    reads 0 without a mask.
+    Every width has ``zlog`` and ``zexp``: a product is the antilog of a sum
+    of two logs, and the log of 0 points into a run of zeros past every sum of
+    two nonzero logs, so a product with 0 reads 0 without a mask. ``mul``
+    reads them above ``w = 8``; up to it every product sits in a ``2^w x
+    2^w`` table built from them.
     """
 
     def __init__(self, w: int, poly: int):
@@ -116,14 +122,8 @@ class _GF:
         self.size = 1 << w
         order = self.size - 1
         elements = np.arange(self.size, dtype=np.uint32)
-        if w <= 8:
-            self.dtype = np.uint8
-            product = _products(elements[:, None], elements[None, :], w, poly)
-            self.product = product.astype(np.uint8)
-            self.vinv = np.argmax(self.product == 1, axis=1).astype(np.uint8)
-            return
-        self.dtype = np.uint16
-        for g in range(2, self.size):
+        # GF(2)'s multiplicative group is {1}, generated by 1
+        for g in range(1 if order == 1 else 2, self.size):
             # g^0 .. g^order, doubling the run each step: the next run is the
             # last one times g^n, read from a multiply-by-g^n table that squares
             times = _products(elements, np.uint32(g), w, poly)
@@ -137,8 +137,11 @@ class _GF:
         self.zlog[exp[:order]] = np.arange(order)
         self.zexp = np.zeros(4 * order - 1, dtype=np.uint16)
         self.zexp[: 2 * order - 1] = exp[np.arange(2 * order - 1) % order]
-        self.vinv = np.zeros(self.size, dtype=np.uint16)
+        self.dtype = np.uint8 if w <= 8 else np.uint16
+        self.vinv = np.zeros(self.size, dtype=self.dtype)
         self.vinv[exp[:order]] = exp[order:0:-1]
+        if w <= 8:
+            self.product = self.zexp[self.zlog[:, None] + self.zlog].astype(np.uint8)
 
     def mul(self, a, b) -> np.ndarray:
         """Broadcast product of two integer arrays or scalars of field elements."""
@@ -201,11 +204,12 @@ def mds_generator(rows: int, cols: int, field: FieldSpec) -> np.ndarray:
             f"GF(2^{field.w}) has only {field.size} elements, need {cols} distinct points"
         )
     gf = field.tables()
-    points = np.arange(cols, dtype=np.uint32)
-    out = np.empty((rows, cols), dtype=np.uint32)
-    out[0] = 1
-    for r in range(1, rows):
-        out[r] = gf.mul(out[r - 1], points)
+    # alpha_c^r is the antilog of r log(alpha_c); the point 0 gives 0^0 = 1
+    # in row 0 and 0 below it
+    logs = gf.zlog[1:cols].astype(np.int64)
+    out = np.zeros((rows, cols), dtype=np.uint32)
+    out[:, 1:] = gf.zexp[np.multiply.outer(np.arange(rows), logs) % (field.size - 1)]
+    out[0, 0] = 1
     return out
 
 
@@ -217,9 +221,8 @@ def rank(matrix: np.ndarray, field: FieldSpec) -> int:
         raise ParameterError(f"rank needs a matrix, got shape {m.shape}")
     _check_entries(m, field, "matrix entries")
     gf = field.tables()
-    free = np.ones((1, m.shape[0]), dtype=bool)
-    _eliminate(gf, np.ascontiguousarray(m.T, dtype=gf.dtype)[None], np.array([m.shape[1]]), free)
-    return int((~free).sum())
+    a = np.ascontiguousarray(m.T, dtype=gf.dtype)[None]
+    return int(_eliminate(gf, a, np.array([m.shape[1]]), np.zeros(1, dtype=np.intp)).sum())
 
 
 def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
@@ -231,6 +234,26 @@ def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
             f"{what} must lie in [0, {field.size}) for GF(2^{field.w}), "
             f"got [{values.min()}, {values.max()}]"
         )
+
+
+# What json.dumps(payload, indent=2) writes for a scheme's payload dict;
+# TestTransmissionScheme in tests/test_linalg_ff.py checks it against the
+# stdlib writer
+_SCHEME = """{
+  "field": {
+    "w": %d,
+    "poly": %d
+  },
+  "message_order": %s,
+  "split_factor": %d,
+  "rows": %s
+}"""
+
+
+def _json_list(items) -> str:
+    """A list of JSON texts as ``json.dumps(indent=2)`` writes it at depth 1."""
+    text = ",\n    ".join(items)
+    return f"[\n    {text}\n  ]" if text else "[]"
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,12 +298,10 @@ class TransmissionScheme:
         order, split factor, and one hex string per transmission."""
         # big-endian bytes: two hex digits per coefficient up to w = 8, four above
         coeff = self.coefficients.astype(">u1" if self.field.w <= 8 else ">u2")
-        return json.dumps({
-            "field": {"w": self.field.w, "poly": self.field.poly},
-            "message_order": list(self.message_order),
-            "split_factor": self.split_factor,
-            "rows": [row.tobytes().hex() for row in coeff],
-        }, indent=2)
+        return _SCHEME % (
+            self.field.w, self.field.poly, _json_list(map(str, self.message_order)),
+            self.split_factor, _json_list(f'"{row.tobytes().hex()}"' for row in coeff),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "TransmissionScheme":
@@ -437,41 +458,52 @@ _BATCH_CELLS = 1 << 23
 _UPDATE_CELLS = 1 << 16
 
 
-def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, free: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan in place on every ``(columns, rows)`` matrix of the stack
-    ``a`` at once, each taking pivots only in its first ``counts`` columns
-    and only in the rows ``free`` marks, which it then clears from ``free``;
-    returns each matrix's pivot row per column below ``counts.max()``, -1
-    where none, as at or past its own count.
+def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Forward Gaussian elimination in place on every ``(columns, rows)``
+    matrix of the stack ``a`` at once, each over its first ``counts`` columns
+    and its rows from ``top`` on (the rows before are left as they are);
+    returns whether each column below ``counts.max()`` took a pivot, False at
+    or past a matrix's own count.
 
-    A pivot row stays where it is found and is not normalised: column ``c``
-    is cleared by ``a[:, c]`` times the inverse of the pivot entry. A free
-    row is zero on every column already eliminated, so each step touches only
-    the columns from ``c`` on. Zero padding columns never take a pivot.
+    Each pivot row moves to the front of the rows still free, so a matrix
+    that takes ``k`` pivots ends with them in rows ``top`` to ``top + k - 1``
+    and its free rows after them, each zero on every column it eliminated.
+    Pivot rows are not normalised: column ``c`` is cleared in the free rows
+    below the pivot by ``a[:, c]`` times the inverse of the pivot entry. A
+    free row is zero on every column already eliminated, so each step touches
+    only the columns from ``c`` on. Zero padding columns never take a pivot.
     """
     n_sets, width, n_rows = a.shape
-    pivot_row = np.full((n_sets, counts.max(initial=0)), -1, dtype=np.intp)
-    for c in range(pivot_row.shape[1]):
-        if not free.any():
+    took = np.zeros((n_sets, counts.max(initial=0)), dtype=bool)
+    top = top.copy()  # each matrix's first free row
+    rows = np.arange(n_rows)
+    for c in range(took.shape[1]):
+        if (top >= n_rows).all():
             break
-        cand = (a[:, c] != 0) & free & (counts > c)[:, None]
+        cand = (a[:, c] != 0) & (rows >= top[:, None]) & (counts > c)[:, None]
         hit = np.flatnonzero(cand.any(axis=1))
         if len(hit) == 0:
             continue
-        p = cand[hit].argmax(axis=1)
-        piv = a[hit, c:, p]
-        factor = gf.mul(a[hit, c], gf.vinv[piv[:, :1]])
-        factor[np.arange(len(hit)), p] = 0
+        p, first = cand[hit].argmax(axis=1), top[hit]
+        moved = np.flatnonzero(p != first)
+        if len(moved):
+            e, x, y = hit[moved], p[moved], first[moved]
+            a[e, c:, x], a[e, c:, y] = a[e, c:, y], a[e, c:, x]
+        piv = a[hit, c:, first]
+        # the rows below the highest pivot; factors above each pivot are 0
+        lo = first.min() + 1
+        factor = gf.mul(a[hit, c, lo:], gf.vinv[piv[:, :1]])
+        factor[rows[lo:] <= first[:, None]] = 0
         # a few sets at a time, so the temporaries stay small
-        step = max(1, _UPDATE_CELLS // (n_rows * (width - c)))
+        step = max(1, _UPDATE_CELLS // max(1, (n_rows - lo) * (width - c)))
         every = len(hit) == n_sets
-        for lo in range(0, len(hit), step):
-            part = slice(lo, lo + step)
+        for s in range(0, len(hit), step):
+            part = slice(s, s + step)
             sets = part if every else hit[part]
-            a[sets, c:] ^= gf.mul(piv[part, :, None], factor[part, None, :])
-        pivot_row[hit, c] = p
-        free[hit, p] = False
-    return pivot_row
+            a[sets, c:, lo:] ^= gf.mul(piv[part, :, None], factor[part, None, :])
+        took[hit, c] = True
+        top[hit] += 1
+    return took
 
 
 def _left_justify(mask: np.ndarray) -> np.ndarray:
@@ -494,14 +526,89 @@ _DEPTH_CELLS = 1 << 17
 
 
 def _splits(n_rows: int, seen: np.ndarray) -> bool:
-    """Whether :func:`_tree_spans` halves these known sets, and every range
-    below, rather than hand each set on at once: iff there are two or more
-    and eliminating each set's ``u`` lacked columns on its own, ``n_rows *
-    min(n_rows, u) * u`` cells, would take more than :data:`_DEPTH_CELLS`.
-    ``seen`` counts lacking sets as in :func:`_tree_spans`, over these sets.
+    """Whether :func:`_tree_ranks` halves these rows (known sets), and every
+    range below, rather than hand each row on at once: iff there are two or
+    more and eliminating each row's ``u`` lacked columns on its own, ``n_rows
+    * min(n_rows, u) * u`` cells, would take more than :data:`_DEPTH_CELLS`.
+    ``seen`` counts lacking rows as in :func:`_tree_ranks`, over these rows.
     """
     u = np.diff(seen.sum(axis=1, dtype=np.intp))  # lacked columns per set
     return len(u) >= 2 and int((n_rows * np.minimum(n_rows, u) * u).sum()) > _DEPTH_CELLS
+
+
+def _tree_ranks(
+    gf: _GF, a: np.ndarray, lacked: np.ndarray, offset: list, n_tx: list, stop: bool
+) -> np.ndarray:
+    """The rank of each row's ``lacked`` columns in its pair's matrix: rows
+    ``offset[p]`` to ``offset[p + 1] - 1`` read ``a[p]``, whose transmissions
+    are its first ``n_tx[p]`` rows. With ``stop``, a range where a column it
+    eliminated took no pivot stops, and its rows read -1.
+
+    A divide and conquer over ranges of consecutive rows, one root per pair.
+    Each range runs forward elimination once on the columns all its rows lack
+    that its parent left, and hands its rows still free, on the columns some
+    of its rows still lack, to its halves where :func:`_splits` halves the
+    root, else to each of its rows. All ranges at one depth are one
+    :func:`_eliminate` stack of ``(columns, rows)`` matrices, each gathered
+    from its parent's by whole columns and left-justified: the columns it
+    eliminates, those it hands on, then the zero column, which also pads it to
+    the widest range plus one. Each range takes pivots only in its own
+    eliminated columns and free rows, so where its handed-on columns sit
+    another range may take pivots, and rows that are pivot rows in every
+    range are sliced off. Pairs are padded with zero rows and with columns
+    no row lacks (the last one for all), which take no pivot. A range that
+    hands on no column holds its rows' ranks: the pivots it and the ranges
+    above it took.
+    """
+    n_sets, n_cols = lacked.shape
+    # seen[hi] - seen[lo]: how many of the rows lo..hi-1 lack each column
+    seen = np.zeros((n_sets + 1, n_cols), dtype=np.min_scalar_type(n_sets))
+    np.cumsum(lacked, axis=0, dtype=seen.dtype, out=seen[1:])
+    halve = [_splits(r, seen[lo : hi + 1]) for r, lo, hi in zip(n_tx, offset, offset[1:])]
+    # per range of the last depth: `a` its rows from `cut` on, column by
+    # column: the columns it eliminated, those it hands on, then the zero
+    # column; `hand` their global columns and `done` which it eliminated;
+    # `got` the pivots it and the ranges above it took, so its first free
+    # row is `got - cut`. `keep` the entries of `ranges`, the ranges left to
+    # split
+    rank = np.full(n_sets, -1, dtype=np.intp)
+    ranges = list(zip(offset, offset[1:]))
+    hand = np.broadcast_to(np.arange(n_cols, dtype=np.min_scalar_type(n_cols)), (len(ranges), n_cols))
+    done = np.zeros((len(ranges), n_cols), dtype=bool)
+    got = np.zeros(len(ranges), dtype=np.intp)
+    cut = 0
+    keep = np.arange(len(ranges))
+    while ranges and n_sets:
+        children = []
+        for e, ((lo, hi), h) in enumerate(zip(ranges, halve)):
+            cuts = (lo, (lo + hi) // 2, hi) if h else range(lo, hi + 1)
+            children += [(e, x, y) for x, y in zip(cuts, cuts[1:])]
+        parent, lo, hi = np.array(children).T
+        parent = keep[parent]
+        hand, got = hand[parent], got[parent]
+        lack = np.where(done[parent], 0, seen[hi[:, None], hand] - seen[lo[:, None], hand])
+        shared = lack == (hi - lo)[:, None]
+        rest = (lack > 0) & ~shared
+        last = ~rest.any(axis=1)  # hands on nothing: one row, or rows alike
+        rest[:, -1] = True  # the zero column, which also pads every range
+        at = _left_justify(np.concatenate([shared, rest], axis=1)) % hand.shape[1]
+        # the rows that are pivot rows in every range are sliced off
+        drop = got.min() - cut
+        a, hand = a[parent[:, None], at, drop:], np.take_along_axis(hand, at, axis=1)
+        cut += drop
+        counts = shared.sum(axis=1)
+        took = _eliminate(gf, a, counts, got - cut)
+        got += took.sum(axis=1)
+        done = np.arange(a.shape[1]) < counts[:, None]
+        size = (hi - lo)[last]
+        rows = np.repeat(lo[last] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        rank[rows] = np.repeat(got[last], size)
+        if stop:
+            last |= (done[:, : took.shape[1]] & ~took).any(axis=1)
+        keep = np.flatnonzero(~last)
+        ranges = list(zip(lo[keep].tolist(), hi[keep].tolist()))
+        halve = [True] * len(ranges)  # every range left lies below a halved root
+    return rank
 
 
 def _tree_spans(pairs: list) -> list[np.ndarray]:
@@ -518,26 +625,19 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     equal entries in every combination of rows, and the rest is the same
     span test on fewer columns.
 
-    That span test is a divide and conquer over ranges of consecutive sets,
-    one root per pair. Each range runs Gauss-Jordan once on the columns all
-    its sets lack that its parent left, and hands the reduced rows, on the
-    columns some of its sets still lack, to its halves where :func:`_splits`
-    halves the root, else to each of its sets. All ranges at one depth are one
-    :func:`_eliminate` stack of ``(columns, rows)`` matrices, each gathered
-    from its parent's by whole columns and left-justified: the columns it
-    eliminates, those it hands on, then the zero column, which also pads it to
-    the widest range plus one. Each range takes pivots only in its own
-    eliminated columns, so where its handed-on columns sit another range may
-    take pivots. Pairs are padded with zero rows and with columns every set
-    knows (the last one for all), which take no pivot. An eliminated column
-    never changes again, and rows never move, so a column's unit vector is in
-    a set's span iff it has a pivot row that no pivot-free column on the
-    set's path is nonzero in.
+    If a set's lacked classes are linearly independent, every unit vector on
+    them lies in the row span, so the set decodes every class it lacks alone.
+    :func:`_tree_ranks` takes that rank for every set, and stops below a
+    column that took no pivot. Only the sets there take the exact test: a
+    wanted class is spanned iff the rank of the set's lacked classes drops
+    without it. A second tree takes both ranks, one row per set and one per
+    class it wants.
     """
     if not pairs:
         return []
     gf = pairs[0][0].field.tables()
-    n_rows = max(scheme.n_transmissions for scheme, _ in pairs)
+    n_tx = [scheme.n_transmissions for scheme, _ in pairs]
+    n_rows = max(n_tx)
     col_off = np.cumsum([0] + [len(scheme.message_order) for scheme, _ in pairs])
     offset = np.cumsum([0] + [len(icp.known_rows) for _, icp in pairs]).tolist()
     n_sets = offset[-1]
@@ -562,9 +662,10 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     a = np.zeros((len(pairs), n_cols, n_rows), dtype=gf.dtype)
     reps = np.flatnonzero(first)
     a[pair[reps], local[reps]] = col[by_class[reps]]
-    # the classes each set lacks; every set is a leaf once, and its row is
-    # then overwritten with its spans
+    # the classes each set lacks, which it decodes unless they are dependent;
+    # `want` the classes a node wants and lacks alone, the only ones read
     out = np.zeros((n_sets, n_cols), dtype=bool)
+    want = np.zeros((n_sets, n_cols), dtype=bool)
     fold = []
     for p, (scheme, icp) in enumerate(pairs):
         lo, hi = col_off[p], col_off[p + 1]
@@ -574,56 +675,28 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
         )
         out[offset[p] : offset[p + 1], : lacking.shape[1]] = lacking > 0
         listed = cols >= 0
-        at = icp.node_row[listed], class_of[lo + cols[listed]]
+        row, cls = icp.node_row[listed], class_of[lo + cols[listed]]
         # a set never knows a message it wants, so a node's column is lacked,
         # and it must be the only lacked member of its class
-        fold.append((listed, at, lacking[at] == 1))
-    # seen[hi] - seen[lo]: how many of the sets lo..hi-1 lack each column
-    seen = np.zeros((n_sets + 1, n_cols), dtype=np.min_scalar_type(n_sets))
-    np.cumsum(out, axis=0, dtype=seen.dtype, out=seen[1:])
-    halve = [_splits(scheme.n_transmissions, seen[lo : hi + 1])
-             for (scheme, _), lo, hi in zip(pairs, offset, offset[1:])]
-    # per range of the last depth: `a` its reduced rows, column by column: the
-    # columns it eliminated, those it hands on, then the zero column; `hand`
-    # their global columns and `done` which it eliminated; `free` the rows
-    # holding no pivot; `path` each global column's pivot row, n_rows or -1
-    # where it has none (yet); and `marks` the rows a pivot-free column is
-    # nonzero in, plus row n_rows, so neither of those path entries reads
-    # spanned. `keep` the entries of `ranges`, the ranges left to split
-    ranges = list(zip(offset, offset[1:]))
-    hand = np.broadcast_to(np.arange(n_cols, dtype=np.min_scalar_type(n_cols)), (len(pairs), n_cols))
-    done = np.zeros((len(pairs), n_cols), dtype=bool)
-    free = np.ones((len(pairs), n_rows), dtype=bool)
-    path = np.full((len(pairs), n_cols), -1, dtype=np.min_scalar_type(-1 - n_rows))
-    marks = np.zeros((len(pairs), n_rows + 1), dtype=bool)
-    marks[:, n_rows] = True
-    keep = np.arange(len(pairs))
-    while ranges and n_sets:
-        children = []
-        for e, ((lo, hi), h) in enumerate(zip(ranges, halve)):
-            cuts = (lo, (lo + hi) // 2, hi) if h else range(lo, hi + 1)
-            children += [(e, x, y) for x, y in zip(cuts, cuts[1:])]
-        parent, lo, hi = np.array(children).T
-        parent = keep[parent]
-        hand, free, path, marks = hand[parent], free[parent], path[parent], marks[parent]
-        lack = np.where(done[parent], 0, seen[hi[:, None], hand] - seen[lo[:, None], hand])
-        shared = lack == (hi - lo)[:, None]
-        rest = (lack > 0) & ~shared
-        rest[:, -1] = True  # the zero column, which also pads every range
-        at = _left_justify(np.concatenate([shared, rest], axis=1)) % hand.shape[1]
-        a, hand = a[parent[:, None], at], np.take_along_axis(hand, at, axis=1)
-        counts = shared.sum(axis=1)
-        prow = _eliminate(gf, a, counts, free)
-        done = np.arange(a.shape[1]) < counts[:, None]
-        width = prow.shape[1]
-        pivot_free = (done[:, :width] & (prow < 0))[:, :, None]
-        marks[:, :n_rows] |= np.bitwise_or.reduce(a[:, :width], axis=1, where=pivot_free) != 0
-        np.put_along_axis(path, hand[:, :width], np.where(prow < 0, n_rows, prow), axis=1)
-        leaf = hi - lo == 1
-        out[lo[leaf]] = ~np.take_along_axis(marks[leaf], path[leaf], axis=1)
-        keep = np.flatnonzero(~leaf)
-        ranges = list(zip(lo[keep].tolist(), hi[keep].tolist()))
-        halve = [True] * len(ranges)  # every range left lies below a halved root
+        alone = lacking[row, cls] == 1
+        want[offset[p] + row[alone], cls[alone]] = True
+        fold.append((listed, (row, cls), alone))
+    rank = _tree_ranks(gf, a, out, offset, n_tx, True)
+    dep = np.flatnonzero((rank != out.sum(axis=1)) & want.any(axis=1))
+    if len(dep):
+        # per dependent set: its lacked classes, then each without one it wants
+        per = 1 + want[dep].sum(axis=1)
+        lead = np.cumsum(per) - per
+        less = np.ones(per.sum(), dtype=bool)
+        less[lead] = False
+        owner, (_, cls) = np.repeat(dep, per), np.nonzero(want[dep])
+        mask = out[owner]
+        mask[less, cls] = False
+        # each pair's rows start after those of the dependent sets before it
+        start = np.concatenate([[0], np.cumsum(per)])[np.searchsorted(dep, offset)]
+        rank = _tree_ranks(gf, a, mask, start.tolist(), n_tx, False)
+        out[dep] = False
+        out[owner[less], cls] = rank[less] < np.repeat(rank[lead], per - 1)
     spans = []
     for (listed, (row, cls), alone), lo in zip(fold, offset):
         ok = np.zeros(len(listed), dtype=bool)

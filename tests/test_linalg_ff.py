@@ -204,6 +204,21 @@ class TestMdsGenerator:
         for cols in combinations(range(7), 3):
             assert rank(gen[:, cols], spec) == 3
 
+    @pytest.mark.parametrize("w", range(1, 17))
+    def test_matches_row_by_row_powers(self, w):
+        # the reference: row r + 1 is row r times the points, one multiply a row
+        spec = FieldSpec(w)
+        gf = spec.tables()
+        n = spec.size
+        for rows, cols in [(1, 1), (1, n), (2, n), (min(5, n), min(40, n)), (min(n, 300), min(n, 300))]:
+            points = np.arange(cols, dtype=np.uint32)
+            want = np.empty((rows, cols), dtype=np.uint32)
+            want[0] = 1
+            for r in range(1, rows):
+                want[r] = gf.mul(want[r - 1], points)
+            got = mds_generator(rows, cols, spec)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_dimension_checks(self):
         spec = FieldSpec(2)
         with pytest.raises(ParameterError):
@@ -272,6 +287,36 @@ class TestTransmissionScheme:
     def test_json_round_trip_w16(self):
         # wide field uses four hex digits per coefficient
         self.round_trip(FieldSpec(16))
+
+    @staticmethod
+    def stdlib_json(scheme: TransmissionScheme) -> str:
+        """The scheme's payload dict, written by ``json.dumps(indent=2)``."""
+        coeff = scheme.coefficients.astype(">u1" if scheme.field.w <= 8 else ">u2")
+        return json.dumps({
+            "field": {"w": scheme.field.w, "poly": scheme.field.poly},
+            "message_order": list(scheme.message_order),
+            "split_factor": scheme.split_factor,
+            "rows": [row.tobytes().hex() for row in coeff],
+        }, indent=2)
+
+    @given(st.sampled_from([1, 4, 8, 9, 16]), st.integers(0, 4), st.integers(0, 5),
+           st.integers(1, 3), st.data())
+    @settings(max_examples=100)
+    def test_json_matches_stdlib_rendering(self, w, n_rows, n_cols, split, data):
+        spec = FieldSpec(w)
+        order = data.draw(st.lists(st.integers(1, 10**6), min_size=n_cols, max_size=n_cols))
+        size = n_rows * n_cols
+        cells = data.draw(st.lists(st.integers(0, spec.size - 1), min_size=size, max_size=size))
+        coeff = np.array(cells, dtype=np.int64).reshape(n_rows, n_cols)
+        scheme = TransmissionScheme(spec, tuple(order), coeff, split)
+        assert scheme.to_json() == self.stdlib_json(scheme)
+
+    @pytest.mark.parametrize("w", [8, 16])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (2, 0), (1, 1)])
+    def test_json_matches_stdlib_rendering_when_empty(self, w, shape):
+        order = tuple(range(1, shape[1] + 1))
+        scheme = TransmissionScheme(FieldSpec(w), order, np.ones(shape, dtype=np.int64))
+        assert scheme.to_json() == self.stdlib_json(scheme)
 
     def test_n_transmissions(self):
         scheme = TransmissionScheme(
@@ -609,6 +654,26 @@ def scheme_batches(draw):
     return draw(st.lists(random_schemes(w) | cyclic_windows(w) | coloring_schemes(w), min_size=1, max_size=5))
 
 
+def record_trees(monkeypatch) -> list:
+    """Record, per :func:`linalg_ff._tree_ranks` call, whether it stops below
+    a dependent column, and the number of matrices in each stack it
+    eliminates."""
+    trees = []
+    real_ranks, real_eliminate = linalg_ff._tree_ranks, linalg_ff._eliminate
+
+    def ranks(gf, a, lacked, offset, n_tx, stop):
+        trees.append((stop, []))
+        return real_ranks(gf, a, lacked, offset, n_tx, stop)
+
+    def eliminate(gf, a, *args):
+        trees[-1][1].append(len(a))
+        return real_eliminate(gf, a, *args)
+
+    monkeypatch.setattr(linalg_ff, "_tree_ranks", ranks)
+    monkeypatch.setattr(linalg_ff, "_eliminate", eliminate)
+    return trees
+
+
 def count_splits(monkeypatch) -> list:
     """Record, per component verified, whether its elimination tree splits."""
     split = []
@@ -667,7 +732,7 @@ class TestBatchedVerifier:
     def test_elimination_takes_distinct_columns(self, monkeypatch):
         # at (60, 2, 7) every pair's 120 columns hold 60 distinct ones, so
         # no matrix the tree eliminates uses more than 60 columns; over the
-        # four plan_large corners the tree takes about 2.5e7 products
+        # four plan_large corners the tree takes 7,615,156 products
         gf = FieldSpec(8).tables()
         products = [0]
         used, stacks = [], []
@@ -678,14 +743,14 @@ class TestBatchedVerifier:
             products[0] += out.size
             return out
 
-        def recorded(gf, a, *args):
+        def recorded(gf, a, counts, *args):
             # a stack holds (columns, rows) matrices; row operations keep a
             # nonzero column nonzero, so this counts the columns each uses
             used.append((a != 0).any(axis=2).sum(axis=1).max(initial=0))
-            stacks.append(a.shape)
+            stacks.append((*a.shape, counts.max(initial=0)))
             gf.mul = counted
             try:
-                return real_eliminate(gf, a, *args)
+                return real_eliminate(gf, a, counts, *args)
             finally:
                 del gf.mul
 
@@ -701,7 +766,10 @@ class TestBatchedVerifier:
                 distinct = max(np.unique(p.scheme.coefficients, axis=1).shape[1] for p in plan.pairs)
                 assert distinct == 60 and max(used) <= distinct
                 assert stacks[0][1] == 61
-        assert products[0] <= 3 * 10**7
+                # a range that hands on no column stops, so every stack
+                # eliminates some column
+                assert all(shape[3] > 0 for shape in stacks)
+        assert products[0] <= 8 * 10**6
 
     # the tree split at every range, never split, and as the model picks,
     # which at the default mixes components that split with ones that do not;
@@ -729,28 +797,54 @@ class TestBatchedVerifier:
         narrow = windows_instance(16, 2, 2)
         other = encode(narrow, greedy_coloring(narrow), field=FieldSpec(8))
         batch = [(small, union), (other, narrow), (full, windows), (empty, union), (short, windows)]
-        stacks = []
-        real = linalg_ff._eliminate
-
-        def recorded(gf, a, *args):
-            stacks.append(len(a))
-            return real(gf, a, *args)
-
-        monkeypatch.setattr(linalg_ff, "_eliminate", recorded)
+        trees = record_trees(monkeypatch)
         alone = []
         for pair in batch:
-            stacks.clear()
+            trees.clear()
             linalg_ff.verify_schemes([pair])
-            alone.append(list(stacks))
-        stacks.clear()
+            alone.append([stacks for _, stacks in trees])
+        trees.clear()
         split = count_splits(monkeypatch)
         got = linalg_ff.verify_schemes(batch)
-        assert split == [False, True, True, False, True]
+        assert split[: len(batch)] == [False, True, True, False, True]
         assert got == [reference_verdicts(scheme, icp) for scheme, icp in batch]
         assert all(got[0] + got[1] + got[2]) and not any(got[3]) and not all(got[4])
+        # the rank tree, then the exact tree over the short pair's dependent
+        # sets; the empty scheme's columns are one class, which no node's set
+        # lacks alone, so its sets need no exact test
+        assert [stop for stop, _ in trees] == [True, False]
+        assert [len(tree) for tree in alone] == [1, 1, 1, 1, 2]
+        # the short pair's rank tree stops below its dependent columns, so it
+        # holds fewer ranges than the full pair's over the same known sets
+        assert sum(alone[4][0]) < sum(alone[2][0])
         # one tree: each depth's stack holds every pair's ranges at that depth
-        depths = max(map(len, alone))
-        assert stacks == [sum(s[d] for s in alone if d < len(s)) for d in range(depths)]
+        for (_, stacks), t in zip(trees, (0, 1)):
+            each = [tree[t] for tree in alone if t < len(tree)]
+            depths = max(map(len, each))
+            assert stacks == [sum(s[d] for s in each if d < len(s)) for d in range(depths)]
+
+    @pytest.mark.parametrize("wanted_dependent", [False, True])
+    def test_dependent_columns_take_the_exact_test(self, wanted_dependent, monkeypatch):
+        # user 1 lacks all four columns, and column 4 or its wanted column 1
+        # is the sum of columns 2 and 3: it decodes iff the sum is column 4.
+        # User 2 knows the sum and wants the other column, so it lacks three
+        # independent columns and decodes without the exact test
+        c2, c3 = np.array([0, 5, 7]), np.array([0, 9, 3])
+        other, summed = (4, 1) if wanted_dependent else (1, 4)
+        cols = {2: c2, 3: c3, other: np.array([1, 2, 4]), summed: c2 ^ c3}
+        coeff = np.stack([cols[m] for m in (1, 2, 3, 4)], axis=1)
+        scheme = TransmissionScheme(FieldSpec(8), (1, 2, 3, 4), coeff)
+        users = (
+            IcpUser(want=frozenset({1}), known=frozenset()),
+            IcpUser(want=frozenset({other}), known=frozenset({summed})),
+        )
+        icp = IcpInstance(n_messages=4, users=users)
+        trees = record_trees(monkeypatch)
+        got = verify_scheme(scheme, icp)
+        assert [stop for stop, _ in trees] == [True, False]
+        assert got == reference_verdicts(scheme, icp) == (not wanted_dependent, True)
+        monkeypatch.undo()
+        assert assert_matches_reference(scheme, icp) == got
 
     def test_batch_over_two_fields_refused(self):
         icp = realize_single(StructuredIcpDesc(1, 1, 2))
@@ -856,15 +950,17 @@ class TestBatchedVerifier:
         crossed = []
         real = linalg_ff._eliminate
 
-        def recorded(gf, a, counts, free):
-            nonzero = (a != 0).any(axis=2)
-            prow = real(gf, a, counts, free)
+        def recorded(gf, a, counts, top):
+            # a column is nonzero if it is on a row the matrix still has free
+            free = np.arange(a.shape[2]) >= top[:, None]
+            nonzero = ((a != 0) & free[:, None, :]).any(axis=2)
+            took = real(gf, a, counts, top)
             for e, f in combinations(range(len(a)), 2):
                 lo, hi = sorted((counts[e], counts[f]))
                 fewer = e if counts[e] == lo else f
-                pivots = prow[e + f - fewer, lo:hi] >= 0
+                pivots = took[e + f - fewer, lo:hi]
                 crossed.append(bool((nonzero[fewer, lo:hi] & pivots).any()))
-            return prow
+            return took
 
         monkeypatch.setattr(linalg_ff, "_eliminate", recorded)
         got = linalg_ff.verify_schemes(batch)
