@@ -370,7 +370,7 @@ def _first_failure(pair: PairPlan, table: IcpTable, user: int) -> str:
     full = rank_without(())
     missed = next(m for m in wants if rank_without({m}) == full)
     g, part = pair.part_map[missed - 1]
-    label = _part_label(table, g, part, pair.cell_split)
+    label = _part_label(table.message_label(g), part, pair.cell_split)
     deficit = len(wants) - full + rank_without(set(wants))
     return f"table user {user} cannot decode {label}, rank deficit {deficit}"
 
@@ -412,8 +412,8 @@ def verify_plan(plan: DeliveryPlan) -> PlanCheck:
     )
 
 
-def _part_label(table: IcpTable, msg: int, part: int, split: int) -> str:
-    return table.message_label(msg) + ("" if split == 1 else f"#{part}")
+def _part_label(label: str, part: int, split: int) -> str:
+    return label if split == 1 else f"{label}#{part}"
 
 
 # What json.dumps(payload, indent=2) writes for one pair of the plan's "pairs"
@@ -485,8 +485,7 @@ def _plan_chunks(plan: DeliveryPlan):
     yield head[: -len("]\n}")]
     for n, pair in enumerate(plan.pairs):
         split = pair.cell_split
-        messages = (_MESSAGE % (g, part, labels[g - 1] if split == 1 else f"{labels[g - 1]}#{part}")
-                    for g, part in pair.part_map)
+        messages = (_MESSAGE % (g, part, _part_label(labels[g - 1], part, split)) for g, part in pair.part_map)
         yield _PAIR % ("," if n else "", items(map(str, pair.columns)), pair.kind, pair.tag,
                        split, pair.n_transmissions,
                        items(map(str, pair.coloring.colors)), items(messages))

@@ -27,8 +27,8 @@ cells apiece. One tree covers all schemes of a batch (a plan's components),
 and each depth is one batched forward elimination over all its ranges: a
 stack of column-major matrices, each holding the columns it eliminates, then
 those it hands on, then a shared zero column, and each taking pivots only in
-its own first columns. Only below a column that took no pivot is the span
-test exact: a wanted column is spanned iff the rank of the set's unknown
+its own first columns. Only a set whose unknown columns are dependent takes
+the exact test: a wanted column is spanned iff the rank of the set's unknown
 columns drops without it, and a second tree takes both ranks.
 """
 
@@ -417,11 +417,15 @@ def verify_schemes(pairs: list) -> list[tuple[bool, ...]]:
 
 
 def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> int:
-    """An upper bound, in table cells, on the exact verification work of
+    """An upper bound, in table cells, on the rank work of verifying
     ``scheme`` on ``icp``: ``r * n * min(r, n)`` per distinct known set, for
     ``r`` transmissions over ``n`` columns, as if each set eliminated every
     column on its own. :func:`verify_scheme` does less, on distinct columns,
-    in a tree that shares elimination between overlapping sets."""
+    in a tree that shares elimination between overlapping sets. A set whose
+    lacked columns are dependent, which no correct plan has, also takes the
+    exact test: a second tree bounded the same way per row, with one row for
+    the set and one per class it wants, so a failing scheme may take a small
+    multiple of this bound."""
     r, n = scheme.coefficients.shape
     return len(icp.known_rows) * r * n * min(r, n)
 
@@ -536,13 +540,10 @@ def _splits(n_rows: int, seen: np.ndarray) -> bool:
     return len(u) >= 2 and int((n_rows * np.minimum(n_rows, u) * u).sum()) > _DEPTH_CELLS
 
 
-def _tree_ranks(
-    gf: _GF, a: np.ndarray, lacked: np.ndarray, offset: list, n_tx: list, stop: bool
-) -> np.ndarray:
+def _tree_ranks(gf: _GF, a: np.ndarray, lacked: np.ndarray, offset: list, n_tx: list) -> np.ndarray:
     """The rank of each row's ``lacked`` columns in its pair's matrix: rows
     ``offset[p]`` to ``offset[p + 1] - 1`` read ``a[p]``, whose transmissions
-    are its first ``n_tx[p]`` rows. With ``stop``, a range where a column it
-    eliminated took no pivot stops, and its rows read -1.
+    are its first ``n_tx[p]`` rows.
 
     A divide and conquer over ranges of consecutive rows, one root per pair.
     Each range runs forward elimination once on the columns all its rows lack
@@ -571,7 +572,7 @@ def _tree_ranks(
     # `got` the pivots it and the ranges above it took, so its first free
     # row is `got - cut`. `keep` the entries of `ranges`, the ranges left to
     # split
-    rank = np.full(n_sets, -1, dtype=np.intp)
+    rank = np.zeros(n_sets, dtype=np.intp)
     ranges = list(zip(offset, offset[1:]))
     hand = np.broadcast_to(np.arange(n_cols, dtype=np.min_scalar_type(n_cols)), (len(ranges), n_cols))
     done = np.zeros((len(ranges), n_cols), dtype=bool)
@@ -603,8 +604,6 @@ def _tree_ranks(
         size = (hi - lo)[last]
         rows = np.repeat(lo[last] - np.cumsum(size) + size, size) + np.arange(size.sum())
         rank[rows] = np.repeat(got[last], size)
-        if stop:
-            last |= (done[:, : took.shape[1]] & ~took).any(axis=1)
         keep = np.flatnonzero(~last)
         ranges = list(zip(lo[keep].tolist(), hi[keep].tolist()))
         halve = [True] * len(ranges)  # every range left lies below a halved root
@@ -627,10 +626,9 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
 
     If a set's lacked classes are linearly independent, every unit vector on
     them lies in the row span, so the set decodes every class it lacks alone.
-    :func:`_tree_ranks` takes that rank for every set, and stops below a
-    column that took no pivot. Only the sets there take the exact test: a
-    wanted class is spanned iff the rank of the set's lacked classes drops
-    without it. A second tree takes both ranks, one row per set and one per
+    :func:`_tree_ranks` takes that rank for every set. Only a set whose rank
+    falls short takes the exact test: a wanted class is spanned iff the rank
+    of the set's lacked classes drops without it. A second tree takes both ranks, one row per set and one per
     class it wants.
     """
     if not pairs:
@@ -681,7 +679,7 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
         alone = lacking[row, cls] == 1
         want[offset[p] + row[alone], cls[alone]] = True
         fold.append((listed, (row, cls), alone))
-    rank = _tree_ranks(gf, a, out, offset, n_tx, True)
+    rank = _tree_ranks(gf, a, out, offset, n_tx)
     dep = np.flatnonzero((rank != out.sum(axis=1)) & want.any(axis=1))
     if len(dep):
         # per dependent set: its lacked classes, then each without one it wants
@@ -694,7 +692,7 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
         mask[less, cls] = False
         # each pair's rows start after those of the dependent sets before it
         start = np.concatenate([[0], np.cumsum(per)])[np.searchsorted(dep, offset)]
-        rank = _tree_ranks(gf, a, mask, start.tolist(), n_tx, False)
+        rank = _tree_ranks(gf, a, mask, start.tolist(), n_tx)
         out[dep] = False
         out[owner[less], cls] = rank[less] < np.repeat(rank[lead], per - 1)
     spans = []

@@ -359,11 +359,12 @@ class TestVerifyOnce:
         pair = plan.pairs[1]
         per_user = len(inst.users) // 12
         local = inst.users[(user - 1) * per_user : user * per_user]
-        labels = {
-            delivery._part_label(plan.table, *pair.part_map[m - 1], pair.cell_split): m
-            for u in local
-            for m in u.want
-        }
+
+        def part_label(m):
+            g, part = pair.part_map[m - 1]
+            return delivery._part_label(plan.table.message_label(g), part, pair.cell_split)
+
+        labels = {part_label(m): m for u in local for m in u.want}
         alone = IcpInstance(
             n_messages=inst.n_messages,
             users=(IcpUser(want=frozenset({labels[label]}), known=local[0].known),),
@@ -399,6 +400,30 @@ class TestVerifierTree:
                     for i in range(1, -(-k // l) + 1):
                         plan_for(k, l, i, mode, oracle_node_cap=0)
         assert split and not any(split)
+
+
+def count_products(monkeypatch) -> list:
+    """Record the size of every product `linalg_ff._eliminate` takes, its
+    pivot factors included."""
+    products = []
+    real_eliminate = linalg_ff._eliminate
+
+    def counted(gf, *args):
+        real_mul = gf.mul
+
+        def mul(a, b):
+            out = real_mul(a, b)
+            products.append(out.size)
+            return out
+
+        gf.mul = mul
+        try:
+            return real_eliminate(gf, *args)
+        finally:
+            del gf.mul
+
+    monkeypatch.setattr(linalg_ff, "_eliminate", counted)
+    return products
 
 
 class TestVerifyBudget:
@@ -453,29 +478,47 @@ class TestVerifyBudget:
         + [(k, 2, i, mode) for k, i in [(12, 2), (9, 3)] for mode in ("quadratic", "linear", "divisor")],
     )
     def test_bound_covers_the_cells_eliminated(self, monkeypatch, corner):
-        # every product `_eliminate` takes, its pivot factors included,
-        # against the bound the budget reads
-        products = [0]
-        real_eliminate = linalg_ff._eliminate
-
-        def counted(gf, *args):
-            real_mul = gf.mul
-
-            def mul(a, b):
-                out = real_mul(a, b)
-                products[0] += out.size
-                return out
-
-            gf.mul = mul
-            try:
-                return real_eliminate(gf, *args)
-            finally:
-                del gf.mul
-
-        monkeypatch.setattr(linalg_ff, "_eliminate", counted)
+        # every product `_eliminate` takes against the bound the budget reads
+        products = count_products(monkeypatch)
         plan = plan_for(*corner)
         bound = sum(linalg_ff.verify_cells(p.scheme, pair_instance(p)) for p in plan.pairs)
-        assert 0 < products[0] <= bound
+        assert 0 < sum(products) <= bound
+
+    @pytest.mark.parametrize("corner", [(12, 2, 2, "quadratic"), (60, 2, 7, "quadratic")])
+    def test_bound_covers_the_exact_test(self, monkeypatch, corner):
+        # every component's last row dropped, so some sets' lacked columns
+        # are dependent and take the exact test; per elimination tree, its
+        # products against its rows times the per-set cells of their pair,
+        # which for the rank tree over the known sets is `verify_cells`
+        plan = plan_for(*corner)
+        pairs = [
+            (replace(p.scheme, coefficients=p.scheme.coefficients[:-1]), pair_instance(p))
+            for p in plan.pairs
+        ]
+        products = count_products(monkeypatch)
+        batch, trees = [], []  # per tree: its first product, and its bound
+        real_spans, real_ranks = linalg_ff._tree_spans, linalg_ff._tree_ranks
+
+        def spans(run):
+            batch.append(run)
+            return real_spans(run)
+
+        def ranks(gf, a, lacked, offset, n_tx):
+            shapes = [scheme.coefficients.shape for scheme, _ in batch[-1]]
+            per_set = [r * n * min(r, n) for r, n in shapes]
+            trees.append((len(products), int(np.dot(np.diff(offset), per_set))))
+            return real_ranks(gf, a, lacked, offset, n_tx)
+
+        monkeypatch.setattr(linalg_ff, "_tree_spans", spans)
+        monkeypatch.setattr(linalg_ff, "_tree_ranks", ranks)
+        verdicts = linalg_ff.verify_schemes(pairs)
+        assert not all(map(all, verdicts))
+        # a rank tree and an exact tree per batch
+        assert len(trees) == 2 * len(batch)
+        ends = [start for start, _ in trees[1:]] + [len(products)]
+        assert all(0 < sum(products[start:end]) <= bound for (start, bound), end in zip(trees, ends))
+        cells = sum(linalg_ff.verify_cells(scheme, icp) for scheme, icp in pairs)
+        assert sum(bound for _, bound in trees[::2]) == cells
 
 
 class TestArrayOnly:

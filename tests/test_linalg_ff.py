@@ -655,18 +655,17 @@ def scheme_batches(draw):
 
 
 def record_trees(monkeypatch) -> list:
-    """Record, per :func:`linalg_ff._tree_ranks` call, whether it stops below
-    a dependent column, and the number of matrices in each stack it
-    eliminates."""
+    """Record, per :func:`linalg_ff._tree_ranks` call, the number of matrices
+    in each stack it eliminates."""
     trees = []
     real_ranks, real_eliminate = linalg_ff._tree_ranks, linalg_ff._eliminate
 
-    def ranks(gf, a, lacked, offset, n_tx, stop):
-        trees.append((stop, []))
-        return real_ranks(gf, a, lacked, offset, n_tx, stop)
+    def ranks(*args):
+        trees.append([])
+        return real_ranks(*args)
 
     def eliminate(gf, a, *args):
-        trees[-1][1].append(len(a))
+        trees[-1].append(len(a))
         return real_eliminate(gf, a, *args)
 
     monkeypatch.setattr(linalg_ff, "_tree_ranks", ranks)
@@ -802,7 +801,7 @@ class TestBatchedVerifier:
         for pair in batch:
             trees.clear()
             linalg_ff.verify_schemes([pair])
-            alone.append([stacks for _, stacks in trees])
+            alone.append(list(trees))
         trees.clear()
         split = count_splits(monkeypatch)
         got = linalg_ff.verify_schemes(batch)
@@ -812,13 +811,10 @@ class TestBatchedVerifier:
         # the rank tree, then the exact tree over the short pair's dependent
         # sets; the empty scheme's columns are one class, which no node's set
         # lacks alone, so its sets need no exact test
-        assert [stop for stop, _ in trees] == [True, False]
+        assert len(trees) == 2
         assert [len(tree) for tree in alone] == [1, 1, 1, 1, 2]
-        # the short pair's rank tree stops below its dependent columns, so it
-        # holds fewer ranges than the full pair's over the same known sets
-        assert sum(alone[4][0]) < sum(alone[2][0])
         # one tree: each depth's stack holds every pair's ranges at that depth
-        for (_, stacks), t in zip(trees, (0, 1)):
+        for stacks, t in zip(trees, (0, 1)):
             each = [tree[t] for tree in alone if t < len(tree)]
             depths = max(map(len, each))
             assert stacks == [sum(s[d] for s in each if d < len(s)) for d in range(depths)]
@@ -841,7 +837,7 @@ class TestBatchedVerifier:
         icp = IcpInstance(n_messages=4, users=users)
         trees = record_trees(monkeypatch)
         got = verify_scheme(scheme, icp)
-        assert [stop for stop, _ in trees] == [True, False]
+        assert len(trees) == 2
         assert got == reference_verdicts(scheme, icp) == (not wanted_dependent, True)
         monkeypatch.undo()
         assert assert_matches_reference(scheme, icp) == got
