@@ -227,10 +227,19 @@ def min_rank_gf2(icp: IcpInstance, node_cap: int = 10) -> int:
     form gives the same larger T, so a row has ``2**len(W)`` distinct
     branches. The search branches on the unserved row with the fewest; rows
     already served need no vector and are never branched on, which is exact
-    because f(T) <= 1 + f(T + x) for any x. With
-    one vector left, the unserved rows' cosets are intersected instead. A
-    basis and the largest budget that failed from it are memoized. For
-    single-unicast instances nodes and messages coincide.
+    because f(T) <= 1 + f(T + x) for any x. With one vector left, the
+    unserved rows' cosets are intersected instead. A basis and the largest
+    budget that failed from it are memoized.
+
+    The branched row's options are tried in ascending order of how many
+    other rows each leaves unserved (ties in coset order), so a witness is
+    usually met early. The order decides only how soon a success is met: a
+    budget fails from a basis only after every option has failed, so the
+    search stays complete, each memo entry records a true failure and the
+    value is the same in any order. A child's rows are the quotient by one
+    more vector y, which keeps every leading bit of W but the one y leads,
+    so each W is updated in O(len(W)) steps (:func:`_quotient`) rather than
+    re-echelonised. For single-unicast instances nodes and messages coincide.
     """
     node_cap_check(icp, node_cap)
     n = icp.n_nodes
@@ -276,14 +285,16 @@ def _search(basis: tuple[int, ...], rows: list, budget: int, n: int, failed: dic
     i = min(range(len(rows)), key=lambda j: len(rows[j][1]))
     a, w = rows[i]
     others = rows[:i] + rows[i + 1 :]
-    for y in _coset(a, w):
+    # each option with the rows it leaves unserved, fewest first; the sort
+    # is stable, so ties keep _coset order
+    options = sorted(
+        ((y, [row for row in others if not _in_coset(y, *row)]) for y in _coset(a, w)),
+        key=lambda option: len(option[1]),
+    )
+    for y, unserved in options:
         p = 1 << (y.bit_length() - 1)
         child = tuple(sorted([b ^ y if b & p else b for b in basis] + [y], reverse=True))
-        rest = [
-            (a2 ^ y if a2 & p else a2, _echelon(x ^ y if x & p else x for x in w2))
-            for a2, w2 in others
-            if not _in_coset(y, a2, w2)
-        ]
+        rest = [(a2 ^ y if a2 & p else a2, _quotient(w2, y)) for a2, w2 in unserved]
         if _search(child, rest, budget - 1, n, failed):
             return True
     failed[basis] = budget
@@ -308,6 +319,29 @@ def _echelon(vectors) -> list[int]:
             basis.append(x)
             basis.sort(reverse=True)
     return basis
+
+
+def _quotient(w: list[int], y: int) -> list[int]:
+    """An echelon basis of span(w) reduced by ``y``, the span of ``x ^ y if
+    x & p else x`` over ``x`` in ``w`` for ``p`` the leading bit of ``y``.
+
+    The XOR keeps every leading bit but that of the one vector led by ``p``;
+    only that vector is reduced against the rest and put back in order, so
+    this takes O(|w|) steps where re-echelonising takes O(|w|^2)."""
+    p = 1 << (y.bit_length() - 1)
+    out = []
+    z = 0
+    for x in w:
+        if x & p:
+            x ^= y
+            if x < p:  # x was led by p
+                z = x
+                continue
+        out.append(x)
+    z = _reduce(z, out)
+    if z:
+        out.insert(next((k for k, x in enumerate(out) if x < z), len(out)), z)
+    return out
 
 
 def _in_coset(y: int, a: int, w: list[int]) -> bool:

@@ -305,7 +305,21 @@ class TestVerifyOnce:
         with pytest.raises(ValueError):
             plan.pairs[0].scheme.coefficients[0, 0] = 1
 
+    @staticmethod
+    def count_batches(monkeypatch) -> list:
+        """Record each ``verify_schemes`` batch ``delivery`` runs."""
+        batches = []
+        real = delivery.verify_schemes
+
+        def counted(pairs):
+            batches.append(len(pairs))
+            return real(pairs)
+
+        monkeypatch.setattr(delivery, "verify_schemes", counted)
+        return batches
+
     def test_failure_names_component_and_users(self, monkeypatch):
+        batches = self.count_batches(monkeypatch)
         real = delivery.encode
         seen = []
 
@@ -320,6 +334,8 @@ class TestVerifyOnce:
         with pytest.raises(VerificationError) as info:
             plan_for(12, 2, 2, "quadratic")
         assert len(seen) == 4
+        # the plan's own check, then one batch to name the failing pairs
+        assert len(batches) == 2
         # zero coefficients: user 1 decodes neither of its two messages there
         assert str(info.value) == (
             "users unable to decode: columns [2, 7] (fractional) table users "
@@ -328,6 +344,7 @@ class TestVerifyOnce:
         )
 
     def test_failure_names_message_and_rank_deficit(self, monkeypatch):
+        batches = self.count_batches(monkeypatch)
         real = delivery.encode
         seen = []
 
@@ -352,6 +369,7 @@ class TestVerifyOnce:
         users, user, label, deficit = json.loads(found[1]), int(found[2]), found[3], int(found[4])
         # one row fewer takes at most one dimension from any user
         assert users and user == users[0] and deficit == 1
+        assert len(batches) == 2
         # the label is a message the user wants in this pair and cannot decode
         scheme, inst = seen[1]
         monkeypatch.undo()

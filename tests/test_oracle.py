@@ -134,6 +134,18 @@ def gf2_rank(rows: list[int]) -> int:
     return r
 
 
+def rref(vectors) -> tuple[int, ...]:
+    """The reduced row echelon basis of the vectors' span: one canonical
+    form per subspace, unlike an echelon basis."""
+    basis: list[int] = []
+    for x in vectors:
+        for b in basis:
+            x = min(x, x ^ b)
+        if x:
+            basis = [min(b, b ^ x) for b in basis] + [x]
+    return tuple(sorted(basis, reverse=True))
+
+
 def naive_min_rank(icp: IcpInstance) -> int:
     """Minimum GF(2) rank over every fitting matrix, fully enumerated."""
     users = icp.users
@@ -407,6 +419,40 @@ class TestMinRank:
                 assert min_rank_gf2(reduction(*corner)) == value, corner
         assert calls
 
+    @staticmethod
+    def count_searches(monkeypatch) -> list:
+        calls = []
+        search = oracle._search
+
+        def counted(*args):
+            calls.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(oracle, "_search", counted)
+        return calls
+
+    def test_fewest_unserved_first_bounds_the_search(self, monkeypatch):
+        # before branching fewest-unserved first: 1,977 and 54,767 calls
+        calls = self.count_searches(monkeypatch)
+        assert min_rank_gf2(reduction(5, 1, 3)) == 3
+        assert len(calls) < 1200
+        calls.clear()
+        assert min_rank_gf2(realize_union_split(UnionIcpDesc(1, 1, 3), 1), node_cap=12) == 4
+        assert len(calls) < 10000
+
+    @given(
+        st.lists(st.integers(1, (1 << 10) - 1), max_size=8),
+        st.integers(1, (1 << 10) - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_quotient_matches_echelon(self, vectors, y):
+        w = oracle._echelon(vectors)
+        p = 1 << (y.bit_length() - 1)
+        out = oracle._quotient(w, y)
+        leads = [x.bit_length() for x in out]
+        assert leads == sorted(set(leads), reverse=True) and 0 not in leads
+        assert rref(out) == rref(oracle._echelon(x ^ y if x & p else x for x in w))
+
     def test_frozen_values(self):
         assert min_rank_gf2(realize_union_split(UnionIcpDesc(0, 0, 1), 1)) == 2
         assert min_rank_gf2(realize_single(StructuredIcpDesc(0, 0, 3))) == 1
@@ -465,3 +511,35 @@ class TestChainOfBounds:
         value, _ = exhaustive_chi_l(icp)
         assert value <= local_count(icp, divisor_coloring(desc, desc.k))
         assert value <= local_count(icp, greedy_coloring(icp))
+
+
+# Every union instance with K = 6 (n = 12) and K = 7, (1,0,5) (n = 14): mais,
+# min_rank_gf2 and the transmissions of the divisor coloring at d = K, as
+# recorded before the search branched fewest-unserved first. Two gaps: at
+# (1,1,3) min-rank 4 is below the 5 transmissions, and at (2,1,2) mais 5 is
+# below min-rank 6.
+UNION_VALUES = {
+    (0, 0, 5): (2, 2, 2),
+    (1, 0, 4): (3, 3, 3),
+    (1, 1, 3): (4, 4, 5),
+    (2, 0, 3): (4, 4, 4),
+    (2, 1, 2): (5, 6, 6),
+    (2, 2, 1): (6, 6, 6),
+    (3, 0, 2): (5, 5, 5),
+    (3, 1, 1): (6, 6, 6),
+    (4, 0, 1): (6, 6, 6),
+    (1, 0, 5): (3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("desc", sorted(UNION_VALUES), ids=lambda d: "U{}-{}-{}".format(*d))
+def test_union_frozen_values(desc):
+    d = UnionIcpDesc(*desc)
+    icp = realize_union_split(d, 1)
+    n = icp.n_nodes
+    assert n == 2 * d.k
+    lower, min_rank, tx = UNION_VALUES[desc]
+    assert mais(icp) == lower
+    assert min_rank_gf2(icp, node_cap=n) == min_rank
+    assert encode(icp, divisor_coloring(d, d.k)).n_transmissions == tx
+    assert lower <= min_rank <= tx
