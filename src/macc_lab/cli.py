@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .delivery import _plan_chunks, assemble, verify_plan
-from .errors import ParameterError, SizeCapError, VerificationError
+from .errors import ParameterError, SizeCapError, VerificationError, as_int
 from .linalg_ff import FieldSpec
 from .macc import MaccInstance
 from .rates import compare, corner_points, memory_share
@@ -54,8 +54,8 @@ _SWEEP_MAX_TUPLES = 5000
 
 def _int(value, flag: str) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError):
+        return int(value) if isinstance(value, str) else as_int(value, flag)
+    except ValueError:
         raise ParameterError(f"{flag} expects an integer, got {value!r}") from None
 
 
@@ -109,12 +109,11 @@ def _field_from_env() -> FieldSpec | None:
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from ``--config`` JSON; explicit flags keep priority."""
-    path = getattr(args, "config", None)
-    if not path:
+    """Fill unset ``args.flags`` from ``--config`` JSON; explicit flags keep priority."""
+    if not args.config:
         return
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read config: {exc}") from exc
@@ -124,7 +123,7 @@ def _merge_config(args: argparse.Namespace) -> None:
         raise ParameterError("config must be a JSON object mapping flags to values")
     for key, value in data.items():
         attr = str(key).lstrip("-").replace("-", "_")
-        if attr == "config" or not hasattr(args, attr):
+        if attr not in args.flags:
             raise ParameterError(f"config key {key!r} does not match any flag")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
@@ -320,6 +319,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _add_config_flag(parser: argparse.ArgumentParser) -> None:
+    """Add ``--config``; the dests of the flags added before may be its keys."""
+    parser.set_defaults(flags={a.dest for a in parser._actions} - {"help"})
     parser.add_argument(
         "--config",
         default=None,

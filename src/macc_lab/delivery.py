@@ -129,12 +129,15 @@ class DeliveryPlan:
     ``rate`` is in file units; ``subpacketization`` counts the parts each
     file ends up in (cells at ``base_split``, halved leftover cells at twice
     that). ``notes`` carries non-fatal observations such as a best-effort
-    component exceeding its closed-form bound. ``users_ok[k-1]``, set by exact
-    rank in ``__post_init__`` and never passed in, says if table user ``k``
-    decodes every pair, so a plan made by ``dataclasses.replace`` checks itself.
-    One :func:`~.linalg_ff.verify_schemes` batch checks every pair's scheme on
-    the pair's own ``icp``; the schemes must share one field, and the batch
-    refuses a plan past :data:`VERIFY_CELL_BUDGET` before any elimination.
+    component exceeding its closed-form bound. ``local_ok[n][j]`` says if local
+    user ``j + 1`` of ``pairs[n]`` decodes, ``users_ok[k-1]`` if table user
+    ``k``, who owns the ``k``-th block of each pair's local users, decodes every
+    pair. Both are set by exact rank in ``__post_init__``, never passed in, so a
+    plan made by ``dataclasses.replace`` checks itself and a failing
+    :func:`assemble` names its components from them. One
+    :func:`~.linalg_ff.verify_schemes` batch checks every pair's scheme on the
+    pair's own ``icp``; the schemes must share one field, and the batch refuses
+    a plan past :data:`VERIFY_CELL_BUDGET` before any elimination.
     """
 
     table: IcpTable
@@ -147,12 +150,14 @@ class DeliveryPlan:
     subpacketization: int
     notes: tuple[str, ...] = ()
     users_ok: tuple[bool, ...] = dc_field(init=False, repr=False, compare=False)
+    local_ok: tuple[tuple[bool, ...], ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.table.n_rows
-        verdicts = verify_schemes([(p.scheme, p.icp) for p in self.pairs])
-        bad = {u for v in verdicts for u in _failed_users(v, k)}
-        object.__setattr__(self, "users_ok", tuple(u not in bad for u in range(1, k + 1)))
+        local_ok = tuple(verify_schemes([(p.scheme, p.icp) for p in self.pairs]))
+        folds = [_table_users(v, k) for v in local_ok if not all(v)]
+        object.__setattr__(self, "local_ok", local_ok)
+        object.__setattr__(self, "users_ok", tuple(map(all, zip(*folds))) if folds else (True,) * k)
 
     @property
     def instance(self) -> MaccInstance:
@@ -338,42 +343,37 @@ def assemble(
         notes=notes,
     )
     if not all(plan.users_ok):  # failure path only: name the components that broke
-        verdicts = verify_schemes([(p.scheme, p.icp) for p in plan.pairs])
         failing = (f"columns {list(p.columns)} ({p.tag}) table users {bad}"
-                   f" ({_first_failure(p, table, bad[0])})"
-                   for p, v in zip(plan.pairs, verdicts)
-                   if (bad := _failed_users(v, k)))
+                   f" ({_first_failure(p, v, table, bad[0])})"
+                   for p, v in zip(plan.pairs, plan.local_ok)
+                   if (bad := [u for u, ok in enumerate(_table_users(v, k), 1) if not ok]))
         raise VerificationError("users unable to decode: " + "; ".join(failing))
     return plan
 
 
-def _failed_users(verdicts: tuple[bool, ...], k: int) -> list[int]:
-    """Table users (1-based) among whose local users a verdict is False."""
-    per_user = len(verdicts) // k
-    return sorted({idx // per_user + 1 for idx, good in enumerate(verdicts) if not good})
+def _table_users(local: tuple[bool, ...], k: int) -> list[bool]:
+    """Per table user of ``k``: do all its local users in ``local`` decode?"""
+    per = len(local) // k
+    return [all(local[lo : lo + per]) for lo in range(0, len(local), per)]
 
 
-def _first_failure(pair: PairPlan, table: IcpTable, user: int) -> str:
-    """The first message table user ``user`` cannot decode from ``pair`` and
-    the user's rank deficit: how many of the dimensions it wants there the
-    transmissions on its unknown messages leave out."""
-    per_user = len(pair.icp.users) // table.n_rows
-    local = pair.icp.users[(user - 1) * per_user : user * per_user]
-    order = pair.scheme.message_order
-    coeff = pair.scheme.coefficients
-    known = local[0].known
-    wants = [m for u in local for m in sorted(u.want)]
-
-    def rank_without(drop) -> int:
-        cols = [c for c, m in enumerate(order) if m not in known and m not in drop]
-        return rank(coeff[:, cols], pair.scheme.field)
-
-    full = rank_without(())
-    missed = next(m for m in wants if rank_without({m}) == full)
-    g, part = pair.part_map[missed - 1]
+def _first_failure(pair: PairPlan, local: tuple[bool, ...], table: IcpTable, user: int) -> str:
+    """The message wanted by table user ``user``'s first local user whose
+    verdict in ``local`` is False (in ``pair.icp`` local user ``j`` is node
+    ``j``), and the user's rank deficit: how many of the dimensions it wants
+    the transmissions on its unknown messages, known to all its local users
+    alike, leave out."""
+    per = len(local) // table.n_rows
+    lo = (user - 1) * per
+    icp, order = pair.icp, pair.scheme.message_order
+    wants = (icp.node_msg[lo : lo + per] + 1).tolist()
+    known = icp.known_rows[icp.node_row[lo]]
+    lacked = [c for c, m in enumerate(order) if not known[m - 1]]
+    full, rest = (rank(pair.scheme.coefficients[:, cols], pair.scheme.field)
+                  for cols in (lacked, [c for c in lacked if order[c] not in wants]))
+    g, part = pair.part_map[wants[local[lo : lo + per].index(False)] - 1]
     label = _part_label(table.message_label(g), part, pair.cell_split)
-    deficit = len(wants) - full + rank_without(set(wants))
-    return f"table user {user} cannot decode {label}, rank deficit {deficit}"
+    return f"table user {user} cannot decode {label}, rank deficit {len(wants) - full + rest}"
 
 
 def verify_plan(plan: DeliveryPlan) -> PlanCheck:
@@ -387,7 +387,6 @@ def verify_plan(plan: DeliveryPlan) -> PlanCheck:
     """
     inst = plan.table.instance
     k, l, i = inst.n_caches, inst.access_degree, inst.memory_index
-    users_ok = plan.users_ok
     if plan.mode == "quadratic":
         rep = rate_quadratic(k, l, i)
     elif plan.mode == "divisor":
@@ -398,12 +397,12 @@ def verify_plan(plan: DeliveryPlan) -> PlanCheck:
     calc_f = rep.subpacketization if rep.applicable else None
     rate_equal = None if calc_rate is None else plan.rate == calc_rate
     within = None if calc_rate is None else plan.rate <= calc_rate
-    ok = all(users_ok)
+    ok = all(plan.users_ok)
     if plan.mode in ("quadratic", "divisor"):
         ok = ok and bool(rate_equal) and calc_f == plan.subpacketization
     return PlanCheck(
         ok=ok,
-        users_ok=users_ok,
+        users_ok=plan.users_ok,
         rate=plan.rate,
         subpacketization=plan.subpacketization,
         calculator_rate=calc_rate,

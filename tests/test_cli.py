@@ -290,6 +290,35 @@ class TestConfig:
         assert code == 2
         assert "'Q'" in err
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("rates", {"K": 8.7, "L": 2, "i": 3}),
+            ("rates", {"K": True, "L": 2, "i": 3}),
+            ("rates", {"K": 8, "L": 2, "i": 3, "divisor": 8.9}),
+            ("plan", {"K": 4, "L": 2, "i": 1, "mode": "quadratic", "demands": [1.5, 2, 3, 4]}),
+        ],
+    )
+    def test_non_integer_values(self, capsys, tmp_path, command, payload):
+        cfg = self.write(tmp_path, payload)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 2 and out == ""
+        assert "expects an integer" in err
+
+    @pytest.mark.parametrize("key", ["func", "command", "flags"])
+    def test_internal_names_are_not_keys(self, capsys, tmp_path, key):
+        cfg = self.write(tmp_path, {"K": 8, "L": 2, "i": 3, key: "plan"})
+        code, out, err = run_cli(capsys, "rates", "--config", cfg)
+        assert code == 2 and out == ""
+        assert repr(key) in err
+
+    def test_keys_are_the_subcommands_flags(self, capsys, tmp_path):
+        # --mode is a flag of plan and sweep, not of rates
+        cfg = self.write(tmp_path, {"K": 8, "L": 2, "i": 3, "mode": "linear"})
+        assert run_cli(capsys, "rates", "--config", cfg)[0] == 2
+        cfg = self.write(tmp_path, {"K": 8, "L": 2, "i": 3, "oracle-cap": 0, "mode": "linear"})
+        assert run_cli(capsys, "plan", "--config", cfg)[0] == 0
+
     def test_config_must_be_object(self, capsys, tmp_path):
         cfg = self.write(tmp_path, [1, 2, 3])
         assert run_cli(capsys, "rates", "--config", cfg)[0] == 2

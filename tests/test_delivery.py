@@ -334,8 +334,8 @@ class TestVerifyOnce:
         with pytest.raises(VerificationError) as info:
             plan_for(12, 2, 2, "quadratic")
         assert len(seen) == 4
-        # the plan's own check, then one batch to name the failing pairs
-        assert len(batches) == 2
+        # the plan's own check names the failing pairs too
+        assert len(batches) == 1
         # zero coefficients: user 1 decodes neither of its two messages there
         assert str(info.value) == (
             "users unable to decode: columns [2, 7] (fractional) table users "
@@ -369,7 +369,7 @@ class TestVerifyOnce:
         users, user, label, deficit = json.loads(found[1]), int(found[2]), found[3], int(found[4])
         # one row fewer takes at most one dimension from any user
         assert users and user == users[0] and deficit == 1
-        assert len(batches) == 2
+        assert len(batches) == 1
         # the label is a message the user wants in this pair and cannot decode
         scheme, inst = seen[1]
         monkeypatch.undo()
@@ -388,6 +388,80 @@ class TestVerifyOnce:
             users=(IcpUser(want=frozenset({labels[label]}), known=local[0].known),),
         )
         assert verify_scheme(scheme, alone) == (False,)
+
+    @staticmethod
+    def reference_failure(plan) -> str:
+        """The failure text as a per-message span test writes it, without the
+        plan's verdicts: a table user fails a pair iff the rank of its unknown
+        columns does not drop without some message it wants; the first failing
+        user is named with the first such message and its rank deficit."""
+        k, parts = plan.table.n_rows, []
+        for pair in plan.pairs:
+            order, coeff = pair.scheme.message_order, pair.scheme.coefficients
+            per_user = len(pair.icp.users) // k
+            named = []
+            for user in range(1, k + 1):
+                local = pair.icp.users[(user - 1) * per_user : user * per_user]
+                known = local[0].known
+                wants = [m for u in local for m in sorted(u.want)]
+
+                def rank_without(drop) -> int:
+                    cols = [c for c, m in enumerate(order) if m not in known and m not in drop]
+                    return linalg_ff.rank(coeff[:, cols], pair.scheme.field)
+
+                full = rank_without(())
+                missed = next((m for m in wants if rank_without({m}) == full), None)
+                if missed is not None:
+                    g, part = pair.part_map[missed - 1]
+                    label = delivery._part_label(plan.table.message_label(g), part, pair.cell_split)
+                    deficit = len(wants) - full + rank_without(set(wants))
+                    named.append((user, label, deficit))
+            if named:
+                user, label, deficit = named[0]
+                parts.append(
+                    f"columns {list(pair.columns)} ({pair.tag}) table users "
+                    f"{[u for u, *_ in named]} (table user {user} cannot decode "
+                    f"{label}, rank deficit {deficit})"
+                )
+        return "users unable to decode: " + "; ".join(parts) if parts else ""
+
+    @pytest.mark.parametrize("mode", ["quadratic", "linear", "divisor"])
+    @pytest.mark.parametrize("perturb", ["last_row", "column", "coefficient"])
+    def test_failure_matches_per_message_reference(self, monkeypatch, mode, perturb):
+        rng = np.random.default_rng(["last_row", "column", "coefficient"].index(perturb))
+        real = delivery.encode
+        checked = 0
+        for k, l, i in [(5, 2, 1), (6, 2, 2), (7, 2, 2), (8, 2, 3), (9, 2, 2), (10, 3, 2), (12, 2, 2)]:
+            monkeypatch.setattr(delivery, "encode", real)
+            plan = plan_for(k, l, i, mode)
+            t = int(rng.integers(len(plan.pairs)))
+            coeff = plan.pairs[t].scheme.coefficients.copy()
+            if perturb == "last_row":
+                coeff[-1] = 0
+            elif perturb == "column":
+                coeff[:, rng.integers(coeff.shape[1])] = 0
+            else:
+                r, c = rng.integers(coeff.shape[0]), rng.integers(coeff.shape[1])
+                coeff[r, c] ^= rng.integers(1, plan.field.size)
+            seen = []
+
+            def perturbed(inst, coloring, **kw):
+                scheme = real(inst, coloring, **kw)
+                seen.append(scheme)
+                return replace(scheme, coefficients=coeff) if len(seen) == t + 1 else scheme
+
+            pairs = list(plan.pairs)
+            pairs[t] = replace(pairs[t], scheme=replace(pairs[t].scheme, coefficients=coeff))
+            expected = self.reference_failure(replace(plan, pairs=tuple(pairs)))
+            monkeypatch.setattr(delivery, "encode", perturbed)
+            try:
+                plan_for(k, l, i, mode)
+                text = ""
+            except VerificationError as exc:
+                text = str(exc)
+            assert text == expected
+            checked += bool(text)
+        assert checked
 
 
 class TestVerifierTree:
