@@ -40,6 +40,7 @@ __all__ = ["main"]
 
 _SCHEMES = ("prior_restricted", "prior_general", "divisor", "linear", "quadratic")
 _MODES = ("quadratic", "linear", "divisor")
+_TEXT_FLAGS = ("mode", "out", "format", "K_range", "L_range")  # JSON strings in --config
 _RATES_HEADER = ("K", "L", "i", "M", "scheme", "rate_num", "rate_den", "F", "applicable")
 _SWEEP_HEADER = (
     "K", "L", "i", "M", "mode",
@@ -125,6 +126,8 @@ def _merge_config(args: argparse.Namespace) -> None:
         attr = str(key).lstrip("-").replace("-", "_")
         if attr not in args.flags:
             raise ParameterError(f"config key {key!r} does not match any flag")
+        if attr in _TEXT_FLAGS and not isinstance(value, str):
+            raise ParameterError(f"--{attr.replace('_', '-')} expects a string, got {value!r}")
         if getattr(args, attr) is None:
             setattr(args, attr, value)
 

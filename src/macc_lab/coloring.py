@@ -7,6 +7,12 @@ is the largest number of distinct colors seen by any closed set
 ``{u} + interferers(u)``. The local count, not the palette size, is what a
 properly colored instance pays in transmissions.
 
+Both read one table, ``lack[s, c]``: how many distinct messages of color
+``c`` known set ``s`` lacks. A set never knows its own node's message, so a
+coloring is proper iff no node's own color shows two lacked messages to its
+set. First-fit lets ``u`` and ``v`` share a color only when each one's set
+knows the other's message.
+
 The union descriptors have one structured rule, a shifted window on the
 ``K x 2m`` grid: node ``(k, p)``, with 0-based column ``p``, gets
 ``mod1(k + (p // 2) * s + (p % 2) * (a1 + 1), t)`` for ``s = a1 + a2 + 2``.
@@ -72,46 +78,46 @@ def interferers(icp: IcpInstance, node: int) -> set[int]:
 def is_proper(icp: IcpInstance, coloring: Coloring) -> bool:
     """True iff no node shares its color with one of its interferers: every
     node knows or wants the message of every member of its color class."""
-    _check_len(icp, coloring)
-    cols = np.asarray(coloring.colors, dtype=np.intp)
-    return not any(
-        (~vis & (cols[u][:, None] == cols[v])).any() for u, v, vis in _visibility(icp, cols, own=True)
-    )
+    return _verdicts(icp, coloring)[0]
 
 
 def local_count(icp: IcpInstance, coloring: Coloring) -> int:
     """Max distinct colors over closed sets {u} + interferers(u)."""
+    return _verdicts(icp, coloring)[1]
+
+
+def _verdicts(icp: IcpInstance, coloring: Coloring) -> tuple[bool, int]:
+    """Whether ``coloring`` is proper, and its local count, both read off one
+    :func:`_lack` table; a set never knows the message its own node wants."""
     _check_len(icp, coloring)
-    cols = np.asarray(coloring.colors, dtype=np.intp)
-    best = 0
-    for u, v, vis in _visibility(icp, cols, own=False):
-        # per node, the colors of the members it cannot see, and its own
-        seen = np.logical_or.reduceat(~vis, np.flatnonzero(np.diff(cols[v], prepend=0)), axis=1)
-        seen[np.arange(len(u)), cols[u] - 1] = True
-        best = max(best, int(seen.sum(axis=1).max()))
-    return best
+    if not icp.n_nodes:
+        return True, 0
+    cols, row, msg = np.asarray(coloring.colors, dtype=np.intp) - 1, icp.node_row, icp.node_msg
+    # the distinct (color, message) pairs in color order, every color present;
+    # sorted here, as np.unique's first call imports numpy.ma (1 MB)
+    key = np.sort(cols * icp.n_messages + msg, kind="stable")
+    pair_col, pair_msg = np.divmod(key[np.concatenate(([True], key[1:] != key[:-1]))], icp.n_messages)
+    lack = _lack(icp.known_rows, pair_msg, np.searchsorted(pair_col, np.arange(coloring.n_colors)))
+    own, seen = lack[row, cols], np.count_nonzero(lack, axis=1)[row]
+    if np.bincount(pair_msg).max() > 1:
+        # a node does not see another color whose only lacked message is its own
+        holds = np.zeros((icp.n_messages, lack.shape[1]), dtype=bool)
+        holds[pair_msg, pair_col] = True
+        seen -= np.count_nonzero(holds[msg] & (lack[row] == 1), axis=1) - (own == 1)
+    return not (own > 1).any(), int(seen.max())
 
 
-# node x member cells per block of :func:`_visibility`; its boolean
-# temporaries stay near 1 MB whatever the instance size
+# known set x pair cells per block of :func:`_lack`, node x node cells per
+# block of :func:`greedy_coloring`; their temporaries stay near 1 MB
 _BLOCK_CELLS = 1 << 18
 
 
-def _visibility(icp: IcpInstance, cols: np.ndarray, own: bool):
-    """Per block of nodes ``u``, taken in color order: the members ``v``, in
-    color order, of every color class (of only the classes of ``u`` when
-    ``own``), and ``vis[i, j]``, whether node ``u[i]`` knows or wants the
-    message of node ``v[j]``."""
-    order = np.argsort(cols, kind="stable")
-    ordered = cols[order]
-    step = max(1, _BLOCK_CELLS // max(1, len(cols), icp.n_messages))
-    for lo in range(0, len(cols), step):
-        u = order[lo : lo + step]
-        a = np.searchsorted(ordered, ordered[lo]) if own else 0
-        b = np.searchsorted(ordered, ordered[lo + len(u) - 1], side="right") if own else len(cols)
-        v = order[a:b]
-        msg = icp.node_msg[v]
-        yield u, v, icp.known_rows[icp.node_row[u]][:, msg] | (icp.node_msg[u][:, None] == msg)
+def _lack(known_rows: np.ndarray, msg: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """``lack[s, c]``: how many of the messages ``msg``, grouped into colors
+    that begin at ``starts``, known set ``s`` lacks in color ``c``."""
+    step, dtype = max(1, _BLOCK_CELLS // len(msg)), np.min_scalar_type(len(msg))
+    return np.concatenate([np.add.reduceat(~known_rows[lo : lo + step, msg], starts, axis=1, dtype=dtype)
+                           for lo in range(0, len(known_rows), step)])
 
 
 def divisor_coloring(desc: UnionIcpDesc, n_colors: int) -> Coloring:
@@ -168,22 +174,26 @@ def _window_coloring(desc: UnionIcpDesc, m: int, t: int) -> Coloring:
 def greedy_coloring(icp: IcpInstance) -> Coloring:
     """First-fit over nodes in index order.
 
-    A node avoids the colors of everything it interferes with, in both
-    directions, and of any node wanting the same message (two same-message
-    nodes on one color would cancel each other out of every linear
-    combination built from the coloring).
+    Nodes ``u`` and ``v`` conflict unless each one's known set holds the
+    other's message, so two nodes wanting one message always conflict (on one
+    color they would cancel each other out of every linear combination built
+    from the coloring). A node takes the first color no earlier conflicting
+    node holds.
     """
-    msg = icp.node_msg
-    colors = [0] * icp.n_nodes
-    for u in range(icp.n_nodes):
-        knows_u = icp.known_rows[icp.node_row, msg[u]]
-        conflict = ~(icp.visible(u) & knows_u) | (msg == msg[u])
-        conflict[u] = False
-        taken = {colors[v] for v in np.flatnonzero(conflict[:u])}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[u] = c
+    row, msg = icp.node_row, icp.node_msg
+    classes = [0]  # per color, a bit mask of its nodes; the last one is empty
+    colors: list[int] = []
+    step = max(1, _BLOCK_CELLS // max(1, icp.n_nodes))
+    for lo in range(0, icp.n_nodes, step):
+        u = slice(lo, lo + step)
+        conflict = ~(icp.known_rows[row[u, None], msg] & icp.known_rows[row, msg[u, None]])
+        for bits in np.packbits(conflict, axis=1, bitorder="little"):
+            mask = int.from_bytes(bits.tobytes(), "little")
+            c = next(c for c, members in enumerate(classes) if not members & mask)
+            if c == len(classes) - 1:
+                classes.append(0)
+            classes[c] |= 1 << len(colors)
+            colors.append(c + 1)
     return Coloring(tuple(colors))
 
 

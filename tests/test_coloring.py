@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from macc_lab import (
     UnionIcpDesc,
     closed_color_sets,
     divisor_coloring,
+    encode,
     fractional_coloring,
     fractional_split,
     greedy_coloring,
@@ -45,6 +47,43 @@ def random_instances(draw):
         known = draw(st.sets(st.integers(1, n), max_size=n)) - {want}
         users.append(IcpUser(want=frozenset({want}), known=frozenset(known)))
     return IcpInstance(n_messages=n, users=tuple(users))
+
+
+@st.composite
+def shared_instances(draw):
+    """An instance whose users may want several messages, so a message may be
+    wanted by several nodes, and a coloring that puts two nodes wanting one
+    message, when there are such, on one color or on two."""
+    n = draw(st.integers(1, 6))
+    users = []
+    for _ in range(draw(st.integers(1, 6))):
+        want = draw(st.sets(st.integers(1, n), min_size=1, max_size=n))
+        known = draw(st.sets(st.integers(1, n), max_size=n)) - want
+        users.append(IcpUser(want=frozenset(want), known=frozenset(known)))
+    icp = IcpInstance(n_messages=n, users=tuple(users))
+    raw = draw(st.lists(st.integers(1, 4), min_size=icp.n_nodes, max_size=icp.n_nodes))
+    msg = icp.node_msg.tolist()
+    twins = [(u, v) for u in range(len(msg)) for v in range(u) if msg[u] == msg[v]]
+    if twins:
+        u, v = draw(st.sampled_from(twins))
+        raw[u] = raw[v] if draw(st.booleans()) else raw[v] % 4 + 1
+    return icp, Coloring(tuple(sorted(set(raw)).index(c) + 1 for c in raw))
+
+
+def assert_matches_closed_sets(icp, coloring, block_cells):
+    """``is_proper`` and ``local_count`` at ``block_cells`` agree with the
+    node-by-node definitions through ``interferers`` and closed sets."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coloring_module, "_BLOCK_CELLS", block_cells)
+        proper, count = is_proper(icp, coloring), local_count(icp, coloring)
+    colors = coloring.colors
+    assert proper == all(
+        colors[v - 1] != colors[u - 1] for u in range(1, icp.n_nodes + 1) for v in interferers(icp, u)
+    )
+    assert count == max(len(s) for s in closed_color_sets(icp, coloring))
+
+
+BLOCKS = st.sampled_from([coloring_module._BLOCK_CELLS, 1])
 
 
 class TestColoring:
@@ -138,20 +177,43 @@ class TestLocalCount:
 
 
 class TestColorBlocks:
-    # any coloring, proper or not, in one node block or one node per block
-    @given(random_instances(), st.data(), st.sampled_from([coloring_module._BLOCK_CELLS, 1]))
+    # any coloring, proper or not, in one block of known sets or one per block
+    @given(random_instances(), st.data(), BLOCKS)
     @settings(max_examples=60)
     def test_match_closed_sets(self, icp, data, block_cells):
         raw = data.draw(st.lists(st.integers(1, 4), min_size=icp.n_nodes, max_size=icp.n_nodes))
         coloring = Coloring(tuple(sorted(set(raw)).index(c) + 1 for c in raw))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(coloring_module, "_BLOCK_CELLS", block_cells)
-            proper, count = is_proper(icp, coloring), local_count(icp, coloring)
-        colors = coloring.colors
-        assert proper == all(
-            colors[v - 1] != colors[u - 1] for u in range(1, icp.n_nodes + 1) for v in interferers(icp, u)
+        assert_matches_closed_sets(icp, coloring, block_cells)
+
+
+class TestLackTable:
+    """The lack-table rule where nodes share messages: a color whose only
+    lacked message is a node's own is not seen by that node."""
+
+    @given(shared_instances(), BLOCKS)
+    @settings(max_examples=100)
+    def test_shared_messages_match_closed_sets(self, drawn, block_cells):
+        assert_matches_closed_sets(*drawn, block_cells)
+
+    def test_shared_message_on_two_colors(self):
+        # nodes 1 and 2 want x1, the only message their sets lack
+        users = (
+            IcpUser(want=frozenset({1}), known=frozenset({2})),
+            IcpUser(want=frozenset({1}), known=frozenset({2})),
+            IcpUser(want=frozenset({2}), known=frozenset({1})),
         )
-        assert count == max(len(s) for s in closed_color_sets(icp, coloring))
+        icp = IcpInstance(n_messages=2, users=users)
+        for colors in ((1, 2, 3), (1, 1, 2), (1, 2, 1)):
+            coloring = Coloring(colors)
+            assert (is_proper(icp, coloring), local_count(icp, coloring)) == (True, 1)
+
+    def test_encode_builds_one_table(self, monkeypatch):
+        calls = []
+        real = coloring_module._lack
+        monkeypatch.setattr(coloring_module, "_lack", lambda *args: calls.append(args) or real(*args))
+        coloring, m = fractional_coloring(UnionIcpDesc(3, 1, 2))
+        encode(realize_union_split(UnionIcpDesc(3, 1, 2), m), coloring)
+        assert len(calls) == 1
 
 
 class TestDivisorColoring:
@@ -259,6 +321,51 @@ class TestWindowRule:
     def test_fractional_coloring_matches_loop(self, desc):
         coloring, m = fractional_coloring(desc)
         assert (coloring.colors, m) == reference_fractional_colors(desc)
+
+
+def reference_greedy_colors(icp):
+    """First-fit as a loop over nodes: each node's conflicts from its
+    visibility row, then the first color no earlier conflicting node holds."""
+    msg = icp.node_msg
+    colors = [0] * icp.n_nodes
+    for u in range(icp.n_nodes):
+        knows_u = icp.known_rows[icp.node_row, msg[u]]
+        conflict = ~(icp.visible(u) & knows_u) | (msg == msg[u])
+        conflict[u] = False
+        taken = {colors[v] for v in np.flatnonzero(conflict[:u])}
+        c = 1
+        while c in taken:
+            c += 1
+        colors[u] = c
+    return tuple(colors)
+
+
+def greedy_colors_at(icp, block_cells):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coloring_module, "_BLOCK_CELLS", block_cells)
+        return greedy_coloring(icp).colors
+
+
+class TestGreedyRule:
+    """First-fit over class masks, one conflict block per block of nodes,
+    gives the colors of the node-by-node loop above."""
+
+    @given(random_instances(), BLOCKS)
+    @settings(max_examples=80)
+    def test_matches_loop(self, icp, block_cells):
+        assert greedy_colors_at(icp, block_cells) == reference_greedy_colors(icp)
+
+    @given(shared_instances(), BLOCKS)
+    @settings(max_examples=60)
+    def test_matches_loop_on_shared_messages(self, drawn, block_cells):
+        icp = drawn[0]
+        assert greedy_colors_at(icp, block_cells) == reference_greedy_colors(icp)
+
+    @given(union_descs(), st.sampled_from([1, 2]), BLOCKS)
+    @settings(max_examples=60)
+    def test_matches_loop_on_unions(self, desc, split, block_cells):
+        icp = realize_union_split(desc, split)
+        assert greedy_colors_at(icp, block_cells) == reference_greedy_colors(icp)
 
 
 class TestGreedyColoring:
