@@ -7,8 +7,10 @@ says nothing once one search is seeded by the other. All three work on
 single-unicast instances (one wanted message per node). ``exhaustive_chi_l``
 is a branch and bound over canonical colorings, ``mais`` a subset dynamic
 program run one popcount layer at a time in numpy, and ``min_rank_gf2`` an
-iterative-deepening search over subspaces of GF(2)^n. The size caps keep
-worst cases tractable and are arguments, not constants.
+iterative-deepening search over subspaces of GF(2)^n. Each oracle reads its
+node masks, one Python int per node, off one boolean matrix gathered from the
+instance's arrays. The size caps keep worst cases tractable and are
+arguments, not constants.
 """
 
 from __future__ import annotations
@@ -22,23 +24,17 @@ from .errors import ParameterError, SizeCapError
 from .icp import IcpInstance
 
 
+def _masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as a Python int, column j at bit j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(bits.tobytes(), "little") for bits in packed]
+
+
 def _interference_masks(icp: IcpInstance) -> tuple[list[int], list[int]]:
     """Per node: interferer mask I_u, and symmetric conflict mask X_u."""
-    n = icp.n_nodes
-    inter = []
-    for u in range(n):
-        mask = 0
-        for v in np.flatnonzero(~icp.visible(u)):
-            mask |= 1 << int(v)
-        inter.append(mask)
-    sym = list(inter)
-    for u in range(n):
-        m = inter[u]
-        while m:
-            v = (m & -m).bit_length() - 1
-            sym[v] |= 1 << u
-            m &= m - 1
-    return inter, sym
+    msg = icp.node_msg
+    inter = ~(icp.known_rows[icp.node_row[:, None], msg] | (msg[:, None] == msg))
+    return _masks(inter), _masks(inter | inter.T)
 
 
 def exhaustive_chi_l(
@@ -146,25 +142,23 @@ def mais(icp: IcpInstance, node_cap: int = 24) -> int:
     set; the lowest source is tried. Sets are visited one popcount layer at a
     time, as numpy arrays: a set is its high bits (above the low 16) plus a
     precomputed list of low parts of the right popcount, and the vertices its
-    members point to are the OR of a low-part and a high-part table. Acyclic
-    sets are closed under subsets, so the first layer without one ends the
-    search. Memory is the ``2**n`` boolean table plus chunks of at most
-    C(16, 8) sets.
+    members point to are the OR of a low-part and a high-part table, the
+    low-part reach gathered once per popcount. Acyclic sets are closed under
+    subsets, so the first layer without one ends the search. Memory is the
+    ``2**n`` boolean table plus chunks of at most C(16, 8) sets.
     """
     node_cap_check(icp, node_cap)
     n = icp.n_nodes
-    succ = [0] * n  # succ[u]: nodes whose message u's user knows
-    for u in range(n):
-        knows = icp.known_rows[icp.node_row[u], icp.node_msg]
-        knows = knows & (np.arange(n) != u)
-        for v in np.flatnonzero(knows):
-            succ[u] |= 1 << int(v)
+    knows = icp.known_rows[icp.node_row[:, None], icp.node_msg]
+    np.fill_diagonal(knows, False)
+    succ = _masks(knows)  # succ[u]: nodes whose message u's user knows
     # int32 set indices halve the tables and fit every n <= 31
     word = np.int32 if n < 32 else np.int64
     low = min(n, _LOW_BITS)
     low_reach = _or_table(succ[:low], word)
     high_reach = _or_table(succ[low:], word)
     layers = [x[: np.searchsorted(x, 1 << low)] for x in _low_layers()[: low + 1]]
+    reach_of: dict[int, np.ndarray] = {}  # popcount j: low_reach of layers[j]
     acyclic = np.zeros(1 << n, dtype=bool)
     acyclic[0] = True
     for k in range(1, n + 1):
@@ -173,9 +167,10 @@ def mais(icp: IcpInstance, node_cap: int = 24) -> int:
             j = k - high.bit_count()
             if not 0 <= j <= low:
                 continue
+            if j not in reach_of:
+                reach_of[j] = low_reach[layers[j]]
             s = layers[j] | word(high << low)
-            sources = low_reach[layers[j]]
-            sources |= reach
+            sources = reach_of[j] | reach
             np.invert(sources, out=sources)
             sources &= s
             ok = acyclic[s ^ (sources & -sources)]
@@ -231,14 +226,14 @@ def min_rank_gf2(icp: IcpInstance, node_cap: int = 10) -> int:
     unserved rows' cosets are intersected instead. A basis and the largest
     budget that failed from it are memoized.
 
-    The branched row's options are tried in ascending order of how many
-    other rows each leaves unserved (ties in coset order), so a witness is
-    usually met early. The order decides only how soon a success is met: a
-    budget fails from a basis only after every option has failed, so the
-    search stays complete, each memo entry records a true failure and the
-    value is the same in any order. A child's rows are the quotient by one
-    more vector y, which keeps every leading bit of W but the one y leads,
-    so each W is updated in O(len(W)) steps (:func:`_quotient`) rather than
+    The branched row's options are tried fewest rows left unserved first,
+    then most set bits, then in coset order, so a witness is usually met
+    early. The order decides only how soon a success is met: a budget fails
+    from a basis only after every option has failed, so the search stays
+    complete, each memo entry records a true failure and the value is the
+    same in any order. A child's rows are the quotient by one more vector y,
+    which keeps every leading bit of W but the one y leads, so each W is
+    updated in O(len(W)) steps (:func:`_quotient`) rather than
     re-echelonised. For single-unicast instances nodes and messages coincide.
     """
     node_cap_check(icp, node_cap)
@@ -285,11 +280,12 @@ def _search(basis: tuple[int, ...], rows: list, budget: int, n: int, failed: dic
     i = min(range(len(rows)), key=lambda j: len(rows[j][1]))
     a, w = rows[i]
     others = rows[:i] + rows[i + 1 :]
-    # each option with the rows it leaves unserved, fewest first; the sort
-    # is stable, so ties keep _coset order
+    # each option with the rows it leaves unserved: fewest unserved first,
+    # then most set bits, then _coset order (the sort is stable); the order
+    # only decides how soon a success is met, never the value
     options = sorted(
         ((y, [row for row in others if not _in_coset(y, *row)]) for y in _coset(a, w)),
-        key=lambda option: len(option[1]),
+        key=lambda option: (len(option[1]), -option[0].bit_count()),
     )
     for y, unserved in options:
         p = 1 << (y.bit_length() - 1)
