@@ -27,9 +27,12 @@ cells apiece. One tree covers all schemes of a batch (a plan's components),
 and each depth is one batched forward elimination over all its ranges: a
 stack of column-major matrices, each holding the columns it eliminates, then
 those it hands on, then a shared zero column, and each taking pivots only in
-its own first columns. Only a set whose unknown columns are dependent takes
-the exact test: a wanted column is spanned iff the rank of the set's unknown
-columns drops without it, and a second tree takes both ranks.
+its own first columns. A component that would halve is instead brought to
+systematic form by one Gauss–Jordan pass unless even the blocks that leaves
+per set would halve (:func:`_systematic_ranks`). Only a set whose unknown
+columns are dependent takes the exact test: a wanted column is spanned iff
+the rank of the set's unknown columns drops without it, and a second tree
+takes both ranks.
 """
 
 from __future__ import annotations
@@ -409,8 +412,12 @@ def verify_schemes(pairs: list) -> list[tuple[bool, ...]]:
             f"verifying this plan takes about {cells:.2e} cells of exact "
             f"elimination, above the budget of {VERIFY_CELL_BUDGET:.0e}"
         )
-    # consecutive pairs share a tree while their running cells stay in one multiple
-    ends = np.cumsum([len(icp.known_rows) * scheme.coefficients.size for scheme, icp in pairs])
+    # consecutive pairs share a tree while their running cells stay in one
+    # multiple; counting distinct columns only where all columns do not fit
+    cells = [len(icp.known_rows) * scheme.coefficients.size for scheme, icp in pairs]
+    if sum(cells) > _BATCH_CELLS:
+        cells = [len(icp.known_rows) * _distinct_cells(scheme.coefficients) for scheme, icp in pairs]
+    ends = np.cumsum(cells)
     spans = []
     for run in np.split(np.arange(len(pairs)), np.flatnonzero(np.diff(ends // _BATCH_CELLS)) + 1):
         spans += _tree_spans([pairs[p] for p in run])
@@ -422,13 +429,20 @@ def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> int:
     ``scheme`` on ``icp``: ``r * n * min(r, n)`` per distinct known set, for
     ``r`` transmissions over ``n`` columns, as if each set eliminated every
     column on its own. :func:`verify_scheme` does less, on distinct columns,
-    in a tree that shares elimination between overlapping sets. A set whose
+    in a tree shared by overlapping sets, or in systematic form, whose
+    Gauss–Jordan pass takes about one set's cells. A set whose
     lacked columns are dependent, which no correct plan has, also takes the
     exact test: a second tree bounded the same way per row, with one row for
     the set and one per class it wants, so a failing scheme may take a small
     multiple of this bound."""
     r, n = scheme.coefficients.shape
     return len(icp.known_rows) * r * n * min(r, n)
+
+
+def _distinct_cells(coeff: np.ndarray) -> int:
+    """Rows times distinct columns of ``coeff``, from a set of its columns as bytes."""
+    cols = np.ascontiguousarray(coeff.T).view(f"V{coeff.shape[0] * coeff.itemsize}")
+    return coeff.shape[0] * len(set(cols.ravel().tolist()))
 
 
 def _columns(scheme: TransmissionScheme, icp: IcpInstance):
@@ -450,10 +464,10 @@ def _user_verdicts(icp: IcpInstance, ok: np.ndarray) -> tuple[bool, ...]:
     return tuple((failed == 0).tolist())
 
 
-# cells (known sets x rows x columns, summed over pairs) one elimination tree
-# takes on, so its widest stacks stay near 1 MB; a step's fixed cost is small
-# well before this, and one tree over (100, 2, 12)'s 38 pairs peaked 6 MB
-# higher under tracemalloc (7.5 against 1.6 MiB)
+# cells (known sets x rows x distinct columns, summed over pairs) one
+# elimination tree takes on, so its widest stacks stay near 1 MB (0.17 MiB
+# over (100, 2, 12)'s 5 trees); a step's fixed cost is small well before
+# this, and one tree over its 38 pairs peaked 6 MB higher under tracemalloc
 _BATCH_CELLS = 1 << 23
 
 # cells one elimination step updates at once, each a trailing block of a
@@ -463,7 +477,7 @@ _BATCH_CELLS = 1 << 23
 _UPDATE_CELLS = 1 << 16
 
 
-def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, top: np.ndarray) -> np.ndarray:
+def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, top: np.ndarray, jordan=False) -> np.ndarray:
     """Forward Gaussian elimination in place on every ``(columns, rows)``
     matrix of the stack ``a`` at once, each over its first ``counts`` columns
     and its rows from ``top`` on (the rows before are left as they are);
@@ -474,9 +488,11 @@ def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, top: np.ndarray) -> n
     that takes ``k`` pivots ends with them in rows ``top`` to ``top + k - 1``
     and its free rows after them, each zero on every column it eliminated.
     Pivot rows are not normalised: column ``c`` is cleared in the free rows
-    below the pivot by ``a[:, c]`` times the inverse of the pivot entry. A
-    free row is zero on every column already eliminated, so each step touches
-    only the columns from ``c`` on. Zero padding columns never take a pivot.
+    below the pivot by ``a[:, c]`` times the inverse of the pivot entry, and
+    with ``jordan`` in every other row too, those before ``top`` included
+    (Gauss–Jordan). A free row is zero on every column before ``c``, so each
+    step touches only the columns from ``c`` on. Zero padding columns never
+    take a pivot.
     """
     n_sets, width, n_rows = a.shape
     took = np.zeros((n_sets, counts.max(initial=0)), dtype=bool)
@@ -495,10 +511,11 @@ def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, top: np.ndarray) -> n
             e, x, y = hit[moved], p[moved], first[moved]
             a[e, c:, x], a[e, c:, y] = a[e, c:, y], a[e, c:, x]
         piv = a[hit, c:, first]
-        # the rows below the highest pivot; factors above each pivot are 0
-        lo = first.min() + 1
+        # the rows below the highest pivot, factors above each pivot 0; or
+        # with `jordan` every row but the pivot's own
+        lo = 0 if jordan else first.min() + 1
         factor = gf.mul(a[hit, c, lo:], gf.vinv[piv[:, :1]])
-        factor[rows[lo:] <= first[:, None]] = 0
+        factor[(rows == first[:, None]) if jordan else (rows[lo:] <= first[:, None])] = 0
         # a few sets at a time, so the temporaries stay small
         step = max(1, _UPDATE_CELLS // max(1, (n_rows - lo) * (width - c)))
         every = len(hit) == n_sets
@@ -524,10 +541,16 @@ def _left_justify(mask: np.ndarray) -> np.ndarray:
 # the fixed cost of one more depth of the elimination tree, in cells of
 # table arithmetic: its gather, and a dozen numpy calls per elimination step.
 # A component's tree halves every range iff eliminating each known set on its
-# own would take more cells than this. Over the 1731 components of
-# `sweep --K-range 3:14` in all three modes none does, and every component of
-# the plan_large corners does.
+# own would take more cells than this, and takes systematic form instead iff
+# its blocks would not. Over the 1731 components of `sweep --K-range 3:14` in
+# all three modes none halves; every plan_large component takes systematic
+# form, and (100, 2, 12) 26 of its 38; (300, 300, 100, 2) halves all 50.
 _DEPTH_CELLS = 1 << 17
+
+
+def _cells(rows, u) -> int:
+    """Cells of eliminating, one by one, matrices of ``rows`` rows by ``u`` columns."""
+    return int((rows * np.minimum(rows, u) * u).sum())
 
 
 def _splits(n_rows: int, seen: np.ndarray) -> bool:
@@ -536,9 +559,51 @@ def _splits(n_rows: int, seen: np.ndarray) -> bool:
     more and eliminating each row's ``u`` lacked columns on its own, ``n_rows
     * min(n_rows, u) * u`` cells, would take more than :data:`_DEPTH_CELLS`.
     ``seen`` counts lacking rows as in :func:`_tree_ranks`, over these rows.
+    Where it halves, :func:`_reduces` applies the same test to the blocks of
+    systematic form: one rule picks all three paths.
     """
     u = np.diff(seen.sum(axis=1, dtype=np.intp))  # lacked columns per set
-    return len(u) >= 2 and int((n_rows * np.minimum(n_rows, u) * u).sum()) > _DEPTH_CELLS
+    return len(u) >= 2 and _cells(n_rows, u) > _DEPTH_CELLS
+
+
+def _reduces(n_rows: int, lacked: np.ndarray) -> bool:
+    """Whether rows that :func:`_splits` halves take :func:`_systematic_ranks`
+    instead: iff their blocks would not halve, estimated before elimination
+    with the first ``min(n_rows, classes)`` lacked classes as the pivots."""
+    some = np.flatnonzero(lacked.any(axis=0))
+    k = min(n_rows, len(some))
+    piv = lacked[:, : some[k - 1] + 1].sum(axis=1) if k else 0  # lacked pivots per row
+    return _cells(k - piv, lacked.sum(axis=1) - piv) <= _DEPTH_CELLS
+
+
+def _systematic_ranks(gf: _GF, a: np.ndarray, lacked: np.ndarray, seen: np.ndarray, lo, hi):
+    """The rows ``lo[e]`` to ``hi[e] - 1`` of ``lacked``, read on ``a[e]`` as
+    in :func:`_tree_ranks`, and the rank of each row's lacked columns: one
+    Gauss–Jordan stack brings each matrix, on the columns some row lacks, to
+    systematic form, which keeps the rank of every column set. A row lacking
+    ``U`` then has rank ``|U ∩ P|``, for the pivot columns ``P``, plus that of
+    its block, one more stack: the pivot rows of the pivots it knows, on its
+    lacked columns outside ``P``, padded with a zero row."""
+    size = hi - lo
+    rows = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+    owner = np.repeat(np.arange(len(a)), size)
+    # per matrix, the columns some row lacks, and a zero row
+    cols = _left_justify(seen[hi] > seen[lo])
+    g = np.zeros((*cols.shape, a.shape[2] + 1), dtype=a.dtype)
+    g[..., :-1] = a[np.arange(len(a))[:, None], cols]
+    pivot = _eliminate(gf, g[..., :-1], np.full(len(g), cols.shape[1]), np.zeros(len(g), dtype=np.intp), True)
+    at = pivot.cumsum(axis=1) - 1  # pivot rows run in column order
+    lack, pivot = lacked[rows[:, None], cols[owner]], pivot[owner]
+    rank = (lack & pivot).sum(axis=1)
+    outside = lack & ~pivot
+    some = np.flatnonzero(outside.any(axis=1))  # the rows with a block to rank
+    e, c = np.nonzero((pivot & ~lack)[some])
+    owner, outside = owner[some], outside[some]
+    known = np.zeros((len(some), g.shape[2]), dtype=bool)
+    known[e, at[owner[e], c]] = True
+    block = g[owner[:, None, None], _left_justify(outside)[:, :, None], _left_justify(known)[:, None, :]]
+    rank[some] += _eliminate(gf, block, outside.sum(axis=1), np.zeros(len(some), dtype=np.intp)).sum(axis=1)
+    return rows, rank
 
 
 def _tree_ranks(gf: _GF, a: np.ndarray, lacked: np.ndarray, offset: list, n_tx: list) -> np.ndarray:
@@ -560,13 +625,16 @@ def _tree_ranks(gf: _GF, a: np.ndarray, lacked: np.ndarray, offset: list, n_tx: 
     range are sliced off. Pairs are padded with zero rows and with columns
     no row lacks (the last one for all), which take no pivot. A range that
     hands on no column holds its rows' ranks: the pivots it and the ranges
-    above it took.
+    above it took. A pair that :func:`_splits` halves and :func:`_reduces`
+    passes takes :func:`_systematic_ranks` instead.
     """
     n_sets, n_cols = lacked.shape
     # seen[hi] - seen[lo]: how many of the rows lo..hi-1 lack each column
     seen = np.zeros((n_sets + 1, n_cols), dtype=np.min_scalar_type(n_sets))
     np.cumsum(lacked, axis=0, dtype=seen.dtype, out=seen[1:])
-    halve = [_splits(r, seen[lo : hi + 1]) for r, lo, hi in zip(n_tx, offset, offset[1:])]
+    # per pair: False hands each row on at once, 1 halves, 2 takes systematic form
+    bounds = zip(n_tx, offset, offset[1:])
+    halve = [_splits(r, seen[x : y + 1]) and 1 + _reduces(r, lacked[x:y]) for r, x, y in bounds]
     # per range of the last depth: `a` its rows from `cut` on, column by
     # column: the columns it eliminated, those it hands on, then the zero
     # column; `hand` their global columns and `done` which it eliminated;
@@ -580,6 +648,13 @@ def _tree_ranks(gf: _GF, a: np.ndarray, lacked: np.ndarray, offset: list, n_tx: 
     got = np.zeros(len(ranges), dtype=np.intp)
     cut = 0
     keep = np.arange(len(ranges))
+    if 2 in halve:
+        reduce = np.array(halve) == 2
+        lo, hi = np.array(offset[:-1])[reduce], np.array(offset[1:])[reduce]
+        rows, ranks = _systematic_ranks(gf, a[reduce], lacked, seen, lo, hi)
+        rank[rows] = ranks
+        keep = np.flatnonzero(~reduce & (np.diff(offset) > 0))
+        ranges, halve = [ranges[p] for p in keep], [halve[p] for p in keep]
     while ranges and n_sets:
         children = []
         for e, ((lo, hi), h) in enumerate(zip(ranges, halve)):

@@ -466,32 +466,74 @@ class TestVerifyOnce:
 
 class TestVerifierTree:
     @staticmethod
-    def splits(monkeypatch) -> list:
-        """Record, per verification, whether its elimination tree splits."""
-        split = []
-        real = linalg_ff._splits
+    def paths(monkeypatch) -> list:
+        """Record, per component verified, the path its ranks take: each
+        known set on its own ("flat"), the halving tree ("tree"), or
+        systematic form ("reduce")."""
+        paths = []
+        real_splits, real_reduces = linalg_ff._splits, linalg_ff._reduces
 
-        def recorded(*args):
-            split.append(real(*args))
-            return split[-1]
+        def splits(*args):
+            paths.append("tree" if real_splits(*args) else "flat")
+            return paths[-1] == "tree"
 
-        monkeypatch.setattr(linalg_ff, "_splits", recorded)
-        return split
+        def reduces(*args):
+            if real_reduces(*args):
+                paths[-1] = "reduce"
+            return paths[-1] == "reduce"
+
+        monkeypatch.setattr(linalg_ff, "_splits", splits)
+        monkeypatch.setattr(linalg_ff, "_reduces", reduces)
+        return paths
 
     @pytest.mark.parametrize("corner", [(40, 2, 6), (60, 2, 7), (48, 2, 14), (60, 4, 12)])
     def test_large_corners_split(self, monkeypatch, corner):
-        split = self.splits(monkeypatch)
+        # every component would halve, and ranks in systematic form instead
+        paths = self.paths(monkeypatch)
         plan = plan_for(*corner, "quadratic")
-        assert len(split) == len(plan.pairs) and all(split)
+        assert paths == ["reduce"] * len(plan.pairs)
+
+    @pytest.mark.parametrize("corner", [(40, 2, 6), (48, 2, 14)])
+    def test_w16_corners_take_systematic_form(self, monkeypatch, corner):
+        paths = self.paths(monkeypatch)
+        plan = plan_for(*corner, "quadratic", field=FieldSpec(16))
+        assert paths == ["reduce"] * len(plan.pairs)
+
+    def test_k100_mixes_systematic_form_and_tree(self, monkeypatch):
+        paths = self.paths(monkeypatch)
+        plan = plan_for(100, 2, 12, "quadratic")
+        assert len(paths) == len(plan.pairs) == 38
+        assert paths.count("reduce") == 26 and paths.count("tree") == 12
+
+    def test_k300_keeps_the_tree(self, monkeypatch):
+        # its blocks would reach 98 columns, so every component halves; the
+        # paths are read before the first elimination of each pair's tree
+        monkeypatch.setattr(
+            delivery, "verify_schemes", lambda pairs: [(True,) * icp.n_users for _, icp in pairs]
+        )
+        plan = assemble(MaccInstance(300, 300, 100, 2))
+        paths = self.paths(monkeypatch)
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args):
+            raise Stop
+
+        monkeypatch.setattr(linalg_ff, "_eliminate", stop)
+        for p in plan.pairs:
+            with pytest.raises(Stop):
+                linalg_ff._tree_spans([(p.scheme, pair_instance(p))])
+        assert paths == ["tree"] * len(plan.pairs) == ["tree"] * 50
 
     def test_small_corners_stay_flat(self, monkeypatch):
-        split = self.splits(monkeypatch)
+        paths = self.paths(monkeypatch)
         for mode in ("quadratic", "linear", "divisor"):
             for k in range(3, 7):
                 for l in range(1, k + 1):
                     for i in range(1, -(-k // l) + 1):
                         plan_for(k, l, i, mode, oracle_node_cap=0)
-        assert split and not any(split)
+        assert paths and set(paths) == {"flat"}
 
 
 def count_products(monkeypatch) -> list:
@@ -575,6 +617,15 @@ class TestVerifyBudget:
         plan = plan_for(*corner)
         bound = sum(linalg_ff.verify_cells(p.scheme, pair_instance(p)) for p in plan.pairs)
         assert 0 < sum(products) <= bound
+
+    # (12, 2, 2) on each set at once, (60, 2, 7) in systematic form; the
+    # bounds above leave room for wasted work, such as a forward pass that
+    # also multiplies out the rows at or above each pivot, and these do not
+    @pytest.mark.parametrize("corner, count", [((12, 2, 2), 33_576), ((60, 2, 7), 3_022_614)])
+    def test_products_are_pinned(self, monkeypatch, corner, count):
+        products = count_products(monkeypatch)
+        plan_for(*corner, "quadratic")
+        assert sum(products) == count
 
     @pytest.mark.parametrize("corner", [(12, 2, 2, "quadratic"), (60, 2, 7, "quadratic")])
     def test_bound_covers_the_exact_test(self, monkeypatch, corner):

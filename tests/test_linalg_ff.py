@@ -546,13 +546,23 @@ def reference_verdicts(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bo
     return tuple(out)
 
 
+def force_path(patch: pytest.MonkeyPatch, path: str) -> None:
+    """Make every component of a verification take one path: the tree
+    halving every range, each set on its own at once, or systematic form."""
+    if path == "reduce":
+        patch.setattr(linalg_ff, "_splits", lambda *args: True)
+        patch.setattr(linalg_ff, "_reduces", lambda *args: True)
+    else:
+        patch.setattr(linalg_ff, "_DEPTH_CELLS", -np.inf if path == "halve" else np.inf)
+
+
 def assert_matches_reference(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:
     expected = reference_verdicts(scheme, icp)
     assert verify_scheme(scheme, icp) == expected
-    # the tree split at every range and never split, whatever the model picks
-    for depth_cells in (-np.inf, np.inf):
+    # every component on each path, whatever the model picks
+    for path in ("halve", "flat", "reduce"):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg_ff, "_DEPTH_CELLS", depth_cells)
+            force_path(patch, path)
             assert verify_scheme(scheme, icp) == expected
     assert tuple(can_decode(scheme, icp, u) for u in range(1, len(icp.users) + 1)) == expected
     return expected
@@ -654,6 +664,75 @@ def scheme_batches(draw):
     return draw(st.lists(random_schemes(w) | cyclic_windows(w) | coloring_schemes(w), min_size=1, max_size=5))
 
 
+@st.composite
+def class_stacks(draw):
+    """Arguments of :func:`linalg_ff._tree_ranks` as :func:`_tree_spans`
+    builds them, in GF(2^8) or GF(2^16): one to four pairs of distinct
+    columns by rows, padded with zero rows and with zero columns, the last
+    one for all, that no row lacks. Each pair's columns come from a random
+    product of rank up to its row count, with some zeroed, so matrices may
+    be rank deficient; a pair may have no rows and no known sets. Each set
+    lacks an arbitrary mask of columns, and some sets are followed, as in
+    the exact test, by that mask without each column it lacks in turn."""
+    spec = FieldSpec(draw(st.sampled_from([8, 16])))
+    gf = spec.tables()
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pairs, n_cols, n_rows = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(0, 8))
+    a = np.zeros((n_pairs, n_cols + 1, n_rows), dtype=gf.dtype)
+    n_tx, masks = [], []
+    for p in range(n_pairs):
+        r = int(rng.integers(0, n_rows + 1))
+        k = int(rng.integers(0, r + 1))
+        basis = rng.integers(0, gf.size, (k, r))
+        for j in range(k):
+            a[p, :n_cols, :r] ^= gf.mul(rng.integers(0, gf.size, (n_cols, 1)), basis[j])
+        a[p, rng.random(n_cols + 1) < draw(st.sampled_from([0.0, 0.3])), :] = 0
+        n_tx.append(r)
+        lacked = rng.random((int(rng.integers(0, 7)), n_cols)) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+        rows = []
+        for mask in lacked:
+            rows.append(mask)
+            if rng.random() < 0.5:
+                for c in np.flatnonzero(mask):
+                    rows.append(mask.copy())
+                    rows[-1][c] = False
+        masks.append(np.zeros((len(rows), n_cols + 1), dtype=bool))
+        masks[-1][:, :n_cols] = np.array(rows).reshape(len(rows), n_cols)
+    offset = np.cumsum([0] + [len(m) for m in masks]).tolist()
+    return spec, a, np.concatenate(masks), offset, n_tx
+
+
+class TestSystematicForm:
+    @given(class_stacks(), st.sampled_from(["halve", "flat", "reduce", None]))
+    @settings(max_examples=200, deadline=None)
+    def test_ranks_match_every_path_and_rank(self, case, path):
+        spec, a, lacked, offset, n_tx = case
+        owner = np.repeat(np.arange(len(n_tx)), np.diff(offset))
+        expected = [rank(a[p][mask].T, spec) for p, mask in zip(owner, lacked)]
+        with pytest.MonkeyPatch.context() as patch:
+            if path:
+                force_path(patch, path)
+            got = linalg_ff._tree_ranks(spec.tables(), a.copy(), lacked, offset, n_tx)
+        assert got.tolist() == expected
+
+    @pytest.mark.parametrize("w", [8, 16])
+    def test_dependent_columns_in_systematic_form(self, w):
+        # columns 0 and 1 span column 2, column 3 is zero and column 4 is
+        # outside their span: a row lacking 0, 1 and 2 has rank 2, and the
+        # same row without column 2 keeps it, so column 2 is not decoded
+        spec = FieldSpec(w)
+        c0, c1, c4 = np.array([1, 0, 3]), np.array([5, 7, 0]), np.array([0, 0, 9])
+        cols = np.stack([c0, c1, c0 ^ c1, 0 * c0, c4, 0 * c0])[None]
+        lacked = np.array([
+            [1, 1, 1, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 1, 1, 1, 0, 0],
+            [0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 0, 0],
+        ], dtype=bool)
+        with pytest.MonkeyPatch.context() as patch:
+            force_path(patch, "reduce")
+            got = linalg_ff._tree_ranks(spec.tables(), cols.astype(spec.tables().dtype), lacked, [0, 6], [3])
+        assert got.tolist() == [2, 2, 2, 2, 0, 0]
+
+
 def record_trees(monkeypatch) -> list:
     """Record, per :func:`linalg_ff._tree_ranks` call, the number of matrices
     in each stack it eliminates."""
@@ -731,7 +810,9 @@ class TestBatchedVerifier:
     def test_elimination_takes_distinct_columns(self, monkeypatch):
         # at (60, 2, 7) every pair's 120 columns hold 60 distinct ones, so
         # no matrix the tree eliminates uses more than 60 columns; over the
-        # four plan_large corners the tree takes 7,615,156 products
+        # four plan_large corners the tree takes 7,615,156 products. Every
+        # component of them ranks in systematic form unless made to halve
+        monkeypatch.setattr(linalg_ff, "_reduces", lambda *args: False)
         gf = FieldSpec(8).tables()
         products = [0]
         used, stacks = [], []
@@ -770,23 +851,69 @@ class TestBatchedVerifier:
                 assert all(shape[3] > 0 for shape in stacks)
         assert products[0] <= 8 * 10**6
 
-    # the tree split at every range, never split, and as the model picks,
-    # which at the default mixes components that split with ones that do not;
-    # all components in one tree, or each in its own
+    def test_systematic_form_takes_distinct_columns(self, monkeypatch):
+        # the same corners in systematic form: one Gauss-Jordan stack over
+        # each component's distinct columns, then one block per known set
+        # lacking a column outside the pivots, on those columns only. A
+        # correct plan's rank is its row count, so no block is wider than
+        # columns less rows. The four corners take 4,943,925 products
+        # against the tree's 7,615,156
+        gf = FieldSpec(8).tables()
+        products = [0]
+        stacks = []
+        real_mul, real_eliminate = gf.mul, linalg_ff._eliminate
+
+        def counted(a, b):
+            out = real_mul(a, b)
+            products[0] += out.size
+            return out
+
+        def recorded(gf, a, counts, *args):
+            used = (a != 0).any(axis=2).sum(axis=1).max(initial=0)
+            stacks.append((*a.shape, counts.max(initial=0), used, *args[1:]))
+            gf.mul = counted
+            try:
+                return real_eliminate(gf, a, counts, *args)
+            finally:
+                del gf.mul
+
+        monkeypatch.setattr(linalg_ff, "_eliminate", recorded)
+        for corner in [(60, 2, 7), (40, 2, 6), (48, 2, 14), (60, 4, 12)]:
+            stacks.clear()
+            plan = assemble(MaccInstance(corner[0], *corner), mode="quadratic")
+            distinct = [np.unique(p.scheme.coefficients, axis=1).shape[1] for p in plan.pairs]
+            rows = [p.scheme.n_transmissions for p in plan.pairs]
+            (n, width, _, count, used, jordan), block = stacks
+            assert jordan and n == len(plan.pairs) and width == count == used == max(distinct)
+            assert block[1] == block[3] <= max(d - r for d, r in zip(distinct, rows)) and block[4] <= block[1]
+            assert block[2] <= max(rows) and len(block) == 5
+            if corner == (60, 2, 7):
+                assert width == 60 and (block[1], block[2]) == (13, 13)
+        assert products[0] == 4_943_925
+
+    # every component halving every range, never splitting, in systematic
+    # form, and as the model picks, which at the default mixes components
+    # that split with ones that do not; all components in one tree, or each
+    # in its own
     @given(
         scheme_batches(),
-        st.sampled_from([-np.inf, np.inf, linalg_ff._DEPTH_CELLS]),
+        st.sampled_from(["halve", "flat", "reduce", None]),
         st.sampled_from([linalg_ff._BATCH_CELLS, 1]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_batches_match_reference(self, batch, depth_cells, batch_cells):
+    def test_batches_match_reference(self, batch, path, batch_cells):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(linalg_ff, "_DEPTH_CELLS", depth_cells)
+            if path:
+                force_path(patch, path)
             patch.setattr(linalg_ff, "_BATCH_CELLS", batch_cells)
             got = linalg_ff.verify_schemes([(scheme, icp) for icp, scheme in batch])
         assert got == [reference_verdicts(scheme, icp) for icp, scheme in batch]
 
-    def test_batch_mixes_split_flat_and_empty_components(self, monkeypatch):
+    @staticmethod
+    def mixed_batch() -> list:
+        """Five pairs: one on each set at once, two that halve, an empty
+        scheme, and one that lost a row, so some of its sets take the exact
+        test."""
         windows = windows_instance(24, 3, 4)
         full = encode(windows, greedy_coloring(windows), field=FieldSpec(8))
         short = TransmissionScheme(full.field, full.message_order, full.coefficients[1:])
@@ -795,7 +922,12 @@ class TestBatchedVerifier:
         empty = TransmissionScheme(FieldSpec(8), small.message_order, small.coefficients[:0])
         narrow = windows_instance(16, 2, 2)
         other = encode(narrow, greedy_coloring(narrow), field=FieldSpec(8))
-        batch = [(small, union), (other, narrow), (full, windows), (empty, union), (short, windows)]
+        return [(small, union), (other, narrow), (full, windows), (empty, union), (short, windows)]
+
+    def test_batch_mixes_split_flat_and_empty_components(self, monkeypatch):
+        # the components that halve would rank in systematic form unless made not to
+        monkeypatch.setattr(linalg_ff, "_reduces", lambda *args: False)
+        batch = self.mixed_batch()
         trees = record_trees(monkeypatch)
         alone = []
         for pair in batch:
@@ -818,6 +950,41 @@ class TestBatchedVerifier:
             each = [tree[t] for tree in alone if t < len(tree)]
             depths = max(map(len, each))
             assert stacks == [sum(s[d] for s in each if d < len(s)) for d in range(depths)]
+
+    def test_batch_mixes_systematic_form_flat_and_empty_components(self, monkeypatch):
+        # the same batch at the default: the components that would halve
+        # rank in systematic form, so one Gauss-Jordan stack holds a matrix
+        # per such component, one block stack each one's blocks, and the one
+        # depth of the flat components follows
+        batch = self.mixed_batch()
+        trees = record_trees(monkeypatch)
+        alone = []
+        for pair in batch:
+            trees.clear()
+            linalg_ff.verify_schemes([pair])
+            alone.append(list(trees))
+        trees.clear()
+        reduced = []
+        real = linalg_ff._reduces
+
+        def reduces(*args):
+            reduced.append(real(*args))
+            return reduced[-1]
+
+        monkeypatch.setattr(linalg_ff, "_reduces", reduces)
+        split = count_splits(monkeypatch)
+        got = linalg_ff.verify_schemes(batch)
+        assert split[: len(batch)] == [False, True, True, False, True] and reduced[:3] == [True] * 3
+        assert got == [reference_verdicts(scheme, icp) for scheme, icp in batch]
+        assert all(got[0] + got[1] + got[2]) and not any(got[3]) and not all(got[4])
+        assert len(trees) == 2 and [len(tree) for tree in alone] == [1, 1, 1, 1, 2]
+        (flat,), (gj, blocks), (gj_full, blocks_full), (empty,), (gj_short, blocks_short) = (
+            tree[0] for tree in alone
+        )
+        assert gj == gj_full == gj_short == 1
+        assert trees[0] == [3, blocks + blocks_full + blocks_short, flat + empty]
+        # the exact test over the short pair's dependent sets alone
+        assert trees[1] == alone[4][1]
 
     @pytest.mark.parametrize("wanted_dependent", [False, True])
     def test_dependent_columns_take_the_exact_test(self, wanted_dependent, monkeypatch):
@@ -929,7 +1096,9 @@ class TestBatchedVerifier:
     def test_unequal_pivot_counts_in_one_stack(self, w, monkeypatch):
         # the components' ranges share different numbers of columns, so in one
         # stack a matrix hands on columns at positions where another takes
-        # pivots; the last scheme lacks a row, so some users fail
+        # pivots; the last scheme lacks a row, so some users fail. The tree
+        # is kept where a component would rank in systematic form
+        monkeypatch.setattr(linalg_ff, "_reduces", lambda *args: False)
         rng = np.random.default_rng(w)
         batch = []
         for icp, short in [
