@@ -10,13 +10,16 @@ Three subcommands under one ``macc-lab`` entry point:
     One CSV row per (K, L, i) corner: every calculator rate next to the
     constructed rate and a decode-verified flag, in a fixed row order.
 
+Each flag is declared once, in ``_FLAGS``, with the converter that checks
+and types its value, and each subcommand once, in ``_COMMANDS``. ``--config
+FILE`` supplies JSON values for any flag of the chosen subcommand; explicitly
+passed flags win, and values from both sources pass the same converter.
+
 Exit codes: 0 success, 2 invalid parameters, 3 verification failure, 4 size
 cap exceeded (an exact search's node cap, or a plan too large to verify).
 ``MACC_LAB_FIELD_W`` overrides the field degree used when encoding plans.
-``--config FILE`` supplies JSON defaults for any flag of the chosen
-subcommand; explicitly passed flags win.  Identical inputs produce
-byte-identical output: orderings are fixed and rationals are rendered as
-``num/den`` plus a six-digit decimal.
+Identical inputs produce byte-identical output: orderings are fixed and
+rationals are rendered as ``num/den`` plus a six-digit decimal.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from .rates import compare, corner_points, memory_share
 __all__ = ["main"]
 
 _SCHEMES = ("prior_restricted", "prior_general", "divisor", "linear", "quadratic")
-_MODES = ("quadratic", "linear", "divisor")
-_TEXT_FLAGS = ("mode", "out", "format", "K_range", "L_range")  # JSON strings in --config
 _RATES_HEADER = ("K", "L", "i", "M", "scheme", "rate_num", "rate_den", "F", "applicable")
 _SWEEP_HEADER = (
     "K", "L", "i", "M", "mode",
@@ -79,27 +80,37 @@ def _dec_cell(rate: Fraction | None) -> str:
     return f"{float(rate):.6f}"
 
 
-def _parse_range(raw, flag: str) -> tuple[int, int]:
+def _text(value, flag: str) -> str:
+    if not isinstance(value, str):
+        raise ParameterError(f"{flag} expects a string, got {value!r}")
+    return value
+
+
+def _choice(*options: str):
+    def convert(value, flag: str) -> str:
+        if _text(value, flag) not in options:
+            raise ParameterError(f"{flag} must be one of {', '.join(options)}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _range(value, flag: str) -> tuple[int, int]:
     """``a:b`` inclusive; a bare ``a`` means ``a:a``.  ``a > b`` is empty."""
-    text = str(raw)
-    lo, _, hi = text.partition(":")
+    lo, _, hi = _text(value, flag).partition(":")
     start = _int(lo, flag)
     end = start if hi == "" else _int(hi, flag)
     if start < 1:
-        raise ParameterError(f"{flag} must start at 1 or above, got {text!r}")
+        raise ParameterError(f"{flag} must start at 1 or above, got {value!r}")
     return start, end
 
 
-def _parse_demands(raw) -> tuple[int, ...] | None:
-    if raw is None:
-        return None
-    if isinstance(raw, (list, tuple)):
-        parts = list(raw)
-    else:
-        parts = [p.strip() for p in str(raw).split(",") if p.strip() != ""]
+def _demands(value, flag: str) -> tuple[int, ...]:
+    """A comma-separated string, or from ``--config`` a JSON list."""
+    parts = value if isinstance(value, list) else [p.strip() for p in str(value).split(",") if p.strip()]
     if not parts:
-        raise ParameterError("--demands expects comma-separated file indices")
-    return tuple(_int(p, "--demands") for p in parts)
+        raise ParameterError(f"{flag} expects comma-separated file indices")
+    return tuple(_int(p, flag) for p in parts)
 
 
 def _field_from_env() -> FieldSpec | None:
@@ -109,47 +120,32 @@ def _field_from_env() -> FieldSpec | None:
     return FieldSpec(w=_int(raw, "MACC_LAB_FIELD_W"))
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset ``args.flags`` from ``--config`` JSON; explicit flags keep priority."""
-    if not args.config:
-        return
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParameterError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParameterError("config must be a JSON object mapping flags to values")
-    for key, value in data.items():
-        attr = str(key).lstrip("-").replace("-", "_")
-        if attr not in args.flags:
-            raise ParameterError(f"config key {key!r} does not match any flag")
-        if attr in _TEXT_FLAGS and not isinstance(value, str):
-            raise ParameterError(f"--{attr.replace('_', '-')} expects a string, got {value!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
+# flag (its argparse dest): converter, metavar (None: argparse's), help
+_FLAGS = {
+    "K": (_int, None, "number of caches (= number of users)"),
+    "L": (_int, None, "consecutive caches each user reads"),
+    "i": (_int, None, "memory corner index (cache memory i*N/K)"),
+    "N": (_int, None, "number of files (default max of K and demands)"),
+    "M": (_fraction, None, "normalized memory share M/N for an envelope row"),
+    "divisor": (_int, None, "explicit X dividing K for the divisor scheme (plan: divisor mode only)"),
+    "demands": (_demands, None, "comma-separated demanded file per user"),
+    "mode": (_choice("quadratic", "linear", "divisor"), None,
+             "construction mode: quadratic, linear, or divisor (sweep's default quadratic)"),
+    "format": (_choice("csv", "json"), "{csv,json}", "output format (default csv)"),
+    "K_range": (_range, "A:B", "inclusive cache-count range"),
+    "L_range": (_range, "A:B", "inclusive access-degree range (default 1:K)"),
+    "out": (_text, "FILE", "output path: plan JSON (default stdout), sweep CSV (- for stdout)"),
+    "oracle_cap": (_int, None, "exact-search node cap (default 20 for plan, 0: off for sweep)"),
+}
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise ParameterError(f"missing required --{name.replace('_', '-')}")
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _corner_args(args: argparse.Namespace) -> tuple[int, int, int]:
-    _require(args, "K", "L", "i")
-    return _int(args.K, "--K"), _int(args.L, "--L"), _int(args.i, "--i")
-
-
-def cmd_rates(args: argparse.Namespace) -> int:
-    k, l, i = _corner_args(args)
-    divisor = None if args.divisor is None else _int(args.divisor, "--divisor")
-    fmt = args.format or "csv"
-    if fmt not in ("csv", "json"):
-        raise ParameterError(f"--format must be csv or json, got {fmt!r}")
-    reports = compare(k, l, i, divisor=divisor)
+def cmd_rates(s: dict) -> int:
+    k, l, i = s["K"], s["L"], s["i"]
+    reports = compare(k, l, i, divisor=s["divisor"])
     corner_m = Fraction(i, k)
 
     rows = []
@@ -157,20 +153,19 @@ def cmd_rates(args: argparse.Namespace) -> int:
         rep = reports[name]
         rate = rep.rate if rep.applicable else None
         rows.append((name, corner_m, rate, rep.subpacketization, rep.applicable, rep.note))
-    if args.M is not None:
-        mu = _fraction(args.M, "--M")
+    if s["M"] is not None:
         rows.append(
             (
                 "memory_share",
-                mu,
-                memory_share(corner_points(k, l), mu),
+                s["M"],
+                memory_share(corner_points(k, l), s["M"]),
                 None,
                 True,
                 "lower convex envelope of the quadratic corner points",
             )
         )
 
-    if fmt == "json":
+    if s["format"] == "json":
         payload = {
             "K": k,
             "L": l,
@@ -213,28 +208,18 @@ def cmd_rates(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    k, l, i = _corner_args(args)
-    _require(args, "mode")
-    mode = str(args.mode)
-    if mode not in _MODES:
-        raise ParameterError(f"--mode must be one of {', '.join(_MODES)}, got {mode!r}")
-    divisor = None if args.divisor is None else _int(args.divisor, "--divisor")
-    demands = _parse_demands(args.demands)
-    if args.N is not None:
-        n = _int(args.N, "--N")
-    else:
-        n = max(k, max(demands)) if demands else k
-    cap = 20 if args.oracle_cap is None else _int(args.oracle_cap, "--oracle-cap")
+def cmd_plan(s: dict) -> int:
+    k, demands = s["K"], s["demands"]
+    n = s["N"] if s["N"] is not None else max(k, max(demands)) if demands else k
 
-    instance = MaccInstance(n_files=n, n_caches=k, access_degree=l, memory_index=i)
+    instance = MaccInstance(n_files=n, n_caches=k, access_degree=s["L"], memory_index=s["i"])
     plan = assemble(
         instance,
         demands,
-        mode=mode,
-        divisor=divisor,
+        mode=s["mode"],
+        divisor=s["divisor"],
         field=_field_from_env(),
-        oracle_node_cap=cap,
+        oracle_node_cap=s["oracle_cap"],
     )
     check = verify_plan(plan)
     if not check.ok:
@@ -249,9 +234,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         f"F {plan.subpacketization}\n"
         f"transmissions {plan.n_transmissions}\n"
     )
-    if args.out:
+    if s["out"]:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(s["out"], "w", encoding="utf-8") as fh:
                 fh.writelines(text)
         except OSError as exc:
             raise ParameterError(f"cannot write output: {exc}") from exc
@@ -262,14 +247,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _require(args, "K_range", "out")
-    k_lo, k_hi = _parse_range(args.K_range, "--K-range")
-    l_bounds = None if args.L_range is None else _parse_range(args.L_range, "--L-range")
-    mode = args.mode or "quadratic"
-    if mode not in _MODES:
-        raise ParameterError(f"--mode must be one of {', '.join(_MODES)}, got {mode!r}")
-    cap = 0 if args.oracle_cap is None else _int(args.oracle_cap, "--oracle-cap")
+def cmd_sweep(s: dict) -> int:
+    (k_lo, k_hi), l_bounds, mode = s["K_range"], s["L_range"], s["mode"]
     field = _field_from_env()
 
     if k_hi > _SWEEP_MAX_K:
@@ -291,7 +270,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for k, l, i in corners:
         reports = compare(k, l, i)
         instance = MaccInstance(n_files=k, n_caches=k, access_degree=l, memory_index=i)
-        plan = assemble(instance, mode=mode, field=field, oracle_node_cap=cap)
+        plan = assemble(instance, mode=mode, field=field, oracle_node_cap=s["oracle_cap"])
         check = verify_plan(plan)
         row: list = [k, l, i, _frac_cell(Fraction(i, k)), mode]
         for name in _SCHEMES:
@@ -310,26 +289,55 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         writer.writerow(row)
 
     text = buf.getvalue()
-    if args.out == "-":
+    if s["out"] == "-":
         sys.stdout.write(text)
         return 0
     try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(s["out"], "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
         raise ParameterError(f"cannot write output: {exc}") from exc
     return 0
 
 
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
-    """Add ``--config``; the dests of the flags added before may be its keys."""
-    parser.set_defaults(flags={a.dest for a in parser._actions} - {"help"})
-    parser.add_argument(
-        "--config",
-        default=None,
-        metavar="FILE",
-        help="JSON file of flag defaults; explicitly passed flags win",
-    )
+# subcommand: function, help, the flags it requires, {flag: default}
+_COMMANDS = {
+    "rates": (cmd_rates, "closed-form rate calculators at one memory corner", ("K", "L", "i"),
+              dict(K=None, L=None, i=None, M=None, divisor=None, format="csv")),
+    "plan": (cmd_plan, "assemble, verify, and serialize one delivery plan", ("K", "L", "i", "mode"),
+             dict(K=None, L=None, i=None, N=None, mode=None, divisor=None, demands=None, out=None, oracle_cap=20)),
+    "sweep": (cmd_sweep, "CSV scan over (K, L, i) corners", ("K_range", "out"),
+              dict(K_range=None, L_range=None, mode="quadratic", out=None, oracle_cap=0)),
+}
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """Every flag of ``args.command``: the command line's value, else
+    ``--config``'s, else the command's default. Every value given passes its
+    flag's converter, even one the command line overrides."""
+    _, _, required, defaults = _COMMANDS[args.command]
+    data = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ParameterError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"config is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ParameterError("config must be a JSON object mapping flags to values")
+    passed = [(name, getattr(args, name)) for name in defaults if getattr(args, name) is not None]
+    values = {}
+    for key, value in [*data.items(), *passed]:  # the command line's last, so it wins
+        name = str(key).lstrip("-").replace("-", "_")
+        if name not in defaults:
+            raise ParameterError(f"config key {key!r} does not match any flag")
+        values[name] = _FLAGS[name][0](value, _flag(name))
+    for name in required:
+        if name not in values:
+            raise ParameterError(f"missing required {_flag(name)}")
+    return {**defaults, **values}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,46 +346,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Multi-access coded caching: rate tables, delivery plans, sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    rates = sub.add_parser("rates", help="closed-form rate calculators at one memory corner")
-    rates.add_argument("--K", default=None, help="number of caches (= number of users)")
-    rates.add_argument("--L", default=None, help="consecutive caches each user reads")
-    rates.add_argument("--i", default=None, help="memory corner index (cache memory i*N/K)")
-    rates.add_argument("--M", default=None, help="normalized memory share M/N for an envelope row")
-    rates.add_argument("--divisor", default=None, help="explicit X dividing K for the divisor scheme")
-    rates.add_argument("--format", default=None, choices=("csv", "json"), help="output format (default csv)")
-    _add_config_flag(rates)
-    rates.set_defaults(func=cmd_rates)
-
-    plan = sub.add_parser("plan", help="assemble, verify, and serialize one delivery plan")
-    plan.add_argument("--K", default=None, help="number of caches (= number of users)")
-    plan.add_argument("--L", default=None, help="consecutive caches each user reads")
-    plan.add_argument("--i", default=None, help="memory corner index (cache memory i*N/K)")
-    plan.add_argument("--N", default=None, help="number of files (default max of K and demands)")
-    plan.add_argument("--mode", default=None, help="construction mode: quadratic, linear, or divisor")
-    plan.add_argument("--divisor", default=None, help="explicit X dividing K (divisor mode only)")
-    plan.add_argument("--demands", default=None, help="comma-separated demanded file per user")
-    plan.add_argument("--out", default=None, metavar="FILE", help="write plan JSON here instead of stdout")
-    plan.add_argument("--oracle-cap", default=None, help="exact-search node cap (default 20)")
-    _add_config_flag(plan)
-    plan.set_defaults(func=cmd_plan)
-
-    sweep = sub.add_parser("sweep", help="CSV scan over (K, L, i) corners")
-    sweep.add_argument("--K-range", default=None, metavar="A:B", help="inclusive cache-count range")
-    sweep.add_argument("--L-range", default=None, metavar="A:B", help="inclusive access-degree range (default 1:K)")
-    sweep.add_argument("--mode", default=None, help="construction mode (default quadratic)")
-    sweep.add_argument("--out", default=None, metavar="FILE", help="output CSV path, or - for stdout")
-    sweep.add_argument("--oracle-cap", default=None, help="exact-search node cap (default 0: off)")
-    _add_config_flag(sweep)
-    sweep.set_defaults(func=cmd_sweep)
+    for command, (_, text, _, defaults) in _COMMANDS.items():
+        flags = sub.add_parser(command, help=text)
+        for name in defaults:
+            _, metavar, help_text = _FLAGS[name]
+            flags.add_argument(_flag(name), metavar=metavar, help=help_text)
+        # the one flag that is not a setting: where more settings come from
+        flags.add_argument("--config", metavar="FILE", help="JSON file of flag defaults; explicitly passed flags win")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _merge_config(args)
-        return args.func(args)
+        return _COMMANDS[args.command][0](_settings(args))
     except ParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

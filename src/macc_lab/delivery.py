@@ -160,10 +160,6 @@ class DeliveryPlan:
         object.__setattr__(self, "users_ok", tuple(map(all, zip(*folds))) if folds else (True,) * k)
 
     @property
-    def instance(self) -> MaccInstance:
-        return self.table.instance
-
-    @property
     def n_transmissions(self) -> int:
         return sum(p.n_transmissions for p in self.pairs)
 

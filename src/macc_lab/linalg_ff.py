@@ -31,8 +31,8 @@ its own first columns. A component that would halve is instead brought to
 systematic form by one Gauss–Jordan pass unless even the blocks that leaves
 per set would halve (:func:`_systematic_ranks`). Only a set whose unknown
 columns are dependent takes the exact test: a wanted column is spanned iff
-the rank of the set's unknown columns drops without it, and a second tree
-takes both ranks.
+the rank of the set's unknown columns drops without it. The first tree has
+that rank, so a second tree takes only the rank without each wanted column.
 """
 
 from __future__ import annotations
@@ -432,9 +432,9 @@ def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> int:
     in a tree shared by overlapping sets, or in systematic form, whose
     Gauss–Jordan pass takes about one set's cells. A set whose
     lacked columns are dependent, which no correct plan has, also takes the
-    exact test: a second tree bounded the same way per row, with one row for
-    the set and one per class it wants, so a failing scheme may take a small
-    multiple of this bound."""
+    exact test: a second tree bounded the same way per row, with one row per
+    class the set wants, so a failing scheme may take a small multiple of
+    this bound."""
     r, n = scheme.coefficients.shape
     return len(icp.known_rows) * r * n * min(r, n)
 
@@ -704,8 +704,9 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     them lies in the row span, so the set decodes every class it lacks alone.
     :func:`_tree_ranks` takes that rank for every set. Only a set whose rank
     falls short takes the exact test: a wanted class is spanned iff the rank
-    of the set's lacked classes drops without it. A second tree takes both ranks, one row per set and one per
-    class it wants.
+    of the set's lacked classes drops without it. The first tree took the rank
+    with it, so a second tree ranks one row per (set, wanted class): the set's
+    lacked classes without that one.
     """
     if not pairs:
         return []
@@ -758,19 +759,16 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     rank = _tree_ranks(gf, a, out, offset, n_tx)
     dep = np.flatnonzero((rank != out.sum(axis=1)) & want.any(axis=1))
     if len(dep):
-        # per dependent set: its lacked classes, then each without one it wants
-        per = 1 + want[dep].sum(axis=1)
-        lead = np.cumsum(per) - per
-        less = np.ones(per.sum(), dtype=bool)
-        less[lead] = False
-        owner, (_, cls) = np.repeat(dep, per), np.nonzero(want[dep])
+        # per dependent set, its lacked classes without each one it wants,
+        # against the rank of all of them, which the first tree took
+        e, cls = np.nonzero(want[dep])
+        owner = dep[e]
         mask = out[owner]
-        mask[less, cls] = False
+        mask[np.arange(len(owner)), cls] = False
         # each pair's rows start after those of the dependent sets before it
-        start = np.concatenate([[0], np.cumsum(per)])[np.searchsorted(dep, offset)]
-        rank = _tree_ranks(gf, a, mask, start.tolist(), n_tx)
+        less = _tree_ranks(gf, a, mask, np.searchsorted(owner, offset).tolist(), n_tx)
         out[dep] = False
-        out[owner[less], cls] = rank[less] < np.repeat(rank[lead], per - 1)
+        out[owner, cls] = less < rank[owner]
     spans = []
     for (listed, (row, cls), alone), lo in zip(fold, offset):
         ok = np.zeros(len(listed), dtype=bool)

@@ -81,6 +81,14 @@ class TestRates:
         assert code == 2
         assert "--i" in err
 
+    def test_bad_format(self, capsys):
+        # refused like every other bad value, not by the argument parser
+        code, out, err = run_cli(
+            capsys, "rates", "--K", "8", "--L", "2", "--i", "3", "--format", "xml"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --format must be one of csv, json, got 'xml'\n"
+
     def test_non_integer_flag(self, capsys):
         code, _, _ = run_cli(capsys, "rates", "--K", "eight", "--L", "2", "--i", "3")
         assert code == 2
@@ -349,6 +357,59 @@ class TestConfig:
     def test_missing_config(self, capsys, tmp_path):
         missing = str(tmp_path / "absent.json")
         assert run_cli(capsys, "rates", "--config", missing)[0] == 2
+
+
+    def test_null_refused_for_integer_flags(self, capsys, tmp_path):
+        cfg = self.write(tmp_path, {"K": 8, "L": 2, "i": 3, "divisor": None})
+        code, out, err = run_cli(capsys, "rates", "--config", cfg)
+        assert code == 2 and out == ""
+        assert "--divisor expects an integer" in err
+
+    def test_overridden_values_are_checked(self, capsys, tmp_path):
+        # the command line wins, but the config's value must still be valid
+        cfg = self.write(tmp_path, {"K": 8.5, "L": 2, "i": 3})
+        code, out, err = run_cli(capsys, "rates", "--config", cfg, "--K", "8")
+        assert code == 2 and out == ""
+        assert "--K expects an integer" in err
+
+
+# per subcommand: its required flags, then a valid value for each flag, as
+# typed on the command line and as written in a config
+PARITY = {
+    "rates": (
+        ("K", "L", "i"),
+        {"K": ("8", 8), "L": ("2", 2), "i": ("3", 3), "M": ("3/10", 0.3),
+         "divisor": ("4", 4), "format": ("json", "json")},
+    ),
+    "plan": (
+        ("K", "L", "i", "mode"),
+        {"K": ("4", 4), "L": ("1", 1), "i": ("3", 3), "mode": ("divisor", "divisor"),
+         "N": ("5", 5), "divisor": ("2", 2), "demands": ("2,2,5,2", [2, 2, 5, 2]),
+         "out": ("plan.json", "plan.json"), "oracle-cap": ("0", 0)},
+    ),
+    "sweep": (
+        ("K-range", "out"),
+        {"K-range": ("3:4", "3:4"), "out": ("-", "-"), "L-range": ("2:3", "2:3"),
+         "mode": ("divisor", "divisor"), "oracle-cap": ("3", 3)},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(command, flag) for command, (_, values) in PARITY.items() for flag in values]
+)
+def test_config_matches_command_line(capsys, tmp_path, monkeypatch, command, flag):
+    # every flag takes the same value from --config as from the command line
+    monkeypatch.chdir(tmp_path)
+    required, values = PARITY[command]
+    base = [a for name in required if name != flag for a in ("--" + name, values[name][0])]
+    typed, written = values[flag]
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({flag: written}))
+    from_line = run_cli(capsys, command, *base, "--" + flag, typed)
+    from_config = run_cli(capsys, command, *base, "--config", str(cfg))
+    assert from_line[0] == 0
+    assert from_config[:2] == from_line[:2]
 
 
 class TestEnvironment:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -1008,6 +1009,48 @@ class TestBatchedVerifier:
         assert got == reference_verdicts(scheme, icp) == (not wanted_dependent, True)
         monkeypatch.undo()
         assert assert_matches_reference(scheme, icp) == got
+
+    def test_exact_test_ranks_one_row_per_wanted_class(self, monkeypatch):
+        # (12, 2, 2) with every component's last row dropped, so some sets'
+        # lacked classes are dependent: the exact tree ranks each such set
+        # once per class it wants, without that class, and reads the rank
+        # with it from the first tree
+        plan = assemble(MaccInstance(12, 12, 2, 2), mode="quadratic")
+        pairs = [(replace(p.scheme, coefficients=p.scheme.coefficients[:-1]), p.icp) for p in plan.pairs]
+        calls = []
+        real = linalg_ff._tree_ranks
+
+        def ranks(gf, a, lacked, offset, n_tx):
+            calls.append((lacked.copy(), offset, real(gf, a, lacked, offset, n_tx)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(linalg_ff, "_tree_ranks", ranks)
+        got = linalg_ff.verify_schemes(pairs)
+        assert got == [reference_verdicts(scheme, icp) for scheme, icp in pairs]
+        (lacked, offset, rank), (exact, start, _) = calls
+        # per pair, its (dependent set, wanted class) pairs: a class of
+        # identical columns is wanted where a node's message is its only
+        # member the set lacks
+        wanted = []
+        for (scheme, icp), lo in zip(pairs, offset):
+            _, cls = np.unique(scheme.coefficients, axis=1, return_inverse=True)
+            order = np.array(scheme.message_order) - 1
+            col = {m: c for c, m in enumerate(order.tolist())}
+            lacks = ~icp.known_rows[:, order]
+            found = set()
+            for row, msg in zip(icp.node_row.tolist(), icp.node_msg.tolist()):
+                s = lo + row
+                if rank[s] < lacked[s].sum() and msg in col:
+                    c = cls.ravel()[col[msg]]
+                    if lacks[row, cls.ravel() == c].sum() == 1:
+                        found.add((row, c))
+            wanted.append(len(found))
+        assert np.diff(start).tolist() == wanted
+        assert len(exact) == sum(wanted) == 96
+        # each row is some set's lacked classes less one
+        inside = ~(exact[:, None] & ~lacked[None]).any(axis=2)
+        one_less = lacked.sum(axis=1)[None] - exact.sum(axis=1)[:, None] == 1
+        assert (inside & one_less).any(axis=1).all()
 
     def test_batch_over_two_fields_refused(self):
         icp = realize_single(StructuredIcpDesc(1, 1, 2))
