@@ -15,8 +15,12 @@ and types its value, and each subcommand once, in ``_COMMANDS``. ``--config
 FILE`` supplies JSON values for any flag of the chosen subcommand; explicitly
 passed flags win, and values from both sources pass the same converter.
 
-Exit codes: 0 success, 2 invalid parameters, 3 verification failure, 4 size
-cap exceeded (an exact search's node cap, or a plan too large to verify).
+``plan`` and ``sweep`` write to ``--out PATH``, or to stdout for ``-``, an
+empty value or no ``--out``; ``plan``'s summary takes the other stream.
+
+Exit codes: 0 success, 1 the reader closed the output early, 2 invalid
+parameters, 3 verification failure, 4 size cap exceeded (an exact search's
+node cap, or a plan too large to verify).
 ``MACC_LAB_FIELD_W`` overrides the field degree used when encoding plans.
 Identical inputs produce byte-identical output: orderings are fixed and
 rationals are rendered as ``num/den`` plus a six-digit decimal.
@@ -49,9 +53,8 @@ _SWEEP_HEADER = (
     "F", "transmissions", "decode_verified",
 )
 
-# guards on total sweep work; assembly verifies every tuple end to end
+# guards total sweep work; assembly verifies every corner end to end
 _SWEEP_MAX_K = 40
-_SWEEP_MAX_TUPLES = 5000
 
 
 def _int(value, flag: str) -> int:
@@ -134,7 +137,7 @@ _FLAGS = {
     "format": (_choice("csv", "json"), "{csv,json}", "output format (default csv)"),
     "K_range": (_range, "A:B", "inclusive cache-count range"),
     "L_range": (_range, "A:B", "inclusive access-degree range (default 1:K)"),
-    "out": (_text, "FILE", "output path: plan JSON (default stdout), sweep CSV (- for stdout)"),
+    "out": (_text, "FILE", "output file for the plan JSON or sweep CSV (- or omitted: stdout)"),
     "oracle_cap": (_int, None, "exact-search node cap (default 20 for plan, 0: off for sweep)"),
 }
 
@@ -143,16 +146,37 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(out: str | None, chunks) -> bool:
+    """Write text ``chunks`` to the file ``out``, or to stdout when ``out`` is
+    ``-``, empty or ``None``; return whether they went to stdout."""
+    if out in (None, "", "-"):
+        sys.stdout.writelines(chunks)
+        return True
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ParameterError(f"cannot write output: {exc}") from exc
+    return False
+
+
 def cmd_rates(s: dict) -> int:
     k, l, i = s["K"], s["L"], s["i"]
     reports = compare(k, l, i, divisor=s["divisor"])
     corner_m = Fraction(i, k)
 
-    rows = []
-    for name in _SCHEMES:
-        rep = reports[name]
-        rate = rep.rate if rep.applicable else None
-        rows.append((name, corner_m, rate, rep.subpacketization, rep.applicable, rep.note))
+    rows = [
+        (rep.scheme, corner_m, rep.rate, rep.subpacketization, rep.applicable, rep.note)
+        for rep in (reports[name] for name in _SCHEMES)
+    ]
     if s["M"] is not None:
         rows.append(
             (
@@ -187,24 +211,11 @@ def cmd_rates(s: dict) -> int:
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_RATES_HEADER)
-    for name, m, rate, f, applicable, _ in rows:
-        writer.writerow(
-            [
-                k,
-                l,
-                i,
-                _frac_cell(m),
-                name,
-                "" if rate is None else rate.numerator,
-                "" if rate is None else rate.denominator,
-                "" if f is None else f,
-                "true" if applicable else "false",
-            ]
-        )
-    sys.stdout.write(buf.getvalue())
+    sys.stdout.write(_csv(_RATES_HEADER, (
+        [k, l, i, _frac_cell(m), name, *(("", "") if rate is None else (rate.numerator, rate.denominator)),
+         "" if f is None else f, "true" if applicable else "false"]
+        for name, m, rate, f, applicable, _ in rows
+    )))
     return 0
 
 
@@ -228,22 +239,13 @@ def cmd_plan(s: dict) -> int:
             f" constructed={_frac_cell(plan.rate)} calculator={_frac_cell(check.calculator_rate)}"
         )
 
-    text = chain(_plan_chunks(plan), "\n")  # written a pair at a time
-    summary = (
+    # written a pair at a time; the summary takes the stream the plan did not
+    to_stdout = _write(s["out"], chain(_plan_chunks(plan), "\n"))
+    (sys.stderr if to_stdout else sys.stdout).write(
         f"rate {_frac_cell(plan.rate)} ({_dec_cell(plan.rate)})\n"
         f"F {plan.subpacketization}\n"
         f"transmissions {plan.n_transmissions}\n"
     )
-    if s["out"]:
-        try:
-            with open(s["out"], "w", encoding="utf-8") as fh:
-                fh.writelines(text)
-        except OSError as exc:
-            raise ParameterError(f"cannot write output: {exc}") from exc
-        sys.stdout.write(summary)
-    else:
-        sys.stdout.writelines(text)
-        sys.stderr.write(summary)
     return 0
 
 
@@ -259,44 +261,20 @@ def cmd_sweep(s: dict) -> int:
         for l in range(l_lo, l_hi + 1):
             for i in range(1, -(-k // l) + 1):
                 corners.append((k, l, i))
-    if len(corners) > _SWEEP_MAX_TUPLES:
-        raise ParameterError(
-            f"sweep spans {len(corners)} corners, above the cap of {_SWEEP_MAX_TUPLES}"
-        )
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_HEADER)
+    rows = []
     for k, l, i in corners:
         reports = compare(k, l, i)
         instance = MaccInstance(n_files=k, n_caches=k, access_degree=l, memory_index=i)
         plan = assemble(instance, mode=mode, field=field, oracle_node_cap=s["oracle_cap"])
         check = verify_plan(plan)
-        row: list = [k, l, i, _frac_cell(Fraction(i, k)), mode]
-        for name in _SCHEMES:
-            rep = reports[name]
-            rate = rep.rate if rep.applicable else None
-            row.extend([_frac_cell(rate), _dec_cell(rate)])
-        row.extend(
-            [
-                _frac_cell(plan.rate),
-                _dec_cell(plan.rate),
-                plan.subpacketization,
-                plan.n_transmissions,
-                "true" if all(check.users_ok) else "false",
-            ]
-        )
-        writer.writerow(row)
-
-    text = buf.getvalue()
-    if s["out"] == "-":
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(s["out"], "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ParameterError(f"cannot write output: {exc}") from exc
+        rates = [reports[name].rate for name in _SCHEMES] + [plan.rate]
+        rows.append([
+            k, l, i, _frac_cell(Fraction(i, k)), mode,
+            *(cell(rate) for rate in rates for cell in (_frac_cell, _dec_cell)),
+            plan.subpacketization, plan.n_transmissions, "true" if all(check.users_ok) else "false",
+        ])
+    _write(s["out"], [_csv(_SWEEP_HEADER, rows)])
     return 0
 
 
@@ -306,7 +284,7 @@ _COMMANDS = {
               dict(K=None, L=None, i=None, M=None, divisor=None, format="csv")),
     "plan": (cmd_plan, "assemble, verify, and serialize one delivery plan", ("K", "L", "i", "mode"),
              dict(K=None, L=None, i=None, N=None, mode=None, divisor=None, demands=None, out=None, oracle_cap=20)),
-    "sweep": (cmd_sweep, "CSV scan over (K, L, i) corners", ("K_range", "out"),
+    "sweep": (cmd_sweep, "CSV scan over (K, L, i) corners", ("K_range",),
               dict(K_range=None, L_range=None, mode="quadratic", out=None, oracle_cap=0)),
 }
 
@@ -359,7 +337,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][0](_settings(args))
+        code = _COMMANDS[args.command][0](_settings(args))
+        sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left early: send what is still buffered to devnull so the
+        # final flush cannot fail again (the SIGPIPE note in Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -99,13 +99,12 @@ class PairPlan:
     ``column`` covers one column whole-cell. ``part_map[m-1]`` gives the
     table message and part index carried by local message ``m``;
     ``cell_split``, the scheme's ``split_factor``, is the number of parts each
-    table cell is cut into here.
+    table cell is cut into here. ``columns`` are the table columns it covers.
     ``icp`` is the local instance ``scheme`` was coded for, as ``_component``
     realized it; the plan's decode check runs on it.
     """
 
     columns: tuple[int, ...]
-    desc: UnionIcpDesc | StructuredIcpDesc
     kind: str
     tag: str
     coloring: Coloring
@@ -295,7 +294,6 @@ def assemble(
         pairs.append(
             PairPlan(
                 columns=cols,
-                desc=single if kind == "column" else desc,
                 kind=kind,
                 tag=tag,
                 coloring=coloring,
@@ -321,7 +319,7 @@ def assemble(
     notes: tuple[str, ...] = ()
     if mode == "linear":
         bound = rate_linear(k, instance.access_degree, instance.memory_index)
-        if bound.applicable and bound.rate is not None and rate > bound.rate:
+        if bound.rate is not None and rate > bound.rate:
             notes = (
                 f"best-effort components cost {rate}, above the closed-form "
                 f"linear value {bound.rate}",
@@ -389,8 +387,7 @@ def verify_plan(plan: DeliveryPlan) -> PlanCheck:
         rep = rate_divisor(k, l, i, divisor=plan.divisor)
     else:
         rep = rate_linear(k, l, i)
-    calc_rate = rep.rate if rep.applicable else None
-    calc_f = rep.subpacketization if rep.applicable else None
+    calc_rate, calc_f = rep.rate, rep.subpacketization
     rate_equal = None if calc_rate is None else plan.rate == calc_rate
     within = None if calc_rate is None else plan.rate <= calc_rate
     ok = all(plan.users_ok)

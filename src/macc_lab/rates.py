@@ -271,7 +271,7 @@ def corner_points(
     pts: dict[Fraction, Fraction] = {Fraction(0): Fraction(k), Fraction(1): Fraction(0)}
     for idx in range(1, ceil_kl + 1):
         rep = calculator(k, l, idx)
-        if not rep.applicable or rep.rate is None:
+        if rep.rate is None:
             continue
         x = Fraction(idx, k)
         if x not in pts or rep.rate < pts[x]:

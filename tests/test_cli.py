@@ -147,6 +147,18 @@ class TestPlan:
         assert code == 0
         assert target.read_bytes() == out.encode()
 
+    def test_out_dash_is_stdout(self, capsys, tmp_path, monkeypatch):
+        # "-" names stdout, as in sweep, not a file called "-"
+        monkeypatch.chdir(tmp_path)
+        corner = ("plan", "--K", "8", "--L", "2", "--i", "3", "--mode", "linear")
+        code, summary, _ = run_cli(capsys, *corner, "--out", "plan.json")
+        assert code == 0
+        code, out, err = run_cli(capsys, *corner, "--out", "-")
+        assert code == 0
+        assert out.encode() == (tmp_path / "plan.json").read_bytes()
+        assert err == summary
+        assert not (tmp_path / "-").exists()
+
     def test_plan_written_in_pieces(self, monkeypatch):
         # the text goes out a pair at a time, never as one document-sized string
         writes = []
@@ -241,6 +253,11 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert {r[1] for r in rows} == {"2"}
         assert [r[2] for r in rows] == ["1", "2"]
+
+    def test_stdout_without_out(self, capsys):
+        code, out, _ = run_cli(capsys, "sweep", "--K-range", "3:6")
+        assert code == 0
+        assert out == self.run_sweep(capsys)[1]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -479,17 +496,38 @@ class TestExitCodes:
 
 
 class TestEntryPoint:
-    def test_module_invocation(self):
+    @staticmethod
+    def child_env():
         # the child imports the same package, wherever pytest found it
         src = os.path.dirname(os.path.dirname(macc_lab.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        return dict(os.environ, PYTHONPATH=path)
+
+    def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "macc_lab.cli", "rates",
              "--K", "8", "--L", "2", "--i", "3"],
             capture_output=True,
             text=True,
-            env=env,
+            env=self.child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_RATES
+
+    def test_closed_pipe_exits_one_quietly(self):
+        # like `| head -c 100`: the 243 kB plan overflows the pipe after the
+        # reader has gone, so the child's write meets a closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "macc_lab.cli", "plan", "--K", "40", "--L", "2",
+             "--i", "6", "--mode", "quadratic"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self.child_env(),
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert "Traceback" not in err
+        assert "Exception ignored" not in err

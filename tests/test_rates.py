@@ -182,6 +182,19 @@ class TestCalculatorsGeneric:
         via_divisor = rate_divisor(k, l, i, divisor=k - i * l + i)
         assert via_divisor.rate == rep.rate
 
+    @given(st.data())
+    @settings(max_examples=120)
+    def test_only_applicable_reports_carry_values(self, data):
+        # callers read rate and subpacketization without an applicability guard
+        k, l, i = data.draw(corners())
+        floor = max(k - i * l, 0) + 1 if i else 1  # zero memory takes any divisor
+        valid = [x for x in range(floor, k + 1) if k % x == 0]
+        divisor = data.draw(st.sampled_from([None, *valid]))
+        for rep in compare(k, l, i, divisor=divisor).values():
+            assert rep.applicable == (rep.rate is not None)
+            if not rep.applicable:
+                assert rep.subpacketization is None
+
     def test_corner_validation(self):
         with pytest.raises(ParameterError):
             rate_quadratic(0, 1, 1)
