@@ -18,21 +18,19 @@ columns ``U`` iff ``m`` is the only column in ``U`` equal to it and the unit
 vector of that column lies in the row span of the distinct columns in ``U``.
 On distinct columns it is a column-rank test first: if they are linearly
 independent, as the MDS precoder makes them in a correct plan, every unit
-vector on them lies in the row span. Structured known sets are cyclic windows
-that share most of those columns, so :func:`verify_schemes` takes the ranks
-as a tree over ranges of consecutive sets: each range eliminates once the
-columns all its sets lack, on the rows its parent left free, and hands its
-free rows to its halves, or to each of its sets where they would take few
-cells apiece. One tree covers all schemes of a batch (a plan's components),
-and each depth is one batched forward elimination over all its ranges: a
-stack of column-major matrices, each holding the columns it eliminates, then
-those it hands on, then a shared zero column, and each taking pivots only in
-its own first columns. A component that would halve is instead brought to
-systematic form by one Gauss–Jordan pass unless even the blocks that leaves
-per set would halve (:func:`_systematic_ranks`). Only a set whose unknown
-columns are dependent takes the exact test: a wanted column is spanned iff
-the rank of the set's unknown columns drops without it. The first tree has
-that rank, so a second tree takes only the rank without each wanted column.
+vector on them lies in the row span. :func:`verify_schemes` takes the ranks
+on one path, over all schemes of a batch (a plan's components) at once. One
+Gauss–Jordan stack brings each scheme to systematic form, where a set's rank
+is the count of pivot columns it lacks plus the rank of its block: the pivot
+rows it knows, on its other lacked columns. A component hands each set its
+block at once, or, where that would take many cells, ranks the blocks as a
+tree over ranges of consecutive sets. Structured known sets are cyclic
+windows that share most of their blocks, and each range eliminates once what
+all its sets share. Each depth is one batched forward elimination over all
+its ranges. Only a set whose unknown columns are dependent takes the exact
+test: a wanted column is spanned iff the rank of the set's unknown columns
+drops without it. The first tree has that rank, so a second tree, on the same
+systematic form, takes only the rank without each wanted column.
 """
 
 from __future__ import annotations
@@ -226,7 +224,7 @@ def rank(matrix: np.ndarray, field: FieldSpec) -> int:
     _check_entries(m, field, "matrix entries")
     gf = field.tables()
     a = np.ascontiguousarray(m.T, dtype=gf.dtype)[None]
-    return int(_eliminate(gf, a, np.array([m.shape[1]]), np.zeros(1, dtype=np.intp)).sum())
+    return int(_eliminate(gf, a, np.array([m.shape[1]]), np.array([m.shape[0]])).sum())
 
 
 def _check_entries(values: np.ndarray, field: FieldSpec, what: str) -> None:
@@ -428,13 +426,13 @@ def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> int:
     """An upper bound, in table cells, on the rank work of verifying
     ``scheme`` on ``icp``: ``r * n * min(r, n)`` per distinct known set, for
     ``r`` transmissions over ``n`` columns, as if each set eliminated every
-    column on its own. :func:`verify_scheme` does less, on distinct columns,
-    in a tree shared by overlapping sets, or in systematic form, whose
-    Gauss–Jordan pass takes about one set's cells. A set whose
-    lacked columns are dependent, which no correct plan has, also takes the
-    exact test: a second tree bounded the same way per row, with one row per
-    class the set wants, so a failing scheme may take a small multiple of
-    this bound."""
+    column on its own. :func:`verify_scheme` does less: one Gauss–Jordan
+    pass over the distinct columns, about one set's cells, then each set's
+    block of systematic form, at once or in a tree shared by overlapping
+    sets. A set whose lacked columns are dependent, which no correct plan
+    has, also takes the exact test: a second tree on the same systematic
+    form, bounded the same way per row, with one row per class the set
+    wants, so a failing scheme may take a small multiple of this bound."""
     r, n = scheme.coefficients.shape
     return len(icp.known_rows) * r * n * min(r, n)
 
@@ -477,31 +475,32 @@ _BATCH_CELLS = 1 << 23
 _UPDATE_CELLS = 1 << 16
 
 
-def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, top: np.ndarray, jordan=False) -> np.ndarray:
+def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, ends: np.ndarray, jordan=False) -> np.ndarray:
     """Forward Gaussian elimination in place on every ``(columns, rows)``
     matrix of the stack ``a`` at once, each over its first ``counts`` columns
-    and its rows from ``top`` on (the rows before are left as they are);
-    returns whether each column below ``counts.max()`` took a pivot, False at
-    or past a matrix's own count.
+    with pivots taken only in its first ``ends`` rows; returns whether each
+    column below ``counts.max()`` took a pivot, False at or past a matrix's
+    own count.
 
-    Each pivot row moves to the front of the rows still free, so a matrix
-    that takes ``k`` pivots ends with them in rows ``top`` to ``top + k - 1``
-    and its free rows after them, each zero on every column it eliminated.
-    Pivot rows are not normalised: column ``c`` is cleared in the free rows
-    below the pivot by ``a[:, c]`` times the inverse of the pivot entry, and
-    with ``jordan`` in every other row too, those before ``top`` included
-    (Gauss–Jordan). A free row is zero on every column before ``c``, so each
-    step touches only the columns from ``c`` on. Zero padding columns never
-    take a pivot.
+    Each pivot row moves to the front of the candidate rows still free, so a
+    matrix that takes ``k`` pivots ends with them in rows 0 to ``k - 1``, and
+    every row after them is zero on each column that took a pivot. Pivot
+    rows are not normalised: column ``c`` is cleared in every row below the
+    pivot by ``a[:, c]`` times the inverse of the pivot entry, and with
+    ``jordan`` in the pivot rows above it too (Gauss–Jordan). The pivot row,
+    a free candidate row, is zero on every column before ``c``, so each step
+    touches only the columns from ``c`` on. Zero padding columns never take a
+    pivot.
     """
     n_sets, width, n_rows = a.shape
     took = np.zeros((n_sets, counts.max(initial=0)), dtype=bool)
-    top = top.copy()  # each matrix's first free row
+    top = np.zeros(n_sets, dtype=np.intp)  # each matrix's first free row
     rows = np.arange(n_rows)
+    free = rows < ends[:, None]  # the candidate rows not yet pivot rows
     for c in range(took.shape[1]):
-        if (top >= n_rows).all():
+        if (top >= ends).all():
             break
-        cand = (a[:, c] != 0) & (rows >= top[:, None]) & (counts > c)[:, None]
+        cand = (a[:, c] != 0) & free & (counts > c)[:, None]
         hit = np.flatnonzero(cand.any(axis=1))
         if len(hit) == 0:
             continue
@@ -524,6 +523,7 @@ def _eliminate(gf: _GF, a: np.ndarray, counts: np.ndarray, top: np.ndarray, jord
             sets = part if every else hit[part]
             a[sets, c:, lo:] ^= gf.mul(piv[part, :, None], factor[part, None, :])
         took[hit, c] = True
+        free[hit, first] = False
         top[hit] += 1
     return took
 
@@ -540,150 +540,133 @@ def _left_justify(mask: np.ndarray) -> np.ndarray:
 
 # the fixed cost of one more depth of the elimination tree, in cells of
 # table arithmetic: its gather, and a dozen numpy calls per elimination step.
-# A component's tree halves every range iff eliminating each known set on its
-# own would take more cells than this, and takes systematic form instead iff
-# its blocks would not. Over the 1731 components of `sweep --K-range 3:14` in
-# all three modes none halves; every plan_large component takes systematic
-# form, and (100, 2, 12) 26 of its 38; (300, 300, 100, 2) halves all 50.
+# A pair's tree halves its known sets iff handing each its block at once
+# would take more cells than this (:func:`_halves`). Over the 1731
+# components of `sweep --K-range 3:14` in all three modes and every
+# plan_large component none halves; (100, 2, 12) halves 12 of its 38 and
+# (300, 300, 100, 2) all 50.
 _DEPTH_CELLS = 1 << 17
 
 
-def _cells(rows, u) -> int:
-    """Cells of eliminating, one by one, matrices of ``rows`` rows by ``u`` columns."""
-    return int((rows * np.minimum(rows, u) * u).sum())
+def _halves(known: np.ndarray, outside: np.ndarray, offset: list) -> np.ndarray:
+    """Per pair, whether :func:`_tree_ranks` halves its rows (known sets),
+    and every range below, rather than hand each row its block at once: iff
+    there are two or more and the blocks, ``known`` rows by ``outside``
+    columns for each row, would take more than :data:`_DEPTH_CELLS` cells,
+    ``known * min(known, outside) * outside`` apiece."""
+    size = np.diff(offset)
+    cells = known * np.minimum(known, outside) * outside
+    cells = np.bincount(np.repeat(np.arange(len(size)), size), cells, minlength=len(size))
+    return (size > 1) & (cells > _DEPTH_CELLS)
 
 
-def _splits(n_rows: int, seen: np.ndarray) -> bool:
-    """Whether :func:`_tree_ranks` halves these rows (known sets), and every
-    range below, rather than hand each row on at once: iff there are two or
-    more and eliminating each row's ``u`` lacked columns on its own, ``n_rows
-    * min(n_rows, u) * u`` cells, would take more than :data:`_DEPTH_CELLS`.
-    ``seen`` counts lacking rows as in :func:`_tree_ranks`, over these rows.
-    Where it halves, :func:`_reduces` applies the same test to the blocks of
-    systematic form: one rule picks all three paths.
-    """
-    u = np.diff(seen.sum(axis=1, dtype=np.intp))  # lacked columns per set
-    return len(u) >= 2 and _cells(n_rows, u) > _DEPTH_CELLS
-
-
-def _reduces(n_rows: int, lacked: np.ndarray) -> bool:
-    """Whether rows that :func:`_splits` halves take :func:`_systematic_ranks`
-    instead: iff their blocks would not halve, estimated before elimination
-    with the first ``min(n_rows, classes)`` lacked classes as the pivots."""
-    some = np.flatnonzero(lacked.any(axis=0))
-    k = min(n_rows, len(some))
-    piv = lacked[:, : some[k - 1] + 1].sum(axis=1) if k else 0  # lacked pivots per row
-    return _cells(k - piv, lacked.sum(axis=1) - piv) <= _DEPTH_CELLS
-
-
-def _systematic_ranks(gf: _GF, a: np.ndarray, lacked: np.ndarray, seen: np.ndarray, lo, hi):
-    """The rows ``lo[e]`` to ``hi[e] - 1`` of ``lacked``, read on ``a[e]`` as
-    in :func:`_tree_ranks`, and the rank of each row's lacked columns: one
-    Gauss–Jordan stack brings each matrix, on the columns some row lacks, to
-    systematic form, which keeps the rank of every column set. A row lacking
-    ``U`` then has rank ``|U ∩ P|``, for the pivot columns ``P``, plus that of
-    its block, one more stack: the pivot rows of the pivots it knows, on its
-    lacked columns outside ``P``, padded with a zero row."""
-    size = hi - lo
-    rows = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-    owner = np.repeat(np.arange(len(a)), size)
-    # per matrix, the columns some row lacks, and a zero row
-    cols = _left_justify(seen[hi] > seen[lo])
-    g = np.zeros((*cols.shape, a.shape[2] + 1), dtype=a.dtype)
-    g[..., :-1] = a[np.arange(len(a))[:, None], cols]
-    pivot = _eliminate(gf, g[..., :-1], np.full(len(g), cols.shape[1]), np.zeros(len(g), dtype=np.intp), True)
-    at = pivot.cumsum(axis=1) - 1  # pivot rows run in column order
-    lack, pivot = lacked[rows[:, None], cols[owner]], pivot[owner]
-    rank = (lack & pivot).sum(axis=1)
-    outside = lack & ~pivot
-    some = np.flatnonzero(outside.any(axis=1))  # the rows with a block to rank
-    e, c = np.nonzero((pivot & ~lack)[some])
-    owner, outside = owner[some], outside[some]
-    known = np.zeros((len(some), g.shape[2]), dtype=bool)
-    known[e, at[owner[e], c]] = True
-    block = g[owner[:, None, None], _left_justify(outside)[:, :, None], _left_justify(known)[:, None, :]]
-    rank[some] += _eliminate(gf, block, outside.sum(axis=1), np.zeros(len(some), dtype=np.intp)).sum(axis=1)
-    return rows, rank
-
-
-def _tree_ranks(gf: _GF, a: np.ndarray, lacked: np.ndarray, offset: list, n_tx: list) -> np.ndarray:
+def _tree_ranks(gf: _GF, a: np.ndarray, lacked: np.ndarray, offset: list, reduce: bool) -> np.ndarray:
     """The rank of each row's ``lacked`` columns in its pair's matrix: rows
-    ``offset[p]`` to ``offset[p + 1] - 1`` read ``a[p]``, whose transmissions
-    are its first ``n_tx[p]`` rows.
+    ``offset[p]`` to ``offset[p + 1] - 1`` read ``a[p]``, a ``(columns,
+    rows)`` matrix whose last column is zero and lacked by no row.
 
-    A divide and conquer over ranges of consecutive rows, one root per pair.
-    Each range runs forward elimination once on the columns all its rows lack
-    that its parent left, and hands its rows still free, on the columns some
-    of its rows still lack, to its halves where :func:`_splits` halves the
-    root, else to each of its rows. All ranges at one depth are one
-    :func:`_eliminate` stack of ``(columns, rows)`` matrices, each gathered
-    from its parent's by whole columns and left-justified: the columns it
-    eliminates, those it hands on, then the zero column, which also pads it to
-    the widest range plus one. Each range takes pivots only in its own
-    eliminated columns and free rows, so where its handed-on columns sit
-    another range may take pivots, and rows that are pivot rows in every
-    range are sliced off. Pairs are padded with zero rows and with columns
-    no row lacks (the last one for all), which take no pivot. A range that
-    hands on no column holds its rows' ranks: the pivots it and the ranges
-    above it took. A pair that :func:`_splits` halves and :func:`_reduces`
-    passes takes :func:`_systematic_ranks` instead.
+    Each pair's root is its systematic form: with ``reduce``, one
+    Gauss–Jordan stack brings every ``a[p]`` to it in place; without, ``a``
+    already holds it from a call that did. Row operations keep the rank of
+    every column set, and in that form each pivot row is zero before its
+    pivot column, the pivot rows run in column order and the other rows are
+    zero. For the pivot columns ``P``, a row lacking ``U`` has rank ``|U ∩
+    P|`` plus that of its block: the pivot rows of the pivots it knows, on
+    its lacked columns outside ``P``.
+
+    A divide and conquer over ranges of consecutive rows ranks the blocks
+    (:func:`_gather`). A pair's root hands each row its block at once, all
+    in one stack, or halves its rows where :func:`_halves` says, and then so
+    does every range below it, one stack per depth. A range that hands on no
+    column holds its rows' ranks: ``|U ∩ P|`` plus the pivots it and the
+    ranges above it took; a single row hands on none.
     """
     n_sets, n_cols = lacked.shape
+    if reduce:
+        _eliminate(gf, a[:, :-1], np.full(len(a), n_cols - 1), np.full(len(a), a.shape[2]), True)
+    nonzero = a != 0
+    free = nonzero.any(axis=1)  # the pivot rows
+    rid = nonzero.argmax(axis=1)  # each pivot row's column
+    pivot = np.zeros((len(a), n_cols), dtype=bool)
+    p, r = np.nonzero(free)
+    pivot[p, rid[p, r]] = True
+    owner = np.repeat(np.arange(len(a)), np.diff(offset))
+    piv = pivot[owner]
+    rank = (lacked & piv).sum(axis=1)
+    known, outside = (piv & ~lacked).sum(axis=1), (lacked & ~piv).sum(axis=1)
+    halve = _halves(known, outside, offset)
     # seen[hi] - seen[lo]: how many of the rows lo..hi-1 lack each column
     seen = np.zeros((n_sets + 1, n_cols), dtype=np.min_scalar_type(n_sets))
     np.cumsum(lacked, axis=0, dtype=seen.dtype, out=seen[1:])
-    # per pair: False hands each row on at once, 1 halves, 2 takes systematic form
-    bounds = zip(n_tx, offset, offset[1:])
-    halve = [_splits(r, seen[x : y + 1]) and 1 + _reduces(r, lacked[x:y]) for r, x, y in bounds]
-    # per range of the last depth: `a` its rows from `cut` on, column by
-    # column: the columns it eliminated, those it hands on, then the zero
-    # column; `hand` their global columns and `done` which it eliminated;
-    # `got` the pivots it and the ranges above it took, so its first free
-    # row is `got - cut`. `keep` the entries of `ranges`, the ranges left to
-    # split
-    rank = np.zeros(n_sets, dtype=np.intp)
-    ranges = list(zip(offset, offset[1:]))
-    hand = np.broadcast_to(np.arange(n_cols, dtype=np.min_scalar_type(n_cols)), (len(ranges), n_cols))
-    done = np.zeros((len(ranges), n_cols), dtype=bool)
-    got = np.zeros(len(ranges), dtype=np.intp)
-    cut = 0
-    keep = np.arange(len(ranges))
-    if 2 in halve:
-        reduce = np.array(halve) == 2
-        lo, hi = np.array(offset[:-1])[reduce], np.array(offset[1:])[reduce]
-        rows, ranks = _systematic_ranks(gf, a[reduce], lacked, seen, lo, hi)
-        rank[rows] = ranks
-        keep = np.flatnonzero(~reduce & (np.diff(offset) > 0))
-        ranges, halve = [ranges[p] for p in keep], [halve[p] for p in keep]
-    while ranges and n_sets:
-        children = []
-        for e, ((lo, hi), h) in enumerate(zip(ranges, halve)):
-            cuts = (lo, (lo + hi) // 2, hi) if h else range(lo, hi + 1)
-            children += [(e, x, y) for x, y in zip(cuts, cuts[1:])]
-        parent, lo, hi = np.array(children).T
-        parent = keep[parent]
-        hand, got = hand[parent], got[parent]
-        lack = np.where(done[parent], 0, seen[hi[:, None], hand] - seen[lo[:, None], hand])
-        shared = lack == (hi - lo)[:, None]
-        rest = (lack > 0) & ~shared
-        last = ~rest.any(axis=1)  # hands on nothing: one row, or rows alike
-        rest[:, -1] = True  # the zero column, which also pads every range
-        at = _left_justify(np.concatenate([shared, rest], axis=1)) % hand.shape[1]
-        # the rows that are pivot rows in every range are sliced off
-        drop = got.min() - cut
-        a, hand = a[parent[:, None], at, drop:], np.take_along_axis(hand, at, axis=1)
-        cut += drop
-        counts = shared.sum(axis=1)
-        took = _eliminate(gf, a, counts, got - cut)
-        got += took.sum(axis=1)
-        done = np.arange(a.shape[1]) < counts[:, None]
+    root = (a, np.broadcast_to(np.arange(n_cols), (len(a), n_cols)), rid, free, ~pivot)
+    # each row with a block, of a pair that does not halve
+    sets = np.flatnonzero(~halve[owner] & (known > 0) & (outside > 0))
+    if len(sets):
+        blocks, _, _, counts, ends, _, _ = _gather(seen, root, owner[sets], sets, sets + 1)
+        rank[sets] += _eliminate(gf, blocks, counts, ends).sum(axis=1)
+    # per range of the last depth: its state, as :func:`_gather` reads it,
+    # and the pivots it and the ranges above it took
+    keep = np.flatnonzero(halve)
+    lo, hi = np.array(offset[:-1])[keep], np.array(offset[1:])[keep]
+    state, got = root, np.zeros(len(a), dtype=np.intp)
+    while len(keep):
+        mid = (lo + hi) // 2
+        parent, lo, hi = keep.repeat(2), np.stack([lo, mid], 1).ravel(), np.stack([mid, hi], 1).ravel()
+        a, hand, rid, counts, ends, width, height = _gather(seen, state, parent, lo, hi)
+        took = _eliminate(gf, a, counts, ends).sum(axis=1)
+        got = got[parent] + took
+        # a column is live if it took no pivot and is nonzero on a free row
+        rows = np.arange(a.shape[2])
+        free = (rows >= took[:, None]) & (rows < height[:, None])
+        live = ((a != 0) & free[:, None, :]).any(axis=2) & (np.arange(a.shape[1]) < width[:, None])
+        state = a, hand, rid, free, live
+        last = ~live.any(axis=1)
         size = (hi - lo)[last]
-        rows = np.repeat(lo[last] - np.cumsum(size) + size, size) + np.arange(size.sum())
-        rank[rows] = np.repeat(got[last], size)
+        sets = np.repeat(lo[last] - np.cumsum(size) + size, size) + np.arange(size.sum())
+        rank[sets] += np.repeat(got[last], size)
         keep = np.flatnonzero(~last)
-        ranges = list(zip(lo[keep].tolist(), hi[keep].tolist()))
-        halve = [True] * len(ranges)  # every range left lies below a halved root
+        lo, hi = lo[keep], hi[keep]
     return rank
+
+
+def _gather(seen: np.ndarray, state: tuple, parent: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """One depth's stack in :func:`_tree_ranks`: the ranges of rows ``lo``
+    to ``hi - 1``, each below range ``parent`` of the depth above. The
+    parents' ``state`` holds per range its matrix, the columns of the
+    pair's matrix that its columns (``hand``) and its rows' pivots (``rid``)
+    are, which rows are ``free`` (not its pivot rows) and which columns are
+    ``live`` (handed on). Returns the same matrix, ``hand`` and ``rid`` for
+    the ranges; then per range how many columns all its rows lack and rows
+    all of them know, which take the pivots, and how many columns and rows
+    it holds.
+
+    A range holds its parent's free rows that some of its rows know and live
+    columns that some of them lack, left-justified: the rows all of them
+    know first, and the columns all of them lack. Clearing those columns in
+    every row it holds is a row operation on each of its rows' blocks, or on
+    a row outside one. Rows and columns past a range's own pad the stack.
+    """
+    a, hand, rid, free, live = state
+    n = (hi - lo)[:, None]
+    # how many of the range's rows lack each live column, and each free
+    # row's pivot column
+    hand, rid, lacking = hand[parent], rid[parent], seen[hi] - seen[lo]
+    col = np.where(live[parent], np.take_along_axis(lacking, hand, axis=1), 0)
+    row = np.where(free[parent], np.take_along_axis(lacking, rid, axis=1), n)
+    shared, rest = col == n, (col > 0) & (col < n)
+    common, some = row == 0, (row > 0) & (row < n)
+    at = _left_justify(np.concatenate([shared, rest], axis=1)) % hand.shape[1]
+    by = _left_justify(np.concatenate([common, some], axis=1)) % rid.shape[1]
+    counts, ends = shared.sum(axis=1), common.sum(axis=1)
+    return (
+        a[parent[:, None, None], at[:, :, None], by[:, None, :]],
+        np.take_along_axis(hand, at, axis=1),
+        np.take_along_axis(rid, by, axis=1),
+        counts,
+        ends,
+        counts + rest.sum(axis=1),
+        ends + some.sum(axis=1),
+    )
 
 
 def _tree_spans(pairs: list) -> list[np.ndarray]:
@@ -705,14 +688,14 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
     :func:`_tree_ranks` takes that rank for every set. Only a set whose rank
     falls short takes the exact test: a wanted class is spanned iff the rank
     of the set's lacked classes drops without it. The first tree took the rank
-    with it, so a second tree ranks one row per (set, wanted class): the set's
-    lacked classes without that one.
+    with it, so a second tree, on the systematic form the first left, ranks
+    one row per (set, wanted class): the set's lacked classes without that
+    one.
     """
     if not pairs:
         return []
     gf = pairs[0][0].field.tables()
-    n_tx = [scheme.n_transmissions for scheme, _ in pairs]
-    n_rows = max(n_tx)
+    n_rows = max(scheme.n_transmissions for scheme, _ in pairs)
     col_off = np.cumsum([0] + [len(scheme.message_order) for scheme, _ in pairs])
     offset = np.cumsum([0] + [len(icp.known_rows) for _, icp in pairs]).tolist()
     n_sets = offset[-1]
@@ -756,7 +739,7 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
         alone = lacking[row, cls] == 1
         want[offset[p] + row[alone], cls[alone]] = True
         fold.append((listed, (row, cls), alone))
-    rank = _tree_ranks(gf, a, out, offset, n_tx)
+    rank = _tree_ranks(gf, a, out, offset, True)
     dep = np.flatnonzero((rank != out.sum(axis=1)) & want.any(axis=1))
     if len(dep):
         # per dependent set, its lacked classes without each one it wants,
@@ -766,7 +749,7 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
         mask = out[owner]
         mask[np.arange(len(owner)), cls] = False
         # each pair's rows start after those of the dependent sets before it
-        less = _tree_ranks(gf, a, mask, np.searchsorted(owner, offset).tolist(), n_tx)
+        less = _tree_ranks(gf, a, mask, np.searchsorted(owner, offset).tolist(), False)
         out[dep] = False
         out[owner, cls] = less < rank[owner]
     spans = []

@@ -467,63 +467,60 @@ class TestVerifyOnce:
 class TestVerifierTree:
     @staticmethod
     def paths(monkeypatch) -> list:
-        """Record, per component verified, the path its ranks take: each
-        known set on its own ("flat"), the halving tree ("tree"), or
-        systematic form ("reduce")."""
+        """Record, per component verified, whether its root hands each known
+        set its block of systematic form at once ("flat") or halves its sets
+        down a tree ("tree")."""
         paths = []
-        real_splits, real_reduces = linalg_ff._splits, linalg_ff._reduces
+        real = linalg_ff._halves
 
-        def splits(*args):
-            paths.append("tree" if real_splits(*args) else "flat")
-            return paths[-1] == "tree"
+        def halves(*args):
+            result = real(*args)
+            paths.extend("tree" if h else "flat" for h in result.tolist())
+            return result
 
-        def reduces(*args):
-            if real_reduces(*args):
-                paths[-1] = "reduce"
-            return paths[-1] == "reduce"
-
-        monkeypatch.setattr(linalg_ff, "_splits", splits)
-        monkeypatch.setattr(linalg_ff, "_reduces", reduces)
+        monkeypatch.setattr(linalg_ff, "_halves", halves)
         return paths
 
     @pytest.mark.parametrize("corner", [(40, 2, 6), (60, 2, 7), (48, 2, 14), (60, 4, 12)])
-    def test_large_corners_split(self, monkeypatch, corner):
-        # every component would halve, and ranks in systematic form instead
+    def test_large_corners_stay_flat(self, monkeypatch, corner):
         paths = self.paths(monkeypatch)
         plan = plan_for(*corner, "quadratic")
-        assert paths == ["reduce"] * len(plan.pairs)
+        assert paths == ["flat"] * len(plan.pairs)
 
     @pytest.mark.parametrize("corner", [(40, 2, 6), (48, 2, 14)])
     def test_w16_corners_take_systematic_form(self, monkeypatch, corner):
         paths = self.paths(monkeypatch)
         plan = plan_for(*corner, "quadratic", field=FieldSpec(16))
-        assert paths == ["reduce"] * len(plan.pairs)
+        assert paths == ["flat"] * len(plan.pairs)
 
     def test_k100_mixes_systematic_form_and_tree(self, monkeypatch):
         paths = self.paths(monkeypatch)
         plan = plan_for(100, 2, 12, "quadratic")
         assert len(paths) == len(plan.pairs) == 38
-        assert paths.count("reduce") == 26 and paths.count("tree") == 12
+        assert paths.count("flat") == 26 and paths.count("tree") == 12
 
     def test_k300_keeps_the_tree(self, monkeypatch):
         # its blocks would reach 98 columns, so every component halves; the
-        # paths are read before the first elimination of each pair's tree
+        # paths are read after the Gauss-Jordan stack, before the tree's
+        # first elimination
         monkeypatch.setattr(
             delivery, "verify_schemes", lambda pairs: [(True,) * icp.n_users for _, icp in pairs]
         )
         plan = assemble(MaccInstance(300, 300, 100, 2))
         paths = self.paths(monkeypatch)
+        real = linalg_ff._eliminate
 
         class Stop(Exception):
             pass
 
-        def stop(*args):
-            raise Stop
+        def stop(gf, a, counts, ends, jordan=False):
+            if not jordan:
+                raise Stop
+            return real(gf, a, counts, ends, jordan)
 
         monkeypatch.setattr(linalg_ff, "_eliminate", stop)
-        for p in plan.pairs:
-            with pytest.raises(Stop):
-                linalg_ff._tree_spans([(p.scheme, pair_instance(p))])
+        with pytest.raises(Stop):
+            linalg_ff._tree_spans([(p.scheme, pair_instance(p)) for p in plan.pairs])
         assert paths == ["tree"] * len(plan.pairs) == ["tree"] * 50
 
     def test_small_corners_stay_flat(self, monkeypatch):
@@ -618,10 +615,10 @@ class TestVerifyBudget:
         bound = sum(linalg_ff.verify_cells(p.scheme, pair_instance(p)) for p in plan.pairs)
         assert 0 < sum(products) <= bound
 
-    # (12, 2, 2) on each set at once, (60, 2, 7) in systematic form; the
+    # both hand each known set its block of systematic form at once; the
     # bounds above leave room for wasted work, such as a forward pass that
     # also multiplies out the rows at or above each pivot, and these do not
-    @pytest.mark.parametrize("corner, count", [((12, 2, 2), 33_576), ((60, 2, 7), 3_022_614)])
+    @pytest.mark.parametrize("corner, count", [((12, 2, 2), 4_446), ((60, 2, 7), 3_022_614)])
     def test_products_are_pinned(self, monkeypatch, corner, count):
         products = count_products(monkeypatch)
         plan_for(*corner, "quadratic")
