@@ -2,9 +2,10 @@
 
 Three modes cover the subpacketization/rate trade-off: linear keeps whole
 subfiles, quadratic splits each subfile into m parts to shave the rate, and
-divisor pins a single palette X | K everywhere. Every plan is re-verified
-from scratch: each user must recover its wanted parts by eliminating what
-its caches already hold from the received linear combinations.
+divisor pins a single palette X | K everywhere. Every plan checks itself
+when it is built: each user must recover its wanted parts by eliminating
+what its caches already hold from the received linear combinations, and
+`verify_plan` reports the verdicts that check took.
 """
 
 import json

@@ -48,7 +48,6 @@ from .icp import (
     StructuredIcpDesc,
     UnionIcpDesc,
     as_icp,
-    icp_from_json,
     icp_to_json,
     node_data,
     pair_columns,
@@ -130,7 +129,6 @@ __all__ = [
     "pair_columns",
     "paired_column_indices",
     "icp_to_json",
-    "icp_from_json",
     # colorings
     "Coloring",
     "interferers",

@@ -24,7 +24,6 @@ The union descriptors have one structured rule, a shifted window on the
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,13 +50,6 @@ class Coloring:
     @property
     def n_colors(self) -> int:
         return max(self.colors) if self.colors else 0
-
-    def to_json(self) -> str:
-        return json.dumps(list(self.colors))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Coloring":
-        return cls(tuple(json.loads(text)))
 
 
 def _check_len(icp: IcpInstance, coloring: Coloring) -> None:

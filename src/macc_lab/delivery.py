@@ -255,11 +255,6 @@ def assemble(
     """
     if mode not in _MODES:
         raise ParameterError(f"mode must be one of {_MODES}, got {mode!r}")
-    if instance.memory_index < 1:
-        raise ParameterError(
-            "zero-memory corner has no cached side information; "
-            "delivery there is a plain broadcast"
-        )
     table = reduce_macc(instance, demands)
     k = table.n_rows
     d = table.n_cols

@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import jsontext
 from .errors import ParameterError, as_int
 from .macc import (
     DemandProfile,
@@ -293,12 +292,17 @@ def reduce_macc(instance: MaccInstance, demands=None) -> IcpTable:
     Each user needs ``K - iL`` subfiles of its file, one per column; users in
     the interval of a subfile hold it as side information. With ``iL = K``
     the table is empty (rate 0). Equal demands produce repeated (file,
-    interval) pairs which deduplicate onto a single message id.
+    interval) pairs which deduplicate onto a single message id. The
+    zero-memory corner ``i = 0`` raises :class:`ParameterError` before the
+    demands are read.
     """
-    profile = as_demand_profile(instance, demands)
     k, l, i = instance.n_caches, instance.access_degree, instance.memory_index
     if i < 1:
-        raise ParameterError("delivery table needs memory index >= 1")
+        raise ParameterError(
+            "zero-memory corner has no cached side information; "
+            "delivery there is a plain broadcast"
+        )
+    profile = as_demand_profile(instance, demands)
     cov = i * l
     n_cols = max(k - cov, 0)
     # a (file, interval start) pair keeps the id of its first cell
@@ -365,17 +369,3 @@ def icp_to_json(icp: IcpInstance) -> str:
     if icp.labels:
         payload["labels"] = {str(m): icp.labels[m] for m in sorted(icp.labels)}
     return json.dumps(payload, indent=2)
-
-
-def icp_from_json(text: str) -> IcpInstance:
-    data = json.loads(text)
-    n_messages, users = jsontext.fields(data, "an instance", n_messages=int, users=list)
-    users = (
-        IcpUser(*(frozenset(as_int(m, "a message id") for m in ids)
-                  for ids in jsontext.fields(u, "a user", want=list, known=list)))
-        for u in users
-    )
-    labels = jsontext.fields(data, "an instance", labels=dict)[0] if "labels" in data else {}
-    if not all(m.isdecimal() for m in labels):
-        raise ParameterError(f"an instance's 'labels' must be keyed by message ids, got {list(labels)}")
-    return IcpInstance(n_messages, users, {int(m): v for m, v in labels.items()} or None)

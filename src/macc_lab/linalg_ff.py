@@ -12,25 +12,26 @@ gather. Addition is XOR throughout (characteristic 2).
 Decodability asks, per distinct known set, whether each wanted unit vector
 lies in the row span of the transmissions on the set's unknown columns.
 :func:`encode` gives every node of one color the same generator column, so a
-scheme's columns repeat, and the test runs on its distinct columns: for any
-matrix, the unit vector of column ``m`` lies in the row span of the unknown
-columns ``U`` iff ``m`` is the only column in ``U`` equal to it and the unit
-vector of that column lies in the row span of the distinct columns in ``U``.
-On distinct columns it is a column-rank test first: if they are linearly
-independent, as the MDS precoder makes them in a correct plan, every unit
-vector on them lies in the row span. :func:`verify_schemes` takes the ranks
-on one path, over all schemes of a batch (a plan's components) at once. One
+scheme's columns repeat, and the test runs on its distinct columns, found by
+one sort per scheme: for any matrix, the unit vector of column ``m`` lies in
+the row span of the unknown columns ``U`` iff ``m`` is the only column in
+``U`` equal to it and the unit vector of that column lies in the row span of
+the distinct columns in ``U``. On distinct columns it is a column-rank test
+first: if they are linearly independent, as the MDS precoder makes them in a
+correct plan, every unit vector on them lies in the row span.
+:func:`verify_schemes` takes the ranks on one path, over runs of a batch (a
+plan's components) cut by known sets x transmissions x distinct columns. One
 Gauss–Jordan stack brings each scheme to systematic form, where a set's rank
 is the count of pivot columns it lacks plus the rank of its block: the pivot
 rows it knows, on its other lacked columns. A component hands each set its
 block at once, or, where that would take many cells, ranks the blocks as a
-tree over ranges of consecutive sets. Structured known sets are cyclic
-windows that share most of their blocks, and each range eliminates once what
-all its sets share. Each depth is one batched forward elimination over all
-its ranges. Only a set whose unknown columns are dependent takes the exact
-test: a wanted column is spanned iff the rank of the set's unknown columns
-drops without it. The first tree has that rank, so a second tree, on the same
-systematic form, takes only the rank without each wanted column.
+tree over ranges of consecutive sets. Structured known sets are cyclic windows
+that share most of their blocks, and each range eliminates once what all its
+sets share. Each depth is one batched forward elimination over all its ranges.
+Only a set whose unknown columns are dependent takes the exact test: a wanted
+column is spanned iff the rank of the set's unknown columns drops without it.
+The first tree has that rank, so a second tree, on the same systematic form,
+takes only the rank without each wanted column.
 """
 
 from __future__ import annotations
@@ -397,10 +398,10 @@ VERIFY_CELL_BUDGET = 10**12
 
 def verify_schemes(pairs: list) -> list[tuple[bool, ...]]:
     """Per-user decodability of each ``(scheme, icp)`` pair, in order: one
-    elimination tree over all pairs' distinct known sets (:func:`_tree_spans`),
-    or consecutive trees of about :data:`_BATCH_CELLS` each for a larger
-    batch. Schemes over two fields raise :class:`ParameterError`, and a batch
-    whose summed :func:`verify_cells` exceed :data:`VERIFY_CELL_BUDGET`
+    elimination tree (:func:`_tree_spans`) per run of consecutive pairs whose
+    known sets x transmissions x classes (:func:`_classes`) fit one multiple
+    of :data:`_BATCH_CELLS`. Schemes over two fields raise :class:`ParameterError`,
+    and a batch whose summed :func:`verify_cells` exceed :data:`VERIFY_CELL_BUDGET`
     raises :class:`~.errors.SizeCapError` before any elimination."""
     if len({scheme.field for scheme, _ in pairs}) > 1:
         raise ParameterError("a batch of schemes must share one field")
@@ -410,15 +411,11 @@ def verify_schemes(pairs: list) -> list[tuple[bool, ...]]:
             f"verifying this plan takes about {cells:.2e} cells of exact "
             f"elimination, above the budget of {VERIFY_CELL_BUDGET:.0e}"
         )
-    # consecutive pairs share a tree while their running cells stay in one
-    # multiple; counting distinct columns only where all columns do not fit
-    cells = [len(icp.known_rows) * scheme.coefficients.size for scheme, icp in pairs]
-    if sum(cells) > _BATCH_CELLS:
-        cells = [len(icp.known_rows) * _distinct_cells(scheme.coefficients) for scheme, icp in pairs]
-    ends = np.cumsum(cells)
+    classes = [_classes(scheme) for scheme, _ in pairs]
+    ends = np.cumsum([len(icp.known_rows) * s.n_transmissions * c[0] for (s, icp), c in zip(pairs, classes)])
     spans = []
     for run in np.split(np.arange(len(pairs)), np.flatnonzero(np.diff(ends // _BATCH_CELLS)) + 1):
-        spans += _tree_spans([pairs[p] for p in run])
+        spans += _tree_spans([pairs[p] for p in run], [classes[p] for p in run])
     return [_user_verdicts(icp, ok) for (_, icp), ok in zip(pairs, spans)]
 
 
@@ -437,10 +434,20 @@ def verify_cells(scheme: TransmissionScheme, icp: IcpInstance) -> int:
     return len(icp.known_rows) * r * n * min(r, n)
 
 
-def _distinct_cells(coeff: np.ndarray) -> int:
-    """Rows times distinct columns of ``coeff``, from a set of its columns as bytes."""
-    cols = np.ascontiguousarray(coeff.T).view(f"V{coeff.shape[0] * coeff.itemsize}")
-    return coeff.shape[0] * len(set(cols.ravel().tolist()))
+def _classes(scheme: TransmissionScheme) -> tuple:
+    """Sort the coefficient columns of ``scheme``, as bytes of field elements,
+    into classes of equal columns: their count, the sort order, where each
+    class starts in it, and each column's class."""
+    cols = np.ascontiguousarray(scheme.coefficients.T, dtype=scheme.field.tables().dtype)
+    # zero rows leave no bytes to sort, and every column in one class
+    order = np.argsort(cols.view(f"V{cols[0].nbytes}").ravel()) if cols.size else np.arange(len(cols))
+    cols = cols[order]
+    first = np.ones(len(cols), dtype=bool)  # whether a sorted column starts a class
+    first[1:] = (cols[1:] != cols[:-1]).any(axis=1)
+    class_of = np.empty(len(cols), dtype=np.intp)
+    class_of[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
+    return len(starts), order, starts, class_of
 
 
 def _columns(scheme: TransmissionScheme, icp: IcpInstance):
@@ -462,7 +469,7 @@ def _user_verdicts(icp: IcpInstance, ok: np.ndarray) -> tuple[bool, ...]:
     return tuple((failed == 0).tolist())
 
 
-# cells (known sets x rows x distinct columns, summed over pairs) one
+# cells (known sets x transmissions x classes, summed over pairs) one
 # elimination tree takes on, so its widest stacks stay near 1 MB (0.17 MiB
 # over (100, 2, 12)'s 5 trees); a step's fixed cost is small well before
 # this, and one tree over its 38 pairs peaked 6 MB higher under tracemalloc
@@ -669,19 +676,18 @@ def _gather(seen: np.ndarray, state: tuple, parent: np.ndarray, lo: np.ndarray, 
     )
 
 
-def _tree_spans(pairs: list) -> list[np.ndarray]:
+def _tree_spans(pairs: list, classes: list) -> list[np.ndarray]:
     """Per ``(scheme, icp)`` pair, whether each node's wanted unit vector lies
     in the row span of the transmissions on the columns its set does not know.
 
-    The test runs on each scheme's distinct columns. One sort of all pairs'
-    columns, tagged with their pair, groups each pair's columns into classes
-    of identical coefficient vectors, and a set lacks a class iff it lacks a
-    member of it. For any matrix ``A`` and lacked columns ``U``, the unit
-    vector of ``m`` lies in the row span of ``A[:, U]`` iff ``m`` is the only
-    member of its class in ``U`` and the class's unit vector lies in the row
-    span of the distinct columns present in ``U``: identical columns take
-    equal entries in every combination of rows, and the rest is the same
-    span test on fewer columns.
+    The test runs on each scheme's distinct columns: its ``classes`` of
+    identical coefficient vectors, as :func:`_classes` sorts them, and a set
+    lacks a class iff it lacks a member of it. For any matrix ``A`` and
+    lacked columns ``U``, the unit vector of ``m`` lies in the row span of
+    ``A[:, U]`` iff ``m`` is the only member of its class in ``U`` and the
+    class's unit vector lies in the row span of the distinct columns present
+    in ``U``: identical columns take equal entries in every combination of
+    rows, and the rest is the same span test on fewer columns.
 
     If a set's lacked classes are linearly independent, every unit vector on
     them lies in the row span, so the set decodes every class it lacks alone.
@@ -696,44 +702,23 @@ def _tree_spans(pairs: list) -> list[np.ndarray]:
         return []
     gf = pairs[0][0].field.tables()
     n_rows = max(scheme.n_transmissions for scheme, _ in pairs)
-    col_off = np.cumsum([0] + [len(scheme.message_order) for scheme, _ in pairs])
+    n_cols = max(n for n, *_ in classes) + 1
     offset = np.cumsum([0] + [len(icp.known_rows) for _, icp in pairs]).tolist()
     n_sets = offset[-1]
-    # every column of the batch as bytes behind its big-endian pair tag, so
-    # sorting them keeps each pair's columns in its own block, class by class
-    col = np.zeros((col_off[-1], n_rows), dtype=gf.dtype)
-    for (scheme, _), lo, hi in zip(pairs, col_off, col_off[1:]):
-        col[lo:hi, : scheme.n_transmissions] = scheme.coefficients.T
-    pair = np.repeat(np.arange(len(pairs)), np.diff(col_off))
-    keys = np.concatenate([pair.astype(">u4").view(np.uint8).reshape(-1, 4), col.view(np.uint8)], axis=1)
-    by_class = np.argsort(keys.view(np.dtype((np.void, keys.shape[1]))).ravel())
-    keys = keys[by_class]
-    first = np.ones(len(keys), dtype=bool)  # whether a sorted column starts a class
-    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    before = np.concatenate([[0], np.cumsum(first)])  # classes before each sorted column
-    # a pair's block is the same slice of the sorted and the unsorted columns
-    local = before[1:] - 1 - before[col_off[pair]]
-    class_of = np.empty_like(local)
-    class_of[by_class] = local
-    n_cols = int(local.max(initial=-1)) + 2
-    # the distinct columns, then the one every set knows
+    # each pair's distinct columns in class order, then the one every set knows
     a = np.zeros((len(pairs), n_cols, n_rows), dtype=gf.dtype)
-    reps = np.flatnonzero(first)
-    a[pair[reps], local[reps]] = col[by_class[reps]]
     # the classes each set lacks, which it decodes unless they are dependent;
     # `want` the classes a node wants and lacks alone, the only ones read
     out = np.zeros((n_sets, n_cols), dtype=bool)
     want = np.zeros((n_sets, n_cols), dtype=bool)
     fold = []
-    for p, (scheme, icp) in enumerate(pairs):
-        lo, hi = col_off[p], col_off[p + 1]
+    for p, ((scheme, icp), (n, order, starts, class_of)) in enumerate(zip(pairs, classes)):
+        a[p, :n, : scheme.n_transmissions] = scheme.coefficients.T[order[starts]]
         known, cols = _columns(scheme, icp)
-        lacking = np.add.reduceat(
-            ~known[:, by_class[lo:hi] - lo], np.flatnonzero(first[lo:hi]), axis=1, dtype=np.intp
-        )
-        out[offset[p] : offset[p + 1], : lacking.shape[1]] = lacking > 0
+        lacking = np.add.reduceat(~known[:, order], starts, axis=1, dtype=np.intp)
+        out[offset[p] : offset[p + 1], :n] = lacking > 0
         listed = cols >= 0
-        row, cls = icp.node_row[listed], class_of[lo + cols[listed]]
+        row, cls = icp.node_row[listed], class_of[cols[listed]]
         # a set never knows a message it wants, so a node's column is lacked,
         # and it must be the only lacked member of its class
         alone = lacking[row, cls] == 1

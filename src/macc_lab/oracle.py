@@ -37,16 +37,11 @@ def _interference_masks(icp: IcpInstance) -> tuple[list[int], list[int]]:
     return _masks(inter), _masks(inter | inter.T)
 
 
-def exhaustive_chi_l(
-    icp: IcpInstance,
-    max_colors: int | None = None,
-    node_cap: int = 20,
-) -> tuple[int, Coloring]:
+def exhaustive_chi_l(icp: IcpInstance, node_cap: int = 20) -> tuple[int, Coloring]:
     """Exact local chromatic number with an optimal witness coloring.
 
-    Minimizes, over proper colorings with at most ``max_colors`` colors
-    (default: one per node, which is never restrictive), the largest number
-    of distinct colors in any closed set {node} + interferers(node).
+    Minimizes, over proper colorings, the largest number of distinct colors
+    in any closed set {node} + interferers(node).
 
     Branch and bound over canonical colorings: node order is by conflict
     degree, a new color index may only follow all smaller ones, and a branch
@@ -56,27 +51,18 @@ def exhaustive_chi_l(
     n = icp.n_nodes
     if n == 0:
         return 0, Coloring(())
-    if max_colors is None:
-        max_colors = n
-    if max_colors < 1:
-        raise ParameterError("need at least one color")
     inter, sym = _interference_masks(icp)
     closed = [inter[u] | (1 << u) for u in range(n)]
 
     order = sorted(range(n), key=lambda u: (-sym[u].bit_count(), u))
     touch = [[u for u in range(n) if closed[u] >> v & 1] for v in range(n)]
 
-    max_closed = max(c.bit_count() for c in closed)
-    if max_colors >= n:
-        # rainbow is a proper witness; search only for strict improvements
-        best = max_closed
-        best_colors: list[int] | None = list(range(1, n + 1))
-    else:
-        best = max_closed + 1
-        best_colors = None
+    # rainbow is a proper witness; search only for strict improvements
+    best = max(c.bit_count() for c in closed)
+    best_colors = list(range(1, n + 1))
 
     colors = [0] * n
-    class_mask = [0] * (max_colors + 1)
+    class_mask = [0] * (n + 1)
     cnt = [0] * n
 
     def dfs(pos: int, used: int) -> None:
@@ -88,8 +74,7 @@ def exhaustive_chi_l(
                 best_colors = colors.copy()
             return
         v = order[pos]
-        limit = min(used + 1, max_colors)
-        for c in range(1, limit + 1):
+        for c in range(1, used + 2):
             if class_mask[c] & sym[v]:
                 continue
             bumped = []
@@ -112,8 +97,6 @@ def exhaustive_chi_l(
                 cnt[u] -= 1
 
     dfs(0, 0)
-    if best_colors is None:
-        raise ParameterError(f"no proper coloring with at most {max_colors} colors")
     relabel = _canonical(best_colors)
     return best, Coloring(tuple(relabel))
 

@@ -4,8 +4,8 @@ Each calculator answers, for a memory corner ``M = i*N/K`` of a ``(K, L)``
 cyclic multi-access system, the broadcast rate (in file units) a given
 delivery strategy guarantees under worst-case distinct demands, plus the
 subpacketization it needs. Rates are exact :class:`fractions.Fraction`
-values; a strategy that does not cover the requested corner says so via
-``applicable=False`` instead of guessing.
+values; a strategy that does not cover the requested corner says so with no
+rate, so its report reads ``applicable`` False, instead of guessing.
 """
 
 from __future__ import annotations
@@ -46,10 +46,14 @@ class RateReport:
     """
 
     scheme: str
-    applicable: bool
     rate: Fraction | None
     subpacketization: int | None
     note: str = ""
+
+    @property
+    def applicable(self) -> bool:
+        """Whether the scheme covers the corner, which is when it has a rate."""
+        return self.rate is not None
 
 
 class UnionBounds(NamedTuple):
@@ -135,16 +139,16 @@ def rate_prior_restricted(k: int, l: int, i: int) -> RateReport:
     k, l, i, cov = _check_corner(k, l, i)
     name = "prior_restricted"
     if i == 0:
-        return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
+        return RateReport(name, None, None, _ZERO_MEMORY_NOTE)
     if cov > k:
-        return RateReport(name, False, None, None, "corner beyond the divisible family")
+        return RateReport(name, None, None, "corner beyond the divisible family")
     d = k - cov
     if k % i or k % (d + i):
         return RateReport(
-            name, False, None, None,
+            name, None, None,
             f"needs i | K and K-iL+i | K; got i={i}, K-iL+i={d + i}",
         )
-    return RateReport(name, True, Fraction(d * (d + i), 2 * k), None, "")
+    return RateReport(name, Fraction(d * (d + i), 2 * k), None, "")
 
 
 def rate_prior_general(k: int, l: int, i: int) -> RateReport:
@@ -152,17 +156,17 @@ def rate_prior_general(k: int, l: int, i: int) -> RateReport:
     k, l, i, cov = _check_corner(k, l, i)
     name = "prior_general"
     if i == 0:
-        return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
+        return RateReport(name, None, None, _ZERO_MEMORY_NOTE)
     if cov > k:
-        return RateReport(name, True, Fraction(0), k, _FULL_COVERAGE_NOTE)
+        return RateReport(name, Fraction(0), k, _FULL_COVERAGE_NOTE)
     d = k - cov
     s = d + 1
     m = k // s
     if d == 1 or k % s == 0:
-        return RateReport(name, True, Fraction(d * s, 2 * k), k, "")
+        return RateReport(name, Fraction(d * s, 2 * k), k, "")
     if mod1(k, s) == d:
-        return RateReport(name, True, Fraction(d, 2 * m + 1), (2 * m + 1) * k, "")
-    return RateReport(name, True, Fraction(d, 2 * m), 2 * m * k, "")
+        return RateReport(name, Fraction(d, 2 * m + 1), (2 * m + 1) * k, "")
+    return RateReport(name, Fraction(d, 2 * m), 2 * m * k, "")
 
 
 def rate_divisor(k: int, l: int, i: int, divisor: int | None = None) -> RateReport:
@@ -176,14 +180,14 @@ def rate_divisor(k: int, l: int, i: int, divisor: int | None = None) -> RateRepo
     if i == 0:
         if divisor is not None:
             as_int(divisor, "divisor")
-        return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
+        return RateReport(name, None, None, _ZERO_MEMORY_NOTE)
     divisor = _require_divisor(k, max(k - cov, 0) + 1, divisor)
     if cov > k:
-        return RateReport(name, True, Fraction(0), k, _FULL_COVERAGE_NOTE)
+        return RateReport(name, Fraction(0), k, _FULL_COVERAGE_NOTE)
     d = k - cov
     x = smallest_valid_divisor(k, d + 1) if divisor is None else divisor
     f = k if d % 2 == 0 else k + 1
-    return RateReport(name, True, Fraction(d * x, 2 * k), f, f"X={x}")
+    return RateReport(name, Fraction(d * x, 2 * k), f, f"X={x}")
 
 
 def rate_linear(k: int, l: int, i: int) -> RateReport:
@@ -191,9 +195,9 @@ def rate_linear(k: int, l: int, i: int) -> RateReport:
     k, l, i, cov = _check_corner(k, l, i)
     name = "linear"
     if i == 0:
-        return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
+        return RateReport(name, None, None, _ZERO_MEMORY_NOTE)
     if cov > k:
-        return RateReport(name, True, Fraction(0), k, _FULL_COVERAGE_NOTE)
+        return RateReport(name, Fraction(0), k, _FULL_COVERAGE_NOTE)
     d = k - cov
     s = d + 1
     if d == 1 or k % s == 0:
@@ -209,7 +213,7 @@ def rate_linear(k: int, l: int, i: int) -> RateReport:
         else:
             rate = Fraction((d - 1) * (5 * k - 5 * cov + 9), 8 * k) + 1
     f = k if (d % 2 == 0 or d == 1) else k + 1
-    return RateReport(name, True, rate, f, "")
+    return RateReport(name, rate, f, "")
 
 
 def rate_quadratic(k: int, l: int, i: int) -> RateReport:
@@ -221,9 +225,9 @@ def rate_quadratic(k: int, l: int, i: int) -> RateReport:
     k, l, i, cov = _check_corner(k, l, i)
     name = "quadratic"
     if i == 0:
-        return RateReport(name, False, None, None, _ZERO_MEMORY_NOTE)
+        return RateReport(name, None, None, _ZERO_MEMORY_NOTE)
     if cov > k:
-        return RateReport(name, True, Fraction(0), k, _FULL_COVERAGE_NOTE)
+        return RateReport(name, Fraction(0), k, _FULL_COVERAGE_NOTE)
     d = k - cov
     s = d + 1
     m = k // s
@@ -236,7 +240,7 @@ def rate_quadratic(k: int, l: int, i: int) -> RateReport:
         rate = pair_terms + Fraction(min(m * s + (d - 1) // 2, k), 2 * m * k)
     ktil = k if (d % 2 == 0 or d == 1) else k + 1
     f = ktil if (d == 1 or k % s == 0) else ktil * m
-    return RateReport(name, True, rate, f, "")
+    return RateReport(name, rate, f, "")
 
 
 def compare(k: int, l: int, i: int, divisor: int | None = None) -> dict[str, RateReport]:

@@ -198,6 +198,18 @@ class TestPlan:
             )
             assert code == 2
 
+    @pytest.mark.parametrize("extra", [(), ("--demands", "1,2,3")])
+    def test_zero_memory_corner(self, capsys, extra):
+        # refused before the demands are read, so a short list changes nothing
+        code, out, err = run_cli(
+            capsys, "plan", "--K", "8", "--L", "2", "--i", "0", "--mode", "quadratic", *extra
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: zero-memory corner has no cached side information; "
+            "delivery there is a plain broadcast\n"
+        )
+
     def test_unwritable_out(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "plan", "--K", "4", "--L", "1", "--i", "3",

@@ -96,10 +96,6 @@ class TestColoring:
     def test_empty_coloring(self):
         assert Coloring(()).n_colors == 0
 
-    def test_json_round_trip(self):
-        c = Coloring((2, 1, 2, 3))
-        assert Coloring.from_json(c.to_json()) == c
-
 
 class TestInterferers:
     def test_clique_has_none(self):

@@ -499,6 +499,20 @@ class TestVerifierTree:
         assert len(paths) == len(plan.pairs) == 38
         assert paths.count("flat") == 26 and paths.count("tree") == 12
 
+    def test_k100_splits_into_runs(self, monkeypatch):
+        # known sets x transmissions x classes per pair, cut at each multiple
+        # of _BATCH_CELLS: the pairs each elimination tree takes
+        runs = []
+        real = linalg_ff._tree_spans
+
+        def spans(pairs, classes):
+            runs.append(len(pairs))
+            return real(pairs, classes)
+
+        monkeypatch.setattr(linalg_ff, "_tree_spans", spans)
+        plan_for(100, 2, 12, "quadratic")
+        assert runs == [10, 9, 8, 9, 2]
+
     def test_k300_keeps_the_tree(self, monkeypatch):
         # its blocks would reach 98 columns, so every component halves; the
         # paths are read after the Gauss-Jordan stack, before the tree's
@@ -519,8 +533,9 @@ class TestVerifierTree:
             return real(gf, a, counts, ends, jordan)
 
         monkeypatch.setattr(linalg_ff, "_eliminate", stop)
+        pairs = [(p.scheme, pair_instance(p)) for p in plan.pairs]
         with pytest.raises(Stop):
-            linalg_ff._tree_spans([(p.scheme, pair_instance(p)) for p in plan.pairs])
+            linalg_ff._tree_spans(pairs, [linalg_ff._classes(scheme) for scheme, _ in pairs])
         assert paths == ["tree"] * len(plan.pairs) == ["tree"] * 50
 
     def test_small_corners_stay_flat(self, monkeypatch):
@@ -639,9 +654,9 @@ class TestVerifyBudget:
         batch, trees = [], []  # per tree: its first product, and its bound
         real_spans, real_ranks = linalg_ff._tree_spans, linalg_ff._tree_ranks
 
-        def spans(run):
+        def spans(run, classes):
             batch.append(run)
-            return real_spans(run)
+            return real_spans(run, classes)
 
         def ranks(gf, a, lacked, offset, n_tx):
             shapes = [scheme.coefficients.shape for scheme, _ in batch[-1]]

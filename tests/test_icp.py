@@ -19,7 +19,6 @@ from macc_lab import (
     as_icp,
     encode,
     greedy_coloring,
-    icp_from_json,
     icp_to_json,
     interval_contains,
     mod1,
@@ -346,30 +345,9 @@ class TestInstanceValidation:
 
     @pytest.mark.parametrize("bad", ["1.5", "true", '"a"'])
     def test_message_ids_must_be_integers(self, bad):
-        text = f'{{"n_messages": 3, "users": [{{"want": [{bad}], "known": [2]}}]}}'
-        with pytest.raises(ParameterError):
-            icp_from_json(text)
-
-    @pytest.mark.parametrize(
-        "doc, named",
-        [
-            ({"n_messages": 2}, "users"),
-            ({"users": []}, "n_messages"),
-            ({"n_messages": 2, "users": [{"want": [1]}]}, "known"),
-            ({"n_messages": 2, "users": [{"known": [2]}]}, "want"),
-            ({"n_messages": 2, "users": [[1, 2]]}, "JSON object"),
-            ([{"n_messages": 2, "users": []}], "JSON object"),
-            ({"n_messages": 2, "users": 5}, "'users' must be a list"),
-            ({"n_messages": 2, "users": [{"want": 1, "known": [2]}]}, "'want' must be a list"),
-            ({"n_messages": 2, "users": [{"want": [[1]], "known": [2]}]}, "message id"),
-            ({"n_messages": "2", "users": []}, "'n_messages' must be an integer"),
-            ({"n_messages": 2, "users": [], "labels": []}, "'labels' must be a JSON object"),
-            ({"n_messages": 2, "users": [], "labels": {"a": "x"}}, "keyed by message ids"),
-        ],
-    )
-    def test_bad_document_is_a_parameter_error(self, doc, named):
-        with pytest.raises(ParameterError, match=named):
-            icp_from_json(json.dumps(doc))
+        user = IcpUser(want=frozenset({json.loads(bad)}), known=frozenset({2}))
+        with pytest.raises(ParameterError, match="message id"):
+            IcpInstance(n_messages=3, users=(user,))
 
     def test_numpy_integer_ids_are_accepted(self):
         user = IcpUser(want=frozenset({np.int64(1)}), known=frozenset({np.int32(2)}))
@@ -527,20 +505,6 @@ class TestPairing:
 
 
 class TestJson:
-    @given(single_descs())
-    @settings(max_examples=30)
-    def test_single_round_trip(self, desc):
-        icp = realize_single(desc)
-        assert icp_from_json(icp_to_json(icp)) == icp
-
-    @given(union_descs(), st.integers(1, 3))
-    @settings(max_examples=30)
-    def test_union_round_trip_keeps_labels(self, desc, split):
-        icp = realize_union_split(desc, split)
-        back = icp_from_json(icp_to_json(icp))
-        assert back == icp
-        assert back.labels == icp.labels
-
     def test_output_is_stable_and_sorted(self):
         inst = MaccInstance(n_files=5, n_caches=5, access_degree=1, memory_index=2)
         icp = as_icp(reduce_macc(inst))

@@ -934,6 +934,17 @@ class TestBatchedVerifier:
             got = linalg_ff.verify_schemes([(scheme, icp) for icp, scheme in batch])
         assert got == [reference_verdicts(scheme, icp) for icp, scheme in batch]
 
+    @given(scheme_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_classes_are_distinct_columns_in_byte_order(self, batch):
+        for _, scheme in batch:
+            dtype = scheme.field.tables().dtype
+            cols = [col.tobytes() for col in np.asarray(scheme.coefficients.T, dtype=dtype)]
+            distinct = sorted(set(cols))
+            n, order, starts, class_of = linalg_ff._classes(scheme)
+            assert n == len(distinct)
+            assert class_of.tolist() == [distinct.index(col) for col in cols]
+
     @staticmethod
     def mixed_batch() -> list:
         """Five pairs of unequal shapes: a union component, two windows

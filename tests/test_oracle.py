@@ -364,14 +364,6 @@ class TestExhaustiveChiL:
         assert value == 0
         assert witness.colors == ()
 
-    def test_palette_cap_too_small(self):
-        users = tuple(
-            IcpUser(want=frozenset({m}), known=frozenset()) for m in range(1, 4)
-        )
-        icp = IcpInstance(n_messages=3, users=users)
-        with pytest.raises(ParameterError):
-            exhaustive_chi_l(icp, max_colors=2)
-
     def test_node_cap(self):
         icp = realize_union_split(UnionIcpDesc(2, 1, 2), 1)
         with pytest.raises(SizeCapError):
