@@ -11,7 +11,6 @@ from macc_lab import (
     MaccInstance,
     as_icp,
     pair_columns,
-    paired_column_indices,
     reduce_macc,
 )
 
@@ -25,12 +24,13 @@ def show_table(k: int, l: int, i: int) -> None:
     for q, desc in enumerate(table.column_descs, start=1):
         print(f"  column {q}: ({desc.a1},{desc.a2})_{desc.z}")
 
-    unions, middle = pair_columns(table)
-    for (qa, qb), desc in zip(paired_column_indices(table), unions):
-        print(f"  columns {qa}+{qb} -> union ({desc.a1},{desc.a2})_{desc.z}, "
-              f"{desc.k} rows wanting 2 messages each")
-    if middle is not None:
-        print(f"  middle column -> symmetric ({middle.a1},{middle.a2})_{middle.z}")
+    for columns, desc, middle in pair_columns(table):
+        if middle is None:
+            qa, qb = columns
+            print(f"  columns {qa}+{qb} -> union ({desc.a1},{desc.a2})_{desc.z}, "
+                  f"{desc.k} rows wanting 2 messages each")
+        else:
+            print(f"  middle column -> symmetric ({middle.a1},{middle.a2})_{middle.z}")
     print()
 
 

@@ -51,7 +51,6 @@ from .icp import (
     icp_to_json,
     node_data,
     pair_columns,
-    paired_column_indices,
     realize_single,
     realize_union_split,
     reduce_macc,
@@ -127,7 +126,6 @@ __all__ = [
     "reduce_macc",
     "as_icp",
     "pair_columns",
-    "paired_column_indices",
     "icp_to_json",
     # colorings
     "Coloring",

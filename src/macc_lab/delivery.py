@@ -5,14 +5,16 @@ pair through a coloring strategy fitting the requested mode, precodes each
 component with an MDS generator over one shared field, and returns the plan
 only if every user can decode. That exact rank check runs once, when the
 :class:`DeliveryPlan` is constructed, as one batched check of all components
-(:func:`~.linalg_ff.verify_schemes`); ``verify_plan`` reads its verdict. Rates
-come out of the construction itself (transmission counts over split factors,
-exact fractions), so they can be checked against the closed-form calculators.
+(:func:`~.linalg_ff.verify_schemes`); ``verify_plan`` reads its verdict. The
+plan derives its rate and subpacketization from the pairs it holds
+(transmission counts over split factors, exact fractions), so they can be
+checked against the closed-form calculators.
 
 Modes
 -----
-``_component`` holds the whole mode table: it colors each column pair and
-the odd leftover (middle) column, which runs as its ``(c, c)`` union at twice
+:func:`~.icp.pair_columns` hands out each component whole, the odd leftover
+(middle) column with its ``(c, c)`` union. ``_component`` holds the whole mode
+table: it colors each component, the middle column as that union at twice
 the split except in the two plain-column cases it names.
 
 ``linear``
@@ -50,7 +52,6 @@ from .icp import (
     StructuredIcpDesc,
     UnionIcpDesc,
     pair_columns,
-    paired_column_indices,
     realize_single,
     realize_union_split,
     reduce_macc,
@@ -125,38 +126,48 @@ class PairPlan:
 class DeliveryPlan:
     """Assembled delivery schedule for one demand round, checked on construction.
 
-    ``rate`` is in file units; ``subpacketization`` counts the parts each
-    file ends up in (cells at ``base_split``, halved leftover cells at twice
-    that). ``notes`` carries non-fatal observations such as a best-effort
-    component exceeding its closed-form bound. ``local_ok[n][j]`` says if local
-    user ``j + 1`` of ``pairs[n]`` decodes, ``users_ok[k-1]`` if table user
-    ``k``, who owns the ``k``-th block of each pair's local users, decodes every
-    pair. Both are set by exact rank in ``__post_init__``, never passed in, so a
-    plan made by ``dataclasses.replace`` checks itself and a failing
-    :func:`assemble` names its components from them. One
-    :func:`~.linalg_ff.verify_schemes` batch checks every pair's scheme on the
-    pair's own ``icp``; the schemes must share one field, and the batch refuses
-    a plan past :data:`VERIFY_CELL_BUDGET` before any elimination.
+    It is built from what :func:`assemble` chose; ``notes`` carries non-fatal
+    observations such as a best-effort component exceeding its closed-form
+    bound. The rest follows from ``pairs`` in ``__post_init__`` and is never
+    passed in, so a plan made by ``dataclasses.replace`` derives it again and
+    ``replace`` cannot set it. ``rate`` is in file units; ``base_split`` is
+    the union pairs' cell split (1 without one); ``subpacketization`` counts
+    the parts each file ends up in (cells at ``base_split``, halved leftover
+    cells at twice that). ``local_ok[n][j]`` says if local user ``j + 1`` of
+    ``pairs[n]`` decodes, ``users_ok[k-1]`` if table user ``k``, who owns the
+    ``k``-th block of each pair's local users, decodes every pair; a failing
+    :func:`assemble` names its components from them. Both come from exact
+    rank: one :func:`~.linalg_ff.verify_schemes` batch checks every pair's
+    scheme on the pair's own ``icp``; the schemes must share one field, and
+    the batch refuses a plan past :data:`VERIFY_CELL_BUDGET` before any
+    elimination.
     """
 
     table: IcpTable
     mode: str
     divisor: int | None
     field: FieldSpec
-    base_split: int
     pairs: tuple[PairPlan, ...]
-    rate: Fraction
-    subpacketization: int
     notes: tuple[str, ...] = ()
+    base_split: int = dc_field(init=False)
+    rate: Fraction = dc_field(init=False)
+    subpacketization: int = dc_field(init=False)
     users_ok: tuple[bool, ...] = dc_field(init=False, repr=False, compare=False)
     local_ok: tuple[tuple[bool, ...], ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k = self.table.n_rows
+        base = next((p.cell_split for p in self.pairs if p.kind == "union"), 1)
+        halved = any(p.cell_split > base for p in self.pairs)
         local_ok = tuple(verify_schemes([(p.scheme, p.icp) for p in self.pairs]))
         folds = [_table_users(v, k) for v in local_ok if not all(v)]
-        object.__setattr__(self, "local_ok", local_ok)
-        object.__setattr__(self, "users_ok", tuple(map(all, zip(*folds))) if folds else (True,) * k)
+        vars(self).update(
+            base_split=base,
+            rate=_rate(self.pairs, k),
+            subpacketization=(k + 1 if halved else k) * base,
+            local_ok=local_ok,
+            users_ok=tuple(map(all, zip(*folds))) if folds else (True,) * k,
+        )
 
     @property
     def n_transmissions(self) -> int:
@@ -165,16 +176,20 @@ class DeliveryPlan:
 
 @dataclass(frozen=True)
 class PlanCheck:
-    """A plan's decode verdict together with its calculator comparison."""
+    """A plan's decode verdict together with its calculator comparison; the
+    plan itself holds its rate and subpacketization."""
 
     ok: bool
     users_ok: tuple[bool, ...]
-    rate: Fraction
-    subpacketization: int
     calculator_rate: Fraction | None
-    calculator_subpacketization: int | None
     rate_equal: bool | None
     within_bound: bool | None
+
+
+def _rate(pairs, k: int) -> Fraction:
+    """Rate in file units of ``pairs`` over a ``k``-row table: each
+    transmission carries one part of a cell, ``1 / (cell_split * k)`` file."""
+    return sum((Fraction(p.n_transmissions, p.cell_split * k) for p in pairs), Fraction(0))
 
 
 def pair_instance(pair: PairPlan) -> IcpInstance:
@@ -266,23 +281,17 @@ def assemble(
     # a fully covered corner (d = 0) has no components, so no divisor either
     x = (divisor or smallest_valid_divisor(k, s)) if mode == "divisor" and d else None
 
-    unions, middle = pair_columns(table)
-    # (columns, union descriptor, middle column or None) per component
-    specs = [
-        (cols, desc, None) for cols, desc in zip(paired_column_indices(table), unions)
-    ]
-    if middle is not None:
-        specs.append((((d + 1) // 2,), UnionIcpDesc(middle.a1, middle.a1, middle.z), middle))
+    components = pair_columns(table)
     # plan every component first so one field can serve the whole schedule
     built = [
         _component(desc, single, mode, s, x, oracle_node_cap)
-        for _, desc, single in specs
+        for _, desc, single in components
     ]
     if field is None:
         field = field_for(max((coloring.n_colors for coloring, *_ in built), default=1))
 
     pairs = []
-    for (cols, desc, single), (coloring, inst, cell_split, n_rows, tag) in zip(specs, built):
+    for (cols, _, single), (coloring, inst, cell_split, n_rows, tag) in zip(components, built):
         # a lone column with halved cells rides on its union, whole cells on itself
         kind = "union" if single is None else "middle" if cell_split > 1 else "column"
         scheme = encode(inst, coloring, field=field, n_rows=n_rows)
@@ -303,16 +312,9 @@ def assemble(
             )
         )
 
-    base_split = next((p.cell_split for p in pairs if p.kind == "union"), 1)
-    rate = sum(
-        (Fraction(p.n_transmissions, p.cell_split * k) for p in pairs), Fraction(0)
-    )
-    halved = any(p.cell_split > base_split for p in pairs)
-    ktil = k + 1 if halved else k
-    subpack = ktil * base_split
-
     notes: tuple[str, ...] = ()
     if mode == "linear":
+        rate = _rate(pairs, k)
         bound = rate_linear(k, instance.access_degree, instance.memory_index)
         if bound.rate is not None and rate > bound.rate:
             notes = (
@@ -321,15 +323,7 @@ def assemble(
             )
 
     plan = DeliveryPlan(
-        table=table,
-        mode=mode,
-        divisor=x,
-        field=field,
-        base_split=base_split,
-        pairs=tuple(pairs),
-        rate=rate,
-        subpacketization=subpack,
-        notes=notes,
+        table=table, mode=mode, divisor=x, field=field, pairs=tuple(pairs), notes=notes
     )
     if not all(plan.users_ok):  # failure path only: name the components that broke
         failing = (f"columns {list(p.columns)} ({p.tag}) table users {bad}"
@@ -391,10 +385,7 @@ def verify_plan(plan: DeliveryPlan) -> PlanCheck:
     return PlanCheck(
         ok=ok,
         users_ok=plan.users_ok,
-        rate=plan.rate,
-        subpacketization=plan.subpacketization,
         calculator_rate=calc_rate,
-        calculator_subpacketization=calc_f,
         rate_equal=rate_equal,
         within_bound=within,
     )

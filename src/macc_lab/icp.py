@@ -296,14 +296,14 @@ def reduce_macc(instance: MaccInstance, demands=None) -> IcpTable:
     zero-memory corner ``i = 0`` raises :class:`ParameterError` before the
     demands are read.
     """
-    k, l, i = instance.n_caches, instance.access_degree, instance.memory_index
+    k, i = instance.n_caches, instance.memory_index
     if i < 1:
         raise ParameterError(
             "zero-memory corner has no cached side information; "
             "delivery there is a plain broadcast"
         )
     profile = as_demand_profile(instance, demands)
-    cov = i * l
+    cov = instance.coverage
     n_cols = max(k - cov, 0)
     # a (file, interval start) pair keeps the id of its first cell
     ids: dict[tuple[int, int], int] = {}
@@ -337,25 +337,22 @@ def as_icp(table: IcpTable) -> IcpInstance:
 
 def pair_columns(
     table: IcpTable,
-) -> tuple[tuple[UnionIcpDesc, ...], StructuredIcpDesc | None]:
-    """Pair column ``q`` with column ``K-iL-q+1`` into union descriptors: the
-    first half of :attr:`IcpTable.column_descs`, each read as a union.
+) -> tuple[tuple[tuple[int, ...], UnionIcpDesc, StructuredIcpDesc | None], ...]:
+    """The table's components in plan order, each as ``(columns, union,
+    column)``: column ``q`` paired with column ``K-iL-q+1``, its
+    :attr:`IcpTable.column_descs` entry read as their union, and ``None``.
 
-    Even ``K-iL``: ``(K-iL)/2`` unions, no leftover. Odd: the middle column
-    remains as a symmetric single descriptor ``(c, c)_{iL}`` with
-    ``c = (K-iL-1)/2`` (for ``K-iL = 1`` that is the everyone-knows-everyone
-    column ``(0, 0)_{iL}``).
+    Odd ``K-iL`` ends with the middle column ``q = (K-iL+1)/2`` alone: its
+    columns are ``(q,)``, its union the ``(c, c)_{iL}`` one with
+    ``c = (K-iL-1)/2`` and its column that symmetric single descriptor (for
+    ``K-iL = 1`` the everyone-knows-everyone column ``(0, 0)_{iL}``).
     """
-    descs = table.column_descs
-    half = len(descs) // 2
-    unions = tuple(UnionIcpDesc(d.a1, d.a2, d.z) for d in descs[:half])
-    return unions, descs[half] if len(descs) % 2 else None
-
-
-def paired_column_indices(table: IcpTable) -> tuple[tuple[int, int], ...]:
-    """Column index pairs (q, K-iL-q+1) matching :func:`pair_columns` order."""
     n = table.n_cols
-    return tuple((q, n - q + 1) for q in range(1, n // 2 + 1))
+    components = []
+    for q, d in enumerate(table.column_descs[: (n + 1) // 2], start=1):
+        union = UnionIcpDesc(d.a1, d.a2, d.z)
+        components.append(((q,), union, d) if 2 * q == n + 1 else ((q, n - q + 1), union, None))
+    return tuple(components)
 
 
 def icp_to_json(icp: IcpInstance) -> str:

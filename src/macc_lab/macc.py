@@ -14,7 +14,7 @@ helpers ``mod1`` and ``circ_interval``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, as_int
@@ -68,12 +68,11 @@ class MaccInstance:
     memory_index: int
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            object.__setattr__(self, f.name, as_int(getattr(self, f.name), f.name))
+        vars(self).update({name: as_int(value, name) for name, value in vars(self).items()})
+        if self.n_caches < 1:
+            raise ParameterError(f"need at least one cache, got K={self.n_caches}")
         if self.n_files < 1:
             raise ParameterError(f"need at least one file, got {self.n_files}")
-        if self.n_caches < 1:
-            raise ParameterError(f"need at least one cache, got {self.n_caches}")
         if not (1 <= self.access_degree <= self.n_caches):
             raise ParameterError(
                 f"access degree must lie in [1, {self.n_caches}], got {self.access_degree}"
@@ -171,7 +170,7 @@ def place(instance: MaccInstance) -> PlacementMap:
         frozenset(mod1(c - (r - 1) * l, k) for r in range(1, i + 1))
         for c in range(1, k + 1)
     )
-    span = min(i * l, k)
+    span = min(instance.coverage, k)
     users = tuple(
         tuple(mod1(m - l + 1 + t, k) for t in range(span)) for m in range(1, k + 1)
     )

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 from .errors import ParameterError, as_int
 from .icp import StructuredIcpDesc, UnionIcpDesc
-from .macc import mod1
+from .macc import MaccInstance, mod1
 
 __all__ = [
     "RateReport",
@@ -117,17 +117,10 @@ def union_bounds(desc: UnionIcpDesc) -> UnionBounds:
 
 
 def _check_corner(k: int, l: int, i: int) -> tuple[int, int, int, int]:
-    """Validate a (K, L, i) corner of integers; return it as Python ints and
-    the coverage i*L."""
-    k, l, i = as_int(k, "K"), as_int(l, "L"), as_int(i, "i")
-    if k < 1:
-        raise ParameterError(f"need at least one cache, got K={k}")
-    if not (1 <= l <= k):
-        raise ParameterError(f"access degree must lie in [1, {k}], got {l}")
-    ceil_kl = -(-k // l)
-    if not (0 <= i <= ceil_kl):
-        raise ParameterError(f"memory index must lie in [0, {ceil_kl}], got {i}")
-    return k, l, i, i * l
+    """Validate a (K, L, i) corner as a one-file :class:`MaccInstance` does;
+    return it as Python ints and the coverage i*L."""
+    inst = MaccInstance(n_files=1, n_caches=k, access_degree=l, memory_index=i)
+    return inst.n_caches, inst.access_degree, inst.memory_index, inst.coverage
 
 
 _ZERO_MEMORY_NOTE = "zero-memory corner: plain broadcast costs K file units"

@@ -210,6 +210,13 @@ class TestPlan:
             "delivery there is a plain broadcast\n"
         )
 
+    @pytest.mark.parametrize("command", [("plan", "--mode", "quadratic"), ("rates",)])
+    def test_no_cache_corner(self, capsys, command):
+        # the cache count is checked ahead of the file count it sets by default
+        code, out, err = run_cli(capsys, command[0], "--K", "0", "--L", "1", "--i", "0", *command[1:])
+        assert (code, out) == (2, "")
+        assert err == "error: need at least one cache, got K=0\n"
+
     def test_unwritable_out(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "plan", "--K", "4", "--L", "1", "--i", "3",

@@ -300,6 +300,26 @@ class TestVerifyOnce:
         with pytest.raises(ValueError):
             replace(plan, users_ok=(True,) * 8)
 
+    def test_truncated_plan_derives_its_rate(self):
+        # every pair still decodes, but the dropped one's messages are unsent
+        plan = plan_for(8, 2, 1, "quadratic")
+        truncated = replace(plan, pairs=plan.pairs[:-1])
+        assert plan.rate == Fraction(23, 8)
+        assert truncated.n_transmissions == 15
+        assert truncated.rate == Fraction(15, 8)
+        assert all(truncated.users_ok)
+        check = verify_plan(truncated)
+        assert not check.ok and check.rate_equal is False
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("rate", Fraction(23, 8)), ("subpacketization", 8), ("base_split", 1)],
+    )
+    def test_derived_facts_cannot_be_passed_in(self, name, value):
+        plan = plan_for(8, 2, 1, "quadratic")
+        with pytest.raises(ValueError):
+            replace(plan, **{name: value})
+
     def test_coefficients_are_read_only(self):
         plan = plan_for(8, 2, 3, "quadratic")
         with pytest.raises(ValueError):

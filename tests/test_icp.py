@@ -23,7 +23,6 @@ from macc_lab import (
     interval_contains,
     mod1,
     pair_columns,
-    paired_column_indices,
     realize_single,
     realize_union_split,
     reduce_macc,
@@ -474,22 +473,24 @@ class TestPairing:
     @settings(max_examples=60)
     def test_pairing_covers_columns(self, inst):
         table = reduce_macc(inst)
-        unions, middle = pair_columns(table)
+        components = pair_columns(table)
         n = table.n_cols
-        assert len(unions) == n // 2
+        assert len(components) == (n + 1) // 2
+        assert [single for _, _, single in components[: n // 2]] == [None] * (n // 2)
         if n % 2 == 1:
             c = (n - 1) // 2
+            columns, union, middle = components[-1]
+            assert columns == (c + 1,)
             assert middle == StructuredIcpDesc(c, c, table.coverage)
-        else:
-            assert middle is None
+            assert union == UnionIcpDesc(c, c, table.coverage)
 
     @given(corners())
     @settings(max_examples=60)
     def test_union_halves_match_paired_columns(self, inst):
         table = reduce_macc(inst)
-        unions, _ = pair_columns(table)
         descs = table.column_descs
-        for (q, partner), union in zip(paired_column_indices(table), unions):
+        for columns, union, _ in pair_columns(table):
+            q, partner = columns[0], columns[-1]
             assert partner == table.n_cols - q + 1
             first, second = union.halves()
             assert first == descs[q - 1]
@@ -498,10 +499,9 @@ class TestPairing:
     def test_single_column_pairs_to_middle_only(self):
         inst = MaccInstance(n_files=4, n_caches=4, access_degree=1, memory_index=3)
         table = reduce_macc(inst)
-        unions, middle = pair_columns(table)
-        assert unions == ()
-        assert middle == StructuredIcpDesc(0, 0, 3)
-        assert paired_column_indices(table) == ()
+        assert pair_columns(table) == (
+            ((1,), UnionIcpDesc(0, 0, 3), StructuredIcpDesc(0, 0, 3)),
+        )
 
 
 class TestJson:

@@ -198,6 +198,9 @@ class TestCalculatorsGeneric:
     def test_corner_validation(self):
         with pytest.raises(ParameterError):
             rate_quadratic(0, 1, 1)
+        # a non-integer K is named as MaccInstance names it, not as a file count
+        with pytest.raises(ParameterError, match="^n_caches must be an integer"):
+            rate_quadratic(8.5, 2, 1)
         with pytest.raises(ParameterError):
             rate_quadratic(4, 5, 1)
         with pytest.raises(ParameterError):
