@@ -58,7 +58,6 @@ from .icp import (
 from .linalg_ff import (
     FieldSpec,
     TransmissionScheme,
-    can_decode,
     encode,
     field_for,
     mds_generator,
@@ -66,12 +65,11 @@ from .linalg_ff import (
     verify_scheme,
 )
 from .macc import (
-    DemandProfile,
     MaccInstance,
     PlacementMap,
     accessible_subfiles,
-    as_demand_profile,
     circ_interval,
+    demand_vector,
     interval_contains,
     mod1,
     needed_subfiles,
@@ -108,8 +106,7 @@ __all__ = [
     "circ_interval",
     "interval_contains",
     "MaccInstance",
-    "DemandProfile",
-    "as_demand_profile",
+    "demand_vector",
     "PlacementMap",
     "place",
     "accessible_subfiles",
@@ -144,7 +141,6 @@ __all__ = [
     "rank",
     "TransmissionScheme",
     "encode",
-    "can_decode",
     "verify_scheme",
     # oracles
     "exhaustive_chi_l",

@@ -362,7 +362,8 @@ def _first_failure(pair: PairPlan, local: tuple[bool, ...], table: IcpTable, use
 def verify_plan(plan: DeliveryPlan) -> PlanCheck:
     """Compare a plan against its calculator; decodability is ``plan.users_ok``.
 
-    The exact rank check ran once, when the plan was constructed. For the
+    The exact rank check ran once, when the plan was constructed. ``ok``
+    also needs the pairs to cover every table column exactly once. For the
     ``quadratic`` and ``divisor`` modes the constructed rate and
     subpacketization must equal the closed-form values; ``linear`` only
     promises to stay at or below its bound when no best-effort component
@@ -379,7 +380,8 @@ def verify_plan(plan: DeliveryPlan) -> PlanCheck:
     calc_rate, calc_f = rep.rate, rep.subpacketization
     rate_equal = None if calc_rate is None else plan.rate == calc_rate
     within = None if calc_rate is None else plan.rate <= calc_rate
-    ok = all(plan.users_ok)
+    covered = sorted(c for p in plan.pairs for c in p.columns)
+    ok = all(plan.users_ok) and covered == list(range(1, plan.table.n_cols + 1))
     if plan.mode in ("quadratic", "divisor"):
         ok = ok and bool(rate_equal) and calc_f == plan.subpacketization
     return PlanCheck(
@@ -442,7 +444,7 @@ def _plan_chunks(plan: DeliveryPlan):
                 "access_degree": inst.access_degree,
                 "memory_index": inst.memory_index,
             },
-            "demands": list(plan.table.demands.demands),
+            "demands": list(plan.table.demands),
             "mode": plan.mode,
             "divisor": plan.divisor,
             "field": {"w": plan.field.w, "poly": plan.field.poly},

@@ -25,13 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ParameterError, as_int
-from .macc import (
-    DemandProfile,
-    MaccInstance,
-    as_demand_profile,
-    interval_contains,
-    mod1,
-)
+from .macc import MaccInstance, demand_vector, interval_contains, mod1
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,7 @@ class IcpTable:
     """
 
     instance: MaccInstance
-    demands: DemandProfile
+    demands: tuple[int, ...]
     n_rows: int
     n_cols: int
     coverage: int
@@ -302,17 +296,17 @@ def reduce_macc(instance: MaccInstance, demands=None) -> IcpTable:
             "zero-memory corner has no cached side information; "
             "delivery there is a plain broadcast"
         )
-    profile = as_demand_profile(instance, demands)
+    demands = demand_vector(instance, demands)
     cov = instance.coverage
     n_cols = max(k - cov, 0)
     # a (file, interval start) pair keeps the id of its first cell
     ids: dict[tuple[int, int], int] = {}
     cells = tuple(
-        tuple(ids.setdefault((profile.demands[p - 1], mod1(p + q, k)), len(ids) + 1)
+        tuple(ids.setdefault((demands[p - 1], mod1(p + q, k)), len(ids) + 1)
               for q in range(1, n_cols + 1))
         for p in range(1, k + 1)
     )
-    return IcpTable(instance=instance, demands=profile, n_rows=k, n_cols=n_cols,
+    return IcpTable(instance=instance, demands=demands, n_rows=k, n_cols=n_cols,
                     coverage=cov, cells=cells, messages=tuple(ids))
 
 

@@ -1,13 +1,14 @@
 """GF(2^w) arithmetic, MDS precoding, and decodability checks.
 
-Fields are described by a :class:`FieldSpec` (extension degree ``w`` and the
-reduction polynomial); building its tables rejects a reducible polynomial, so
-it fails fast instead of corrupting results. Every multiply reads one table
-family per width, after Plank, Greenan & Miller (FAST 2013): a full ``2^w x
-2^w`` ``uint8`` product table for ``w <= 8``, and above that ``uint16``
-antilogs at sums of ``int32`` logs, where the log of 0 points into a run of
-zeros. Every width has the logs, so a Vandermonde generator is one antilog
-gather. Addition is XOR throughout (characteristic 2).
+A :class:`FieldSpec` names a field by its extension degree ``w`` alone: each
+width has one reduction polynomial, :data:`_DEFAULT_POLY`, a primitive one,
+so ``x`` generates the nonzero elements and its powers are the antilogs.
+Every multiply reads one table family per width, after Plank, Greenan &
+Miller (FAST 2013): a full ``2^w x 2^w`` ``uint8`` product table for ``w <=
+8``, and above that ``uint16`` antilogs at sums of ``int32`` logs, where the
+log of 0 points into a run of zeros. Every width has the logs, so a
+Vandermonde generator is one antilog gather. Addition is XOR throughout
+(characteristic 2).
 
 Decodability asks, per distinct known set, whether each wanted unit vector
 lies in the row span of the transmissions on the set's unknown columns.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -49,7 +50,8 @@ from .coloring import Coloring, _verdicts, is_proper, local_count
 from .errors import ParameterError, SizeCapError, as_int
 from .icp import IcpInstance
 
-# x^w + ... + 1, one commonly used irreducible polynomial per degree
+# x^w + ... + 1, one commonly used primitive polynomial per degree: x
+# generates the nonzero elements of each field it defines
 _DEFAULT_POLY = {
     1: 0x3,
     2: 0x7,
@@ -72,29 +74,26 @@ _DEFAULT_POLY = {
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A binary extension field GF(2^w), 1 <= w <= 16."""
+    """A binary extension field GF(2^w), 1 <= w <= 16, reduced by the one
+    polynomial of its width, ``poly``."""
 
     w: int = 8
-    poly: int = dc_field(default=0)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "w", as_int(self.w, "field degree w"))
-        object.__setattr__(self, "poly", as_int(self.poly, "reduction polynomial poly"))
         if not (1 <= self.w <= 16):
             raise ParameterError(f"field degree must lie in [1, 16], got {self.w}")
-        if self.poly == 0:
-            object.__setattr__(self, "poly", _DEFAULT_POLY[self.w])
-        if self.poly >> self.w != 1 or self.poly.bit_length() != self.w + 1:
-            raise ParameterError(
-                f"reduction polynomial 0x{self.poly:X} has wrong degree for w={self.w}"
-            )
+
+    @property
+    def poly(self) -> int:
+        return _DEFAULT_POLY[self.w]
 
     @property
     def size(self) -> int:
         return 1 << self.w
 
     def tables(self) -> "_GF":
-        return _tables(self.w, self.poly)
+        return _tables(self.w)
 
 
 def field_for(n_symbols: int) -> FieldSpec:
@@ -107,9 +106,9 @@ def field_for(n_symbols: int) -> FieldSpec:
 
 
 class _GF:
-    """Lookup tables over GF(2^w) and the one multiply and inverse that read
-    them; elements are ``dtype`` integers and ``vinv`` holds every inverse,
-    with 0 at 0.
+    """Lookup tables over GF(2^w), reduced by :data:`_DEFAULT_POLY`, and the
+    one multiply that reads them; elements are ``dtype`` integers and
+    ``vinv`` holds every inverse, with 0 at 0.
 
     Every width has ``zlog`` and ``zexp``: a product is the antilog of a sum
     of two logs, and the log of 0 points into a run of zeros past every sum of
@@ -118,24 +117,18 @@ class _GF:
     2^w`` table built from them.
     """
 
-    def __init__(self, w: int, poly: int):
-        if not _irreducible(w, poly):
-            raise ParameterError(f"0x{poly:X} is reducible, so it does not define GF(2^{w})")
+    def __init__(self, w: int):
         self.w = w
         self.size = 1 << w
         order = self.size - 1
+        # x^0 .. x^order, doubling the run each step: the next run is the last
+        # one times x^n, read from a multiply-by-x^n table that squares
         elements = np.arange(self.size, dtype=np.uint32)
-        # GF(2)'s multiplicative group is {1}, generated by 1
-        for g in range(1 if order == 1 else 2, self.size):
-            # g^0 .. g^order, doubling the run each step: the next run is the
-            # last one times g^n, read from a multiply-by-g^n table that squares
-            times = _products(elements, np.uint32(g), w, poly)
-            exp = np.ones(1, dtype=np.uint32)
-            while len(exp) < self.size:
-                exp = np.concatenate([exp, times[exp]])
-                times = times[times]
-            if np.count_nonzero(exp[:order] == 1) == 1:
-                break
+        times = (elements << 1) ^ (elements >> (w - 1)) * np.uint32(_DEFAULT_POLY[w])
+        exp = np.ones(1, dtype=np.uint32)
+        while len(exp) < self.size:
+            exp = np.concatenate([exp, times[exp]])
+            times = times[times]
         self.zlog = np.full(self.size, 2 * order - 1, dtype=np.int32)
         self.zlog[exp[:order]] = np.arange(order)
         self.zexp = np.zeros(4 * order - 1, dtype=np.uint16)
@@ -155,39 +148,10 @@ class _GF:
             return self.product.ravel().take((a.astype(np.uint16) << self.w) | b)
         return self.zexp[self.zlog[a] + self.zlog[b]]
 
-    def inv(self, a) -> np.ndarray:
-        a = np.asarray(a, self.dtype)
-        if np.any(a == 0):
-            raise ZeroDivisionError("inverse of 0 in a finite field")
-        return self.vinv[a]
-
-
-def _products(a: np.ndarray, b: np.ndarray, w: int, poly: int) -> np.ndarray:
-    """Broadcast products of ``uint32`` arrays without tables: shift-and-add
-    over the bits of ``b``, reducing ``a * x^k`` by the polynomial as it grows."""
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint32)
-    for k in range(w):
-        out ^= ((b >> k) & 1) * a
-        a = a << 1
-        a ^= (a >> w) * np.uint32(poly)
-    return out
-
-
-def _irreducible(w: int, poly: int) -> bool:
-    """Whether no polynomial of degree 1 to ``w // 2`` divides ``poly``: long
-    division by all of them at once, top bit first."""
-    div = np.arange(2, 2 << w // 2, dtype=np.int64)
-    deg = np.frexp(div)[1] - 1
-    rem = np.full(len(div), poly, dtype=np.int64)
-    for k in range(w, 0, -1):
-        lead = ((rem >> k) & 1) * (deg <= k)
-        rem ^= lead * (div << np.maximum(k - deg, 0))
-    return bool(rem.all())
-
 
 @lru_cache(maxsize=8)
-def _tables(w: int, poly: int) -> _GF:
-    return _GF(w, poly)
+def _tables(w: int) -> _GF:
+    return _GF(w)
 
 
 def mds_generator(rows: int, cols: int, field: FieldSpec) -> np.ndarray:
@@ -271,7 +235,8 @@ class TransmissionScheme:
     count other than ``len(message_order)``, or a ``split_factor`` that is
     not a positive integer (numpy integers count, ``bool`` does not) raise
     :class:`ParameterError`, as does :meth:`from_json` for a document that
-    lacks a key or holds a value of the wrong type.
+    lacks a key, holds a value of the wrong type, or names a ``poly`` other
+    than its width's.
     """
 
     field: FieldSpec
@@ -311,7 +276,10 @@ class TransmissionScheme:
         spec, order, split, rows = jsontext.fields(
             json.loads(text), "a scheme", field=dict, message_order=list, split_factor=int, rows=list
         )
-        spec = FieldSpec(*jsontext.fields(spec, "a scheme's field", w=int, poly=int))
+        w, poly = jsontext.fields(spec, "a scheme's field", w=int, poly=int)
+        spec = FieldSpec(w)
+        if poly != spec.poly:
+            raise ParameterError(f"GF(2^{spec.w}) is reduced by 0x{spec.poly:X}, got poly 0x{poly:X}")
         width = 2 if spec.w <= 8 else 4
         order = tuple(as_int(m, "a scheme's message_order entry") for m in order)
         for row in rows:
@@ -368,20 +336,6 @@ def encode(
         message_order=tuple(range(1, icp.n_messages + 1)),
         coefficients=coeff,
     )
-
-
-def can_decode(scheme: TransmissionScheme, icp: IcpInstance, user: int) -> bool:
-    """True iff ``user`` can recover every message it wants.
-
-    Equivalent to: after zeroing the user's known coordinates in every
-    transmission, each wanted unit vector lies in the row span. Implemented
-    on the unknown coordinates only, which is the same span test, as
-    :func:`verify_scheme` on the user alone.
-    """
-    if not (1 <= user <= icp.n_users):
-        raise ParameterError(f"user must lie in [1, {icp.n_users}], got {user}")
-    alone = IcpInstance(n_messages=icp.n_messages, users=(icp.users[user - 1],))
-    return verify_scheme(scheme, alone)[0]
 
 
 def verify_scheme(scheme: TransmissionScheme, icp: IcpInstance) -> tuple[bool, ...]:

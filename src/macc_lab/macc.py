@@ -98,44 +98,22 @@ class MaccInstance:
         return Fraction(self.memory_index * self.n_files, self.n_caches)
 
 
-@dataclass(frozen=True)
-class DemandProfile:
-    """The file requested by each user; entry j is user j's file index, an
-    integer stored as a Python int (anything else raises :class:`ParameterError`)."""
-
-    demands: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "demands", tuple(as_int(d, "a demand") for d in self.demands))
-
-    @classmethod
-    def worst_case(cls, instance: MaccInstance) -> "DemandProfile":
-        """All-distinct demands when possible, cycling through files otherwise."""
-        n = instance.n_files
-        return cls(tuple(mod1(j, n) for j in range(1, instance.n_users + 1)))
-
-    def check(self, instance: MaccInstance) -> None:
-        if len(self.demands) != instance.n_users:
-            raise ParameterError(
-                f"expected {instance.n_users} demands, got {len(self.demands)}"
-            )
-        for d in self.demands:
-            if not (1 <= d <= instance.n_files):
-                raise ParameterError(
-                    f"demand {d} outside file range [1, {instance.n_files}]"
-                )
-
-
-def as_demand_profile(instance: MaccInstance, demands) -> DemandProfile:
-    """Normalize ``demands`` (sequence, profile, or None for worst case)."""
+def demand_vector(instance: MaccInstance, demands=None) -> tuple[int, ...]:
+    """The file requested by each user, as Python ints: entry j is user j's
+    file index. ``None`` gives the worst case: all-distinct demands when
+    possible, cycling through files otherwise. A non-integer demand, a length
+    other than the user count, or a file outside ``[1, N]`` raises
+    :class:`ParameterError`."""
     if demands is None:
-        profile = DemandProfile.worst_case(instance)
-    elif isinstance(demands, DemandProfile):
-        profile = demands
-    else:
-        profile = DemandProfile(tuple(demands))
-    profile.check(instance)
-    return profile
+        n = instance.n_files
+        return tuple(mod1(j, n) for j in range(1, instance.n_users + 1))
+    demands = tuple(as_int(d, "a demand") for d in demands)
+    if len(demands) != instance.n_users:
+        raise ParameterError(f"expected {instance.n_users} demands, got {len(demands)}")
+    for d in demands:
+        if not (1 <= d <= instance.n_files):
+            raise ParameterError(f"demand {d} outside file range [1, {instance.n_files}]")
+    return demands
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,17 @@ class TestVerifyOnce:
         check = verify_plan(truncated)
         assert not check.ok and check.rate_equal is False
 
+    @pytest.mark.parametrize("change, rate", [("drop", Fraction(13, 9)), ("repeat", Fraction(19, 9))])
+    def test_linear_plan_covers_each_column_once(self, change, rate):
+        # a linear plan need only stay at or under its bound, so the rate
+        # alone cannot see a pair dropped or sent twice
+        plan = plan_for(9, 2, 2, "linear")
+        pairs = plan.pairs[:-1] if change == "drop" else plan.pairs + plan.pairs[-1:]
+        changed = replace(plan, pairs=pairs)
+        assert verify_plan(plan).ok and plan.rate == Fraction(16, 9)
+        assert changed.rate == rate and all(changed.users_ok)
+        assert not verify_plan(changed).ok
+
     @pytest.mark.parametrize(
         "name, value",
         [("rate", Fraction(23, 8)), ("subpacketization", 8), ("base_split", 1)],
@@ -764,7 +775,7 @@ def reference_payload(plan):
             "access_degree": inst.access_degree,
             "memory_index": inst.memory_index,
         },
-        "demands": list(plan.table.demands.demands),
+        "demands": list(plan.table.demands),
         "mode": plan.mode,
         "divisor": plan.divisor,
         "field": {"w": plan.field.w, "poly": plan.field.poly},

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from macc_lab import (
-    DemandProfile,
     MaccInstance,
     ParameterError,
     accessible_subfiles,
-    as_demand_profile,
     assemble,
     circ_interval,
+    demand_vector,
     interval_contains,
     mod1,
     needed_subfiles,
@@ -94,30 +93,29 @@ class TestMaccInstance:
 class TestDemands:
     def test_worst_case_is_distinct_when_enough_files(self):
         inst = MaccInstance(n_files=8, n_caches=8, access_degree=2, memory_index=1)
-        prof = DemandProfile.worst_case(inst)
-        assert prof.demands == tuple(range(1, 9))
+        assert demand_vector(inst) == tuple(range(1, 9))
 
     def test_worst_case_wraps_with_few_files(self):
         inst = MaccInstance(n_files=3, n_caches=5, access_degree=1, memory_index=1)
-        assert DemandProfile.worst_case(inst).demands == (1, 2, 3, 1, 2)
+        assert demand_vector(inst, None) == (1, 2, 3, 1, 2)
 
-    def test_as_demand_profile_validates(self):
+    def test_demand_vector_validates(self):
         inst = MaccInstance(n_files=4, n_caches=4, access_degree=1, memory_index=1)
-        assert as_demand_profile(inst, None).demands == (1, 2, 3, 4)
-        assert as_demand_profile(inst, (2, 2, 1, 4)).demands == (2, 2, 1, 4)
-        with pytest.raises(ParameterError):
-            as_demand_profile(inst, (1, 2, 3))
-        with pytest.raises(ParameterError):
-            as_demand_profile(inst, (1, 2, 3, 5))
+        assert demand_vector(inst, None) == (1, 2, 3, 4)
+        assert demand_vector(inst, (2, 2, 1, 4)) == (2, 2, 1, 4)
+        with pytest.raises(ParameterError, match="expected 4 demands, got 3"):
+            demand_vector(inst, (1, 2, 3))
+        with pytest.raises(ParameterError, match=r"demand 5 outside file range \[1, 4\]"):
+            demand_vector(inst, (1, 2, 3, 5))
 
     @pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", None, np.float64(2)])
     def test_demands_must_be_integers(self, bad):
         inst = MaccInstance(n_files=4, n_caches=4, access_degree=1, memory_index=1)
         with pytest.raises(ParameterError, match="must be an integer"):
-            as_demand_profile(inst, (1, bad, 3, 4))
+            demand_vector(inst, (1, bad, 3, 4))
         with pytest.raises(ParameterError, match="must be an integer"):
             assemble(inst, [1, bad, 3, 4])
-        demands = DemandProfile(np.array([1, 2, 2, 4])).demands
+        demands = demand_vector(inst, np.array([1, 2, 2, 4]))
         assert demands == (1, 2, 2, 4) and all(type(d) is int for d in demands)
 
 
