@@ -24,12 +24,14 @@ def show_table(k: int, l: int, i: int) -> None:
     for q, desc in enumerate(table.column_descs, start=1):
         print(f"  column {q}: ({desc.a1},{desc.a2})_{desc.z}")
 
-    for columns, desc, middle in pair_columns(table):
-        if middle is None:
+    for columns, desc in pair_columns(table):
+        if len(columns) == 2:
             qa, qb = columns
             print(f"  columns {qa}+{qb} -> union ({desc.a1},{desc.a2})_{desc.z}, "
                   f"{desc.k} rows wanting 2 messages each")
         else:
+            # the middle column comes as its (c, c) union; the first half is the column
+            middle = desc.halves()[0]
             print(f"  middle column -> symmetric ({middle.a1},{middle.a2})_{middle.z}")
     print()
 

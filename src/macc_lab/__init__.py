@@ -20,6 +20,8 @@ Layers, bottom up:
 - :mod:`~macc_lab.cli`: ``macc-lab`` command-line entry point.
 """
 
+from types import ModuleType as _ModuleType
+
 from .coloring import (
     Coloring,
     closed_color_sets,
@@ -94,79 +96,8 @@ from .rates import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # errors
-    "MaccLabError",
-    "ParameterError",
-    "VerificationError",
-    "SizeCapError",
-    # problem setting and placement
-    "mod1",
-    "circ_interval",
-    "interval_contains",
-    "MaccInstance",
-    "demand_vector",
-    "PlacementMap",
-    "place",
-    "accessible_subfiles",
-    "needed_subfiles",
-    # index coding
-    "StructuredIcpDesc",
-    "UnionIcpDesc",
-    "IcpUser",
-    "IcpInstance",
-    "node_data",
-    "realize_single",
-    "realize_union_split",
-    "IcpTable",
-    "reduce_macc",
-    "as_icp",
-    "pair_columns",
-    "icp_to_json",
-    # colorings
-    "Coloring",
-    "interferers",
-    "is_proper",
-    "local_count",
-    "divisor_coloring",
-    "fractional_split",
-    "fractional_coloring",
-    "greedy_coloring",
-    "closed_color_sets",
-    # finite-field schemes
-    "FieldSpec",
-    "field_for",
-    "mds_generator",
-    "rank",
-    "TransmissionScheme",
-    "encode",
-    "verify_scheme",
-    # oracles
-    "exhaustive_chi_l",
-    "mais",
-    "min_rank_gf2",
-    "node_cap_check",
-    # rate calculators
-    "RateReport",
-    "UnionBounds",
-    "single_icp_bound",
-    "union_bounds",
-    "smallest_valid_divisor",
-    "corner_points",
-    "rate_prior_restricted",
-    "rate_prior_general",
-    "rate_divisor",
-    "rate_linear",
-    "rate_quadratic",
-    "compare",
-    "memory_share",
-    # delivery
-    "PairPlan",
-    "DeliveryPlan",
-    "PlanCheck",
-    "assemble",
-    "pair_instance",
-    "verify_plan",
-    "plan_to_json",
+# the imports above declare the public surface; the submodules are not part of it
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -37,7 +37,7 @@ import sys
 from fractions import Fraction
 from itertools import chain
 
-from .delivery import _plan_chunks, assemble, verify_plan
+from .delivery import _MODES, _plan_chunks, assemble, verify_plan
 from .errors import ParameterError, SizeCapError, VerificationError, as_int
 from .linalg_ff import FieldSpec
 from .macc import MaccInstance
@@ -132,7 +132,7 @@ _FLAGS = {
     "M": (_fraction, None, "normalized memory share M/N for an envelope row"),
     "divisor": (_int, None, "explicit X dividing K for the divisor scheme (plan: divisor mode only)"),
     "demands": (_demands, None, "comma-separated demanded file per user"),
-    "mode": (_choice("quadratic", "linear", "divisor"), None,
+    "mode": (_choice(*_MODES), None,
              "construction mode: quadratic, linear, or divisor (sweep's default quadratic)"),
     "format": (_choice("csv", "json"), "{csv,json}", "output format (default csv)"),
     "K_range": (_range, "A:B", "inclusive cache-count range"),

@@ -12,10 +12,12 @@ checked against the closed-form calculators.
 
 Modes
 -----
-:func:`~.icp.pair_columns` hands out each component whole, the odd leftover
-(middle) column with its ``(c, c)`` union. ``_component`` holds the whole mode
+:func:`~.icp.pair_columns` hands out each component whole as its columns and
+their union; the odd leftover (middle) column comes as its ``(c, c)`` union,
+whose first half is the column itself. ``_component`` holds the whole mode
 table: it colors each component, the middle column as that union at twice
-the split except in the two plain-column cases it names.
+the split except in the two plain-column cases it names, which code the
+first half with whole cells.
 
 ``linear``
     Whole-subfile transmissions. Pairs use the residue coloring when
@@ -49,7 +51,6 @@ from .errors import ParameterError, VerificationError
 from .icp import (
     IcpInstance,
     IcpTable,
-    StructuredIcpDesc,
     UnionIcpDesc,
     pair_columns,
     realize_single,
@@ -87,26 +88,25 @@ __all__ = [
     "plan_to_json",
 ]
 
-_MODES = ("linear", "quadratic", "divisor")
+_MODES = ("quadratic", "linear", "divisor")
 
 
 @dataclass(frozen=True)
 class PairPlan:
     """One scheduled component of a delivery plan.
 
-    ``kind`` says how table cells map onto the component's local messages:
-    ``union`` covers two columns whole-cell (possibly split), ``middle``
-    covers one column with each cell halved into a two-sided instance, and
-    ``column`` covers one column whole-cell. ``part_map[m-1]`` gives the
+    ``columns`` are the table columns it covers. ``part_map[m-1]`` gives the
     table message and part index carried by local message ``m``;
     ``cell_split``, the scheme's ``split_factor``, is the number of parts each
-    table cell is cut into here. ``columns`` are the table columns it covers.
-    ``icp`` is the local instance ``scheme`` was coded for, as ``_component``
-    realized it; the plan's decode check runs on it.
+    table cell is cut into here. ``kind``, derived from those two, says how
+    table cells map onto the local messages: ``union`` covers two columns
+    whole-cell (possibly split), ``middle`` covers one column with each cell
+    halved into a two-sided instance, and ``column`` covers one column
+    whole-cell. ``icp`` is the local instance ``scheme`` was coded for, as
+    ``_component`` realized it; the plan's decode check runs on it.
     """
 
     columns: tuple[int, ...]
-    kind: str
     tag: str
     coloring: Coloring
     scheme: TransmissionScheme
@@ -116,6 +116,10 @@ class PairPlan:
     @property
     def cell_split(self) -> int:
         return self.scheme.split_factor
+
+    @property
+    def kind(self) -> str:
+        return "union" if len(self.columns) == 2 else "middle" if self.cell_split > 1 else "column"
 
     @property
     def n_transmissions(self) -> int:
@@ -209,37 +213,32 @@ def _maybe_oracle(
 
 
 def _component(
-    desc: UnionIcpDesc,
-    single: StructuredIcpDesc | None,
-    mode: str,
-    s: int,
-    x: int | None,
-    cap: int,
-) -> tuple[Coloring, IcpInstance, int, int | None, str]:
-    """Coloring, instance, cell split, fixed row count and tag of one component.
+    desc: UnionIcpDesc, middle: bool, mode: str, s: int, x: int | None, cap: int
+) -> tuple[Coloring, IcpInstance, int, str]:
+    """Coloring, instance, cell split and tag of one component.
 
-    ``desc`` is a column pair's union. For the middle column ``single`` is
-    that column and ``desc`` its ``(c, c)`` union at twice the split, so each
-    cell's two halves fill the union's two copies. Two cases code ``single``
-    itself with whole cells instead: the clique column, and linear mode's
-    first-fit column when ``s = K-iL+1`` does not divide ``K``.
+    ``desc`` is a column pair's union. For the ``middle`` column it is that
+    column's ``(c, c)`` union at twice the split, so each cell's two halves
+    fill the union's two copies. Two cases code the column itself, the
+    union's first half, with whole cells instead: the clique column, and
+    linear mode's first-fit column when ``s = K-iL+1`` does not divide ``K``.
     """
-    halves = 1 if single is None else 2
+    halves = 2 if middle else 1
     if mode == "divisor":
-        return divisor_coloring(desc, x), realize_union_split(desc, 1), halves, x, "divisor"
-    if single is not None and single.a1 == 0:
+        return divisor_coloring(desc, x), realize_union_split(desc, 1), halves, "divisor"
+    if middle and desc.a1 == 0:
         # everyone-knows-everyone column: one summed transmission
-        inst = realize_single(single)
-        return greedy_coloring(inst), inst, 1, None, "clique"
+        inst = realize_single(desc.halves()[0])
+        return greedy_coloring(inst), inst, 1, "clique"
     if desc.k % s == 0:
-        return divisor_coloring(desc, s), realize_union_split(desc, 1), halves, None, "divisor"
+        return divisor_coloring(desc, s), realize_union_split(desc, 1), halves, "divisor"
     if mode == "quadratic":
         coloring, m = fractional_coloring(desc)
-        return coloring, realize_union_split(desc, m), halves * m, None, "fractional"
-    if single is not None:
-        inst = realize_single(single)
+        return coloring, realize_union_split(desc, m), halves * m, "fractional"
+    if middle:
+        inst = realize_single(desc.halves()[0])
         coloring, tag = _maybe_oracle(inst, greedy_coloring(inst), "greedy", cap)
-        return coloring, inst, 1, None, tag
+        return coloring, inst, 1, tag
     # modulus K always divides K; local count min(a1 + 2*a2 + 2, K)
     inst = realize_union_split(desc, 1)
     coloring, tag = divisor_coloring(desc, desc.k), "divisor"
@@ -247,7 +246,7 @@ def _component(
     if local_count(inst, first_fit) < local_count(inst, coloring):
         coloring, tag = first_fit, "greedy"
     coloring, tag = _maybe_oracle(inst, coloring, tag, cap)
-    return coloring, inst, 1, None, tag
+    return coloring, inst, 1, tag
 
 
 def assemble(
@@ -281,49 +280,40 @@ def assemble(
     # a fully covered corner (d = 0) has no components, so no divisor either
     x = (divisor or smallest_valid_divisor(k, s)) if mode == "divisor" and d else None
 
-    components = pair_columns(table)
     # plan every component first so one field can serve the whole schedule
-    built = [
-        _component(desc, single, mode, s, x, oracle_node_cap)
-        for _, desc, single in components
-    ]
+    built = [(cols, *_component(desc, len(cols) == 1, mode, s, x, oracle_node_cap))
+             for cols, desc in pair_columns(table)]
     if field is None:
-        field = field_for(max((coloring.n_colors for coloring, *_ in built), default=1))
-
-    pairs = []
-    for (cols, _, single), (coloring, inst, cell_split, n_rows, tag) in zip(components, built):
-        # a lone column with halved cells rides on its union, whole cells on itself
-        kind = "union" if single is None else "middle" if cell_split > 1 else "column"
-        scheme = encode(inst, coloring, field=field, n_rows=n_rows)
-        pairs.append(
-            PairPlan(
-                columns=cols,
-                kind=kind,
-                tag=tag,
-                coloring=coloring,
-                scheme=replace(scheme, split_factor=cell_split),
-                part_map=tuple(
-                    (table.entry(r, c), j)
-                    for r in range(1, k + 1)
-                    for c in cols
-                    for j in range(1, cell_split + 1)
-                ),
-                icp=inst,
-            )
+        field = field_for(max((coloring.n_colors for _, coloring, *_ in built), default=1))
+    pairs = tuple(
+        PairPlan(
+            columns=cols,
+            tag=tag,
+            coloring=coloring,
+            scheme=replace(encode(inst, coloring, field=field, n_rows=x), split_factor=split),
+            part_map=tuple(
+                (table.entry(r, c), j)
+                for r in range(1, k + 1)
+                for c in cols
+                for j in range(1, split + 1)
+            ),
+            icp=inst,
         )
+        for cols, coloring, inst, split, tag in built
+    )
 
     notes: tuple[str, ...] = ()
     if mode == "linear":
         rate = _rate(pairs, k)
         bound = rate_linear(k, instance.access_degree, instance.memory_index)
-        if bound.rate is not None and rate > bound.rate:
+        if rate > bound.rate:
             notes = (
                 f"best-effort components cost {rate}, above the closed-form "
                 f"linear value {bound.rate}",
             )
 
     plan = DeliveryPlan(
-        table=table, mode=mode, divisor=x, field=field, pairs=tuple(pairs), notes=notes
+        table=table, mode=mode, divisor=x, field=field, pairs=pairs, notes=notes
     )
     if not all(plan.users_ok):  # failure path only: name the components that broke
         failing = (f"columns {list(p.columns)} ({p.tag}) table users {bad}"

@@ -329,24 +329,21 @@ def as_icp(table: IcpTable) -> IcpInstance:
         m: table.message_label(m) for m in range(1, table.n_messages + 1)})
 
 
-def pair_columns(
-    table: IcpTable,
-) -> tuple[tuple[tuple[int, ...], UnionIcpDesc, StructuredIcpDesc | None], ...]:
-    """The table's components in plan order, each as ``(columns, union,
-    column)``: column ``q`` paired with column ``K-iL-q+1``, its
-    :attr:`IcpTable.column_descs` entry read as their union, and ``None``.
+def pair_columns(table: IcpTable) -> tuple[tuple[tuple[int, ...], UnionIcpDesc], ...]:
+    """The table's components in plan order, each as ``(columns, union)``:
+    column ``q`` paired with column ``K-iL-q+1``, its
+    :attr:`IcpTable.column_descs` entry read as their union.
 
     Odd ``K-iL`` ends with the middle column ``q = (K-iL+1)/2`` alone: its
-    columns are ``(q,)``, its union the ``(c, c)_{iL}`` one with
-    ``c = (K-iL-1)/2`` and its column that symmetric single descriptor (for
+    columns are ``(q,)`` and its union the symmetric ``(c, c)_{iL}`` one with
+    ``c = (K-iL-1)/2``, whose first half is the column itself (for
     ``K-iL = 1`` the everyone-knows-everyone column ``(0, 0)_{iL}``).
     """
     n = table.n_cols
-    components = []
-    for q, d in enumerate(table.column_descs[: (n + 1) // 2], start=1):
-        union = UnionIcpDesc(d.a1, d.a2, d.z)
-        components.append(((q,), union, d) if 2 * q == n + 1 else ((q, n - q + 1), union, None))
-    return tuple(components)
+    return tuple(
+        ((q,) if 2 * q == n + 1 else (q, n - q + 1), UnionIcpDesc(d.a1, d.a2, d.z))
+        for q, d in enumerate(table.column_descs[: (n + 1) // 2], start=1)
+    )
 
 
 def icp_to_json(icp: IcpInstance) -> str:

@@ -476,20 +476,21 @@ class TestPairing:
         components = pair_columns(table)
         n = table.n_cols
         assert len(components) == (n + 1) // 2
-        assert [single for _, _, single in components[: n // 2]] == [None] * (n // 2)
+        assert all(len(columns) == 2 for columns, _ in components[: n // 2])
         if n % 2 == 1:
             c = (n - 1) // 2
-            columns, union, middle = components[-1]
+            columns, union = components[-1]
             assert columns == (c + 1,)
-            assert middle == StructuredIcpDesc(c, c, table.coverage)
             assert union == UnionIcpDesc(c, c, table.coverage)
+            # the middle union's first half is the column itself
+            assert union.halves()[0] == table.column_descs[c]
 
     @given(corners())
     @settings(max_examples=60)
     def test_union_halves_match_paired_columns(self, inst):
         table = reduce_macc(inst)
         descs = table.column_descs
-        for columns, union, _ in pair_columns(table):
+        for columns, union in pair_columns(table):
             q, partner = columns[0], columns[-1]
             assert partner == table.n_cols - q + 1
             first, second = union.halves()
@@ -499,9 +500,8 @@ class TestPairing:
     def test_single_column_pairs_to_middle_only(self):
         inst = MaccInstance(n_files=4, n_caches=4, access_degree=1, memory_index=3)
         table = reduce_macc(inst)
-        assert pair_columns(table) == (
-            ((1,), UnionIcpDesc(0, 0, 3), StructuredIcpDesc(0, 0, 3)),
-        )
+        assert pair_columns(table) == (((1,), UnionIcpDesc(0, 0, 3)),)
+        assert pair_columns(table)[0][1].halves()[0] == StructuredIcpDesc(0, 0, 3)
 
 
 class TestJson:

@@ -195,6 +195,18 @@ class TestCalculatorsGeneric:
             if not rep.applicable:
                 assert rep.subpacketization is None
 
+    def test_linear_priced_at_every_table_corner(self):
+        # assemble's linear note compares against this rate without a None guard:
+        # every corner reduce_macc accepts (i >= 1) has one
+        unpriced = [
+            (k, l, i)
+            for k in range(1, 41)
+            for l in range(1, k + 1)
+            for i in range(1, -(-k // l) + 1)
+            if rate_linear(k, l, i).rate is None
+        ]
+        assert unpriced == []
+
     def test_corner_validation(self):
         with pytest.raises(ParameterError):
             rate_quadratic(0, 1, 1)
