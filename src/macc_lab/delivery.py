@@ -8,7 +8,9 @@ only if every user can decode. That exact rank check runs once, when the
 (:func:`~.linalg_ff.verify_schemes`); ``verify_plan`` reads its verdict. The
 plan derives its rate and subpacketization from the pairs it holds
 (transmission counts over split factors, exact fractions), so they can be
-checked against the closed-form calculators.
+checked against the closed-form calculators. The table's ``cells`` is a
+read-only ``(K, K-iL)`` int32 array and each pair's ``part_map`` a read-only
+``(n, 2)`` int32 array cut from it; :func:`plan_to_json` formats it at once.
 
 Modes
 -----
@@ -37,8 +39,10 @@ first half with whole cells.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+
+import numpy as np
 
 from .coloring import (
     Coloring,
@@ -49,9 +53,11 @@ from .coloring import (
 )
 from .errors import ParameterError, VerificationError
 from .icp import (
+    MESSAGE_LABEL,
     IcpInstance,
     IcpTable,
     UnionIcpDesc,
+    by_content,
     pair_columns,
     realize_single,
     realize_union_split,
@@ -67,6 +73,7 @@ from .linalg_ff import (
     verify_scheme,  # unused here; perfbench/tracer.py hooks this binding
     verify_schemes,
 )
+from .jsontext import json_list
 from .macc import MaccInstance
 from .oracle import exhaustive_chi_l
 from .rates import (
@@ -91,12 +98,15 @@ __all__ = [
 _MODES = ("quadratic", "linear", "divisor")
 
 
-@dataclass(frozen=True)
+@by_content
+@dataclass(frozen=True, eq=False)
 class PairPlan:
     """One scheduled component of a delivery plan.
 
-    ``columns`` are the table columns it covers. ``part_map[m-1]`` gives the
-    table message and part index carried by local message ``m``;
+    ``columns`` are the table columns it covers. ``part_map`` is a read-only
+    ``(n, 2)`` int32 array whose row ``m - 1`` gives the table message and part
+    index carried by local message ``m``, row-major over (table row, column,
+    part); a pair compares and hashes by its bytes.
     ``cell_split``, the scheme's ``split_factor``, is the number of parts each
     table cell is cut into here. ``kind``, derived from those two, says how
     table cells map onto the local messages: ``union`` covers two columns
@@ -110,7 +120,7 @@ class PairPlan:
     tag: str
     coloring: Coloring
     scheme: TransmissionScheme
-    part_map: tuple[tuple[int, int], ...]
+    part_map: np.ndarray
     icp: IcpInstance = dc_field(compare=False, repr=False)
 
     @property
@@ -290,13 +300,8 @@ def assemble(
             columns=cols,
             tag=tag,
             coloring=coloring,
-            scheme=replace(encode(inst, coloring, field=field, n_rows=x), split_factor=split),
-            part_map=tuple(
-                (table.entry(r, c), j)
-                for r in range(1, k + 1)
-                for c in cols
-                for j in range(1, split + 1)
-            ),
+            scheme=encode(inst, coloring, field=field, n_rows=x, split_factor=split),
+            part_map=_part_map(table, cols, split),
             icp=inst,
         )
         for cols, coloring, inst, split, tag in built
@@ -324,6 +329,16 @@ def assemble(
     return plan
 
 
+def _part_map(table: IcpTable, cols: tuple[int, ...], split: int) -> np.ndarray:
+    """``(table message, part)`` of each local message of the pair covering
+    ``cols`` at ``split`` parts per cell: every part of each cell, row-major."""
+    part_map = np.empty((table.n_rows * len(cols), split, 2), dtype=np.int32)
+    part_map[..., 0] = table.cells[:, np.array(cols) - 1].reshape(-1, 1)
+    part_map[..., 1] = np.arange(1, split + 1)
+    part_map.setflags(write=False)
+    return part_map.reshape(-1, 2)
+
+
 def _table_users(local: tuple[bool, ...], k: int) -> list[bool]:
     """Per table user of ``k``: do all its local users in ``local`` decode?"""
     per = len(local) // k
@@ -344,7 +359,7 @@ def _first_failure(pair: PairPlan, local: tuple[bool, ...], table: IcpTable, use
     lacked = [c for c, m in enumerate(order) if not known[m - 1]]
     full, rest = (rank(pair.scheme.coefficients[:, cols], pair.scheme.field)
                   for cols in (lacked, [c for c in lacked if order[c] not in wants]))
-    g, part = pair.part_map[wants[local[lo : lo + per].index(False)] - 1]
+    g, part = pair.part_map[wants[local[lo : lo + per].index(False)] - 1].tolist()
     label = _part_label(table.message_label(g), part, pair.cell_split)
     return f"table user {user} cannot decode {label}, rank deficit {len(wants) - full + rest}"
 
@@ -387,10 +402,35 @@ def _part_label(label: str, part: int, split: int) -> str:
     return label if split == 1 else f"{label}#{part}"
 
 
-# What json.dumps(payload, indent=2) writes for one pair of the plan's "pairs"
-# list, from the "," before it (none before the first) up to its scheme. It
-# must keep that layout: TestPlanJson in tests/test_delivery.py checks it
-# against the stdlib writer on a reference payload. No list in it is ever empty.
+# What json.dumps(payload, indent=2) writes for a plan's header, up to the
+# "[" of its "pairs" list, and for one pair of that list, from the "," before
+# it (none before the first) up to its scheme. They must keep that layout:
+# TestPlanJson in tests/test_delivery.py checks them against the stdlib writer
+# on a reference payload. The demands and every list in a pair are never empty.
+_HEAD = """{
+  "params": {
+    "n_files": %d,
+    "n_caches": %d,
+    "access_degree": %d,
+    "memory_index": %d
+  },
+  "demands": %s,
+  "mode": %s,
+  "divisor": %s,
+  "field": {
+    "w": %d,
+    "poly": %d
+  },
+  "rate": {
+    "num": %d,
+    "den": %d,
+    "decimal": "%.6f"
+  },
+  "subpacketization": %d,
+  "base_split": %d,
+  "n_transmissions": %d,
+  "notes": %s,
+  "pairs": ["""
 _PAIR = """%s
     {
       "columns": [
@@ -407,59 +447,44 @@ _PAIR = """%s
         %s
       ],
       "scheme": """
-# one message of a pair; labels are ASCII that JSON writes as they are
+# one message of a pair of split cells, from its table message, its part, the
+# message's IcpTable.label_fields and its part again; a pair of whole cells
+# drops the "#part" suffix
 _MESSAGE = """{
           "table_message": %d,
           "part": %d,
-          "label": "%s"
-        }"""
+          "label": "LABEL#%d"
+        }""".replace("LABEL", MESSAGE_LABEL)
+_WHOLE_MESSAGE = _MESSAGE.replace("#%d", "")
 
 
 def plan_to_json(plan: DeliveryPlan) -> str:
     """Stable JSON rendering of a plan (schedule, colorings, coefficients):
-    ``json.dumps(payload, indent=2)`` text, with the header written by
-    :func:`json.dumps` and each pair by the ``_PAIR`` template."""
+    ``json.dumps(payload, indent=2)`` text, with the header written by the
+    ``_HEAD`` template and each pair by the ``_PAIR`` one."""
     return "".join(_plan_chunks(plan))
 
 
 def _plan_chunks(plan: DeliveryPlan):
     """The text of :func:`plan_to_json` in pieces, each made when asked for:
-    the header, then per pair its ``_PAIR`` text, scheme and closing brace."""
-    inst = plan.table.instance
-    head = json.dumps(
-        {
-            "params": {
-                "n_files": inst.n_files,
-                "n_caches": inst.n_caches,
-                "access_degree": inst.access_degree,
-                "memory_index": inst.memory_index,
-            },
-            "demands": list(plan.table.demands),
-            "mode": plan.mode,
-            "divisor": plan.divisor,
-            "field": {"w": plan.field.w, "poly": plan.field.poly},
-            "rate": {
-                "num": plan.rate.numerator,
-                "den": plan.rate.denominator,
-                "decimal": f"{float(plan.rate):.6f}",
-            },
-            "subpacketization": plan.subpacketization,
-            "base_split": plan.base_split,
-            "n_transmissions": plan.n_transmissions,
-            "notes": list(plan.notes),
-            "pairs": [],
-        },
-        indent=2,
+    the header, then per pair its ``_PAIR`` text, scheme and closing brace.
+    Each pair's messages are one ``%`` format over a flat list of integers."""
+    inst, table, rate = plan.table.instance, plan.table, plan.rate
+    yield _HEAD % (
+        inst.n_files, inst.n_caches, inst.access_degree, inst.memory_index,
+        json_list(map(str, table.demands)), json.dumps(plan.mode),
+        "null" if plan.divisor is None else plan.divisor, plan.field.w, plan.field.poly,
+        rate.numerator, rate.denominator, float(rate), plan.subpacketization, plan.base_split,
+        plan.n_transmissions, json_list(map(json.dumps, plan.notes)),
     )
-    items = ",\n        ".join
-    labels = [plan.table.message_label(g) for g in range(1, plan.table.n_messages + 1)]
-    yield head[: -len("]\n}")]
+    items, labels = ",\n        ".join, table.label_fields
     for n, pair in enumerate(plan.pairs):
-        split = pair.cell_split
-        messages = (_MESSAGE % (g, part, _part_label(labels[g - 1], part, split)) for g, part in pair.part_map)
+        split, part_map = pair.cell_split, pair.part_map
+        fill = (part_map, labels[part_map[:, 0] - 1]) + ((part_map[:, 1:],) if split > 1 else ())
+        message = _MESSAGE if split > 1 else _WHOLE_MESSAGE
+        messages = items([message] * len(part_map)) % tuple(np.hstack(fill).ravel().tolist())
         yield _PAIR % ("," if n else "", items(map(str, pair.columns)), pair.kind, pair.tag,
-                       split, pair.n_transmissions,
-                       items(map(str, pair.coloring.colors)), items(messages))
+                       split, pair.n_transmissions, items(map(str, pair.coloring.colors)), messages)
         # the bulk of the text; split, it is freed before its indented copy is
         # made (.replace fragments the heap: 45 MB more at (300,300,100,2))
         yield "\n      ".join(pair.scheme.to_json().split("\n"))

@@ -19,13 +19,13 @@ index ``(k-1)*2m + p``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ParameterError, as_int
-from .macc import MaccInstance, demand_vector, interval_contains, mod1
+from .macc import MaccInstance, demand_vector
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,21 @@ class IcpUser:
             raise ParameterError("want and known sets must be disjoint")
 
 
+def by_content(cls):
+    """Make a frozen ``eq=False`` dataclass compare and hash by its compared
+    fields, each array field by its bytes, so that equal contents hash alike."""
+    names = [f.name for f in fields(cls) if f.compare]
+
+    def key(self) -> tuple:
+        values = (getattr(self, name) for name in names)
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+    cls.__eq__ = lambda self, other: key(self) == key(other) if isinstance(other, cls) else NotImplemented
+    cls.__hash__ = lambda self: hash(key(self))
+    return cls
+
+
+@by_content
 @dataclass(frozen=True, init=False, eq=False)
 class IcpInstance:
     """A (single-)unicast index coding instance, held as its node arrays.
@@ -123,16 +138,6 @@ class IcpInstance:
     @cached_property
     def labels(self) -> dict | None:
         return self._labels()
-
-    def _key(self) -> tuple:
-        arrays = (self.node_user, self.node_msg, self.known_rows, self.node_row)
-        return (self.n_messages, *(a.tobytes() for a in arrays))
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, IcpInstance) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     @property
     def n_users(self) -> int:
@@ -233,7 +238,12 @@ def realize_union_split(desc: UnionIcpDesc, split: int) -> IcpInstance:
     })
 
 
-@dataclass(frozen=True)
+# a table message's name: its file, then its user interval's first and last user
+MESSAGE_LABEL = "F[d%d,[%d:%d]]"
+
+
+@by_content
+@dataclass(frozen=True, eq=False)
 class IcpTable:
     """The delivery problem as a K x (K-iL) grid of wanted subfiles.
 
@@ -241,6 +251,10 @@ class IcpTable:
     the ``iL`` consecutive users starting at ``mod1(p+q, K)``. Cells with the
     same (file, interval) pair share one message id; ``entry(p, q)`` returns
     it. Column ``q`` on its own is a ``(K-iL-q, q-1)_{iL}`` instance.
+    ``cells`` is a read-only ``(K, K-iL)`` int32 array of those ids, and
+    ``messages`` a read-only ``(n_messages, 2)`` int64 array whose row
+    ``m - 1`` is message ``m``'s ``(file, interval start)``; a table compares
+    and hashes by their contents.
     """
 
     instance: MaccInstance
@@ -248,11 +262,11 @@ class IcpTable:
     n_rows: int
     n_cols: int
     coverage: int
-    cells: tuple[tuple[int, ...], ...]
-    messages: tuple[tuple[int, int], ...]  # message id -> (file, interval start)
+    cells: np.ndarray
+    messages: np.ndarray
 
     def entry(self, row: int, col: int) -> int:
-        return self.cells[row - 1][col - 1]
+        return int(self.cells[row - 1, col - 1])
 
     @property
     def n_messages(self) -> int:
@@ -265,19 +279,23 @@ class IcpTable:
             StructuredIcpDesc(n - q, q - 1, self.coverage) for q in range(1, n + 1)
         )
 
+    @cached_property
+    def label_fields(self) -> np.ndarray:
+        """Row ``m - 1``: message ``m``'s file, interval start and interval
+        end, the numbers :meth:`message_label` writes into ``MESSAGE_LABEL``."""
+        ends = (self.messages[:, 1:] + self.coverage - 2) % self.n_rows + 1
+        return np.hstack((self.messages, ends))
+
     def message_label(self, msg: int) -> str:
-        f, start = self.messages[msg - 1]
-        end = mod1(start + self.coverage - 1, self.n_rows)
-        return f"F[d{f},[{start}:{end}]]"
+        return MESSAGE_LABEL % tuple(self.label_fields[msg - 1].tolist())
+
+    def covers(self, rows) -> np.ndarray:
+        """``[r, m]``: does message ``m + 1``'s interval cover ``rows[r]``?"""
+        return (np.asarray(rows)[:, None] - self.messages[:, 1]) % self.n_rows < self.coverage
 
     def row_known(self, row: int) -> frozenset[int]:
         """Messages readable by user ``row``: those whose interval covers it."""
-        k = self.n_rows
-        return frozenset(
-            m
-            for m, (_, start) in enumerate(self.messages, start=1)
-            if interval_contains(start, self.coverage, row, k)
-        )
+        return frozenset((np.flatnonzero(self.covers([row])[0]) + 1).tolist())
 
 
 def reduce_macc(instance: MaccInstance, demands=None) -> IcpTable:
@@ -286,9 +304,9 @@ def reduce_macc(instance: MaccInstance, demands=None) -> IcpTable:
     Each user needs ``K - iL`` subfiles of its file, one per column; users in
     the interval of a subfile hold it as side information. With ``iL = K``
     the table is empty (rate 0). Equal demands produce repeated (file,
-    interval) pairs which deduplicate onto a single message id. The
-    zero-memory corner ``i = 0`` raises :class:`ParameterError` before the
-    demands are read.
+    interval) pairs which deduplicate onto a single message id, numbered in
+    row-major order of first appearance. The zero-memory corner ``i = 0``
+    raises :class:`ParameterError` before the demands are read.
     """
     k, i = instance.n_caches, instance.memory_index
     if i < 1:
@@ -299,15 +317,17 @@ def reduce_macc(instance: MaccInstance, demands=None) -> IcpTable:
     demands = demand_vector(instance, demands)
     cov = instance.coverage
     n_cols = max(k - cov, 0)
-    # a (file, interval start) pair keeps the id of its first cell
-    ids: dict[tuple[int, int], int] = {}
-    cells = tuple(
-        tuple(ids.setdefault((demands[p - 1], mod1(p + q, k)), len(ids) + 1)
-              for q in range(1, n_cols + 1))
-        for p in range(1, k + 1)
-    )
+    # each cell as file * K + 0-based interval start, row-major
+    starts = (np.arange(k)[:, None] + np.arange(1, n_cols + 1)) % k
+    keys = (np.array(demands, dtype=np.int64)[:, None] * k + starts).ravel()
+    distinct, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = first.argsort()  # distinct keys by first appearance; argsort again ranks them
+    cells = (order.argsort()[inverse] + 1).astype(np.int32).reshape(k, n_cols)
+    messages = np.concatenate(np.divmod(distinct[order, None], k), axis=1) + (0, 1)
+    for a in (cells, messages):
+        a.setflags(write=False)
     return IcpTable(instance=instance, demands=demands, n_rows=k, n_cols=n_cols,
-                    coverage=cov, cells=cells, messages=tuple(ids))
+                    coverage=cov, cells=cells, messages=messages)
 
 
 def as_icp(table: IcpTable) -> IcpInstance:
@@ -319,12 +339,10 @@ def as_icp(table: IcpTable) -> IcpInstance:
     if table.n_cols == 0:
         return IcpInstance(n_messages=0, users=())
     k, n = table.n_rows, table.n_cols
-    starts = np.array([start for _, start in table.messages])
     # row_known of every row; each start has a message and iL < K, so the
     # rows differ and each is its own known row
-    covers = (np.arange(1, k + 1)[:, None] - starts) % k < table.coverage
     nodes = np.arange(k * n)
-    arrays = (nodes, np.array(table.cells).ravel() - 1, covers, nodes // n)
+    arrays = (nodes, table.cells.ravel() - 1, table.covers(np.arange(1, k + 1)), nodes // n)
     return _store(object.__new__(IcpInstance), table.n_messages, arrays, _labels=lambda: {
         m: table.message_label(m) for m in range(1, table.n_messages + 1)})
 

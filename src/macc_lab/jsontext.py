@@ -1,5 +1,6 @@
-"""Key and type checks for the JSON loaders.
+"""JSON text pieces for the writers, and key and type checks for the loaders.
 
+:func:`json_list` writes a list as ``json.dumps(indent=2)`` does at depth 1.
 :func:`fields` reads the keys a loader needs from a parsed JSON object, or
 raises :class:`ParameterError` naming the one that is missing or of the wrong
 type.
@@ -8,6 +9,13 @@ type.
 from __future__ import annotations
 
 from .errors import ParameterError
+
+
+def json_list(items) -> str:
+    """A list of JSON texts as ``json.dumps(indent=2)`` writes it at depth 1."""
+    text = ",\n    ".join(items)
+    return f"[\n    {text}\n  ]" if text else "[]"
+
 
 _KINDS = {dict: "a JSON object", list: "a list", int: "an integer"}
 

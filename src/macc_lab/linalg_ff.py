@@ -217,12 +217,6 @@ _SCHEME = """{
 }"""
 
 
-def _json_list(items) -> str:
-    """A list of JSON texts as ``json.dumps(indent=2)`` writes it at depth 1."""
-    text = ",\n    ".join(items)
-    return f"[\n    {text}\n  ]" if text else "[]"
-
-
 @dataclass(frozen=True, eq=False)
 class TransmissionScheme:
     """A batch of coded transmissions over one instance.
@@ -266,9 +260,11 @@ class TransmissionScheme:
         order, split factor, and one hex string per transmission."""
         # big-endian bytes: two hex digits per coefficient up to w = 8, four above
         coeff = self.coefficients.astype(">u1" if self.field.w <= 8 else ">u2")
+        # hexed at once, a space after each row's bytes (r x 0: r empty rows)
+        rows = coeff.tobytes().hex(" ", coeff[:1].nbytes).split(" ") if coeff.size else [""] * len(coeff)
         return _SCHEME % (
-            self.field.w, self.field.poly, _json_list(map(str, self.message_order)),
-            self.split_factor, _json_list(f'"{row.tobytes().hex()}"' for row in coeff),
+            self.field.w, self.field.poly, jsontext.json_list(map(str, self.message_order)),
+            self.split_factor, jsontext.json_list(['"%s"' % '",\n    "'.join(rows)] if rows else []),
         )
 
     @classmethod
@@ -301,6 +297,7 @@ def encode(
     coloring: Coloring,
     field: FieldSpec | None = None,
     n_rows: int | None = None,
+    split_factor: int = 1,
 ) -> TransmissionScheme:
     """Turn a proper coloring into MDS-precoded transmissions.
 
@@ -308,7 +305,8 @@ def encode(
     mixes the ``t`` aggregates into ``local_count`` rows (or ``n_rows`` when a
     fixed row count is requested, e.g. to realize a stated rate exactly).
     Column ``c`` of the result carries, for each message, the XOR of the
-    generator entries of every node wanting it.
+    generator entries of every node wanting it. ``split_factor`` is stored on
+    the scheme as the parts each of ``icp``'s messages stands for.
     """
     proper, lc = _verdicts(icp, coloring)
     if not proper:
@@ -335,6 +333,7 @@ def encode(
         field=field,
         message_order=tuple(range(1, icp.n_messages + 1)),
         coefficients=coeff,
+        split_factor=split_factor,
     )
 
 

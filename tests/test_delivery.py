@@ -26,6 +26,7 @@ from macc_lab import (
     pair_instance,
     plan_to_json,
     rate_divisor,
+    reduce_macc,
     verify_plan,
     verify_scheme,
 )
@@ -231,12 +232,13 @@ class TestPlanInternals:
         seen: set[tuple[int, int]] = set()
         for pair in plan.pairs:
             rows = 2 * k if pair.kind == "union" else k
-            assert len(pair.part_map) == rows * pair.cell_split
-            assert len(set(pair.part_map)) == len(pair.part_map)
-            for g, part in pair.part_map:
+            part_map = list(map(tuple, pair.part_map.tolist()))
+            assert len(part_map) == rows * pair.cell_split
+            assert len(set(part_map)) == len(part_map)
+            for g, part in part_map:
                 assert 1 <= g <= table.n_messages
                 assert 1 <= part <= pair.cell_split
-            seen.update(pair.part_map)
+            seen.update(part_map)
         # distinct demands put each table message in exactly one component,
         # cut into that component's cell_split parts
         expected = 0
@@ -246,6 +248,42 @@ class TestPlanInternals:
             }
             expected += len(msgs) * pair.cell_split
         assert len(seen) == expected
+
+    def test_part_map_is_read_only_rows_of_the_table(self):
+        plan = assemble(MaccInstance(9, 9, 2, 3), demands=(2, 2, 1, 1, 3, 3, 2, 1, 1),
+                        mode="quadratic", field=FieldSpec(16))
+        for pair in plan.pairs:
+            assert pair.part_map.shape == (pair.scheme.coefficients.shape[1], 2)
+            assert not pair.part_map.flags.writeable
+            expected = [[plan.table.entry(r, c), j] for r in range(1, 10)
+                        for c in pair.columns for j in range(1, pair.cell_split + 1)]
+            assert pair.part_map.tolist() == expected
+
+    def test_plans_and_pairs_keep_value_semantics(self):
+        inst, demands = MaccInstance(9, 9, 2, 2), (1, 1, 2, 2, 3, 1, 4, 4, 1)
+        plan = assemble(inst, demands, mode="quadratic")
+        assert reduce_macc(inst, demands) == plan.table
+        assert hash(reduce_macc(inst, demands)) == hash(plan.table)
+        assert hash(plan) == hash(replace(plan))
+        assert plan == replace(plan) and {plan, replace(plan)} == {plan}
+        first = plan.pairs[0]
+        copy = replace(first, part_map=first.part_map.copy())
+        assert copy == first and hash(copy) == hash(first)
+        other = replace(first, part_map=first.part_map[::-1].copy())
+        assert other != first
+
+    def test_each_scheme_is_built_and_checked_once(self, monkeypatch):
+        checked = []
+        real = linalg_ff._check_entries
+
+        def counted(values, field, what):
+            checked.append(what)
+            return real(values, field, what)
+
+        monkeypatch.setattr(linalg_ff, "_check_entries", counted)
+        plan = plan_for(9, 2, 3, "quadratic")
+        assert checked.count("coefficients") == len(plan.pairs) == 2
+        assert [p.cell_split for p in plan.pairs] == [2, 4]
 
     def test_duplicate_demands_still_verify(self):
         plan = assemble(
@@ -410,7 +448,7 @@ class TestVerifyOnce:
         local = inst.users[(user - 1) * per_user : user * per_user]
 
         def part_label(m):
-            g, part = pair.part_map[m - 1]
+            g, part = pair.part_map[m - 1].tolist()
             return delivery._part_label(plan.table.message_label(g), part, pair.cell_split)
 
         labels = {part_label(m): m for u in local for m in u.want}
@@ -443,7 +481,7 @@ class TestVerifyOnce:
                 full = rank_without(())
                 missed = next((m for m in wants if rank_without({m}) == full), None)
                 if missed is not None:
-                    g, part = pair.part_map[missed - 1]
+                    g, part = pair.part_map[missed - 1].tolist()
                     label = delivery._part_label(plan.table.message_label(g), part, pair.cell_split)
                     deficit = len(wants) - full + rank_without(set(wants))
                     named.append((user, label, deficit))
@@ -798,7 +836,7 @@ def reference_payload(plan):
                 "colors": list(pair.coloring.colors),
                 "messages": [
                     {"table_message": g, "part": part, "label": label(g, part, pair.cell_split)}
-                    for g, part in pair.part_map
+                    for g, part in pair.part_map.tolist()
                 ],
                 "scheme": scheme(pair.scheme),
             }

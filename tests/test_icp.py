@@ -415,6 +415,34 @@ class TestReduceMacc:
                 assert f == 1
                 assert start == mod1(p + q, 6)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_dedup_matches_row_major_dict(self, data):
+        # random demands with repeats, every L and i: each (file, interval
+        # start) pair keeps the id of its first cell in row-major order
+        k = data.draw(st.integers(1, 20))
+        l = data.draw(st.integers(1, k))
+        i = data.draw(st.integers(1, -(-k // l)))
+        files = data.draw(st.integers(1, k))
+        demands = data.draw(st.lists(st.integers(1, files), min_size=k, max_size=k))
+        table = reduce_macc(MaccInstance(files, k, l, i), demands)
+        ids: dict[tuple[int, int], int] = {}
+        cells = [[ids.setdefault((demands[p - 1], mod1(p + q, k)), len(ids) + 1)
+                  for q in range(1, table.n_cols + 1)] for p in range(1, k + 1)]
+        assert table.cells.dtype == np.int32 and table.cells.shape == (k, table.n_cols)
+        assert table.cells.tolist() == cells
+        assert table.messages.tolist() == [list(key) for key in ids]
+        assert not table.cells.flags.writeable and not table.messages.flags.writeable
+
+    def test_tables_compare_and_hash_by_content(self):
+        inst = MaccInstance(n_files=3, n_caches=6, access_degree=2, memory_index=1)
+        demands = (1, 2, 1, 3, 3, 1)
+        a, b = reduce_macc(inst, demands), reduce_macc(inst, demands)
+        assert a.cells is not b.cells
+        assert a == b and hash(a) == hash(b)
+        assert a != reduce_macc(inst, (1, 2, 1, 3, 3, 2))
+        assert a != reduce_macc(inst)
+
     def test_single_column_clique(self):
         inst = MaccInstance(n_files=4, n_caches=4, access_degree=1, memory_index=3)
         table = reduce_macc(inst)
